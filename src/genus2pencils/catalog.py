@@ -28,6 +28,7 @@ from .lattice import (
     Surface,
     adjoint_square,
     cremona,
+    pairings,
     picard_number,
     plane_blowup,
     plane_curve,
@@ -786,16 +787,12 @@ def verify(tag: str) -> VerifyReport:
             from .curves import enum_classes
 
             stored = fib.named(name)
-            hits = []
-            for c in enum_classes(surface, ClassQuery(*query, 3)):
-                ok = True
-                for other, want in constraints:
-                    target = f if other == "F" else fib.named(other)
-                    if c * target != want:
-                        ok = False
-                        break
-                if ok:
-                    hits.append(c)
+            # filter constraint by constraint, so each class meets only the
+            # constraints up to the first one it fails
+            hits = list(enum_classes(surface, ClassQuery(*query, 3)))
+            for other, want in constraints:
+                target = f if other == "F" else fib.named(other)
+                hits = [c for c, v in zip(hits, pairings(target, hits)) if v == want]
             _require(hits == [stored], f"constraint solutions {hits}")
             return f"{name} is the unique solution of its {len(constraints)} printed constraints"
 

@@ -3,8 +3,12 @@
 Classes are enumerated by their pairing with a fixed nef reference class
 (the line, or minimal-section-plus-ruling shapes on the ruled kind) up to
 a degree cap, constrained to the requested self-intersection and
-canonical degree.  The walk is depth-first over coordinates with exact
-integer window pruning, and a node budget guards against runaway caps.
+canonical degree.  Permuting the exceptional coordinates fixes all three
+numbers, so the depth-first walk visits only non-increasing tails, one
+representative per orbit, with exact integer window pruning; each
+representative is then expanded into its distinct arrangements.  A node
+budget guards against runaway caps: it counts the walk's nodes plus every
+class emitted.  Results are cached for a few recent queries.
 """
 
 from __future__ import annotations
@@ -12,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import itemgetter
 
 from .lattice import (
     DivisorClass,
     Fibration,
     LatticeError,
     Surface,
+    pairings,
 )
 
 __all__ = [
@@ -70,9 +76,13 @@ class _Budget:
             raise BudgetExceededError("budget exceeded")
 
 
-def _tails(square_sum: int, linear_sum: int, slots: int, budget: _Budget):
-    """All integer tuples t of the given length with sum(t_i^2) = square_sum
-    and sum(t_i) = linear_sum, depth-first with exact window pruning."""
+def _sorted_tails(square_sum: int, linear_sum: int, slots: int, top: int, budget: _Budget):
+    """Non-increasing integer tuples t of the given length, every entry at
+    most top, with sum(t_i^2) = square_sum and sum(t_i) = linear_sum.
+
+    These are the representatives of the orbits of the permutations of the
+    exceptional coordinates, which fix C*C, K*C and the reference degree.
+    """
     budget.spend()
     if slots == 0:
         if square_sum == 0 and linear_sum == 0:
@@ -80,51 +90,81 @@ def _tails(square_sum: int, linear_sum: int, slots: int, budget: _Budget):
         return
     if square_sum < 0:
         return
-    # Cauchy-Schwarz window and the square/linear parity match
+    # Cauchy-Schwarz window, the square/linear parity match, and no entry
+    # may exceed the one before it
     if linear_sum * linear_sum > slots * square_sum:
         return
     if (square_sum - linear_sum) % 2:
         return
-    top = isqrt(square_sum)
-    for v in range(top, -top - 1, -1):
-        yield from (
-            (v,) + rest
-            for rest in _tails(square_sum - v * v, linear_sum - v, slots - 1, budget)
-        )
+    if linear_sum > slots * top:
+        return
+    bound = isqrt(square_sum)
+    for v in range(min(top, bound), -bound - 1, -1):
+        for rest in _sorted_tails(square_sum - v * v, linear_sum - v, slots - 1, v, budget):
+            yield (v,) + rest
 
 
-def _order_key(c: DivisorClass) -> tuple[int, ...]:
-    base = c.surface.base_rank
-    return c.coords[:base] + tuple(-x for x in c.coords[base:])
+def _arrangements(tail: tuple[int, ...]):
+    """Distinct permutations of a non-increasing tuple, in descending
+    lexicographic order (repeated previous-permutation steps)."""
+    t = list(tail)
+    last = len(t) - 1
+    while True:
+        yield tuple(t)
+        i = last - 1
+        while i >= 0 and t[i] <= t[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while t[j] >= t[i]:
+            j -= 1
+        t[i], t[j] = t[j], t[i]
+        t[i + 1:] = t[:i:-1]
 
 
-@lru_cache(maxsize=256)
+def _heads(surface: Surface, query: ClassQuery):
+    """(head coordinates, tail square sum, tail linear sum) for every head
+    whose reference degree lies between 0 and the cap."""
+    if surface.kind == "plane":
+        for degree in range(query.degree_cap + 1):
+            yield (degree,), degree * degree - query.self_int, -3 * degree - query.k_deg
+        return
+    d = surface.index
+    for degree in range(query.degree_cap + 1):
+        # degree = x + (coefficient of G contribution): H*(x D0 + y G + ...) = x*(index+1) - x*index + ... = x + y
+        for x in range(-degree - abs(query.self_int) - 3, degree + abs(query.self_int) + 4):
+            y = degree - x
+            square_sum = -(d + 2) * x * x + 2 * degree * x - query.self_int
+            if square_sum < 0:
+                continue
+            yield (x, y), square_sum, (d - 2) * x - 2 * y - query.k_deg
+
+
+# A verify pass over the catalog needs 5 distinct queries.  One result
+# that fits the default budget can hold hundreds of thousands of classes
+# (P^2 blown up in 14 points at cap 4: 403,613 classes, about 210 MB), so
+# a larger cache would have no sane memory ceiling.
+@lru_cache(maxsize=16)
 def _enum_cached(surface: Surface, query: ClassQuery, budget_size: int) -> tuple[DivisorClass, ...]:
     budget = _Budget(budget_size)
     n = surface.blowups
-    found: list[DivisorClass] = []
-    if surface.kind == "plane":
-        for degree in range(query.degree_cap + 1):
-            square_sum = degree * degree - query.self_int
-            linear_sum = -3 * degree - query.k_deg
-            for tail in _tails(square_sum, linear_sum, n, budget):
-                found.append(DivisorClass(surface, (degree,) + tail))
-    else:
-        d = surface.index
-        for degree in range(query.degree_cap + 1):
-            # degree = x + (coefficient of G contribution): H*(x D0 + y G + ...) = x*(index+1) - x*index + ... = x + y
-            for x in range(-degree - abs(query.self_int) - 3, degree + abs(query.self_int) + 4):
-                y = degree - x
-                square_sum = -(d + 2) * x * x + 2 * degree * x - query.self_int
-                if square_sum < 0:
-                    continue
-                linear_sum = (d - 2) * x - 2 * y - query.k_deg
-                for tail in _tails(square_sum, linear_sum, n, budget):
-                    found.append(DivisorClass(surface, (x, y) + tail))
-    zero = surface.zero()
-    out = [c for c in found if c != zero]
-    out.sort(key=_order_key)
-    return tuple(out)
+    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for head, square_sum, linear_sum in _heads(surface, query):
+        top = isqrt(max(square_sum, 0))
+        for rep in _sorted_tails(square_sum, linear_sum, n, top, budget):
+            for tail in _arrangements(rep):
+                budget.spend()
+                rows.append((head, tail))
+    # heads ascending, tails descending within a head
+    rows.sort(key=itemgetter(1), reverse=True)
+    rows.sort(key=itemgetter(0))
+    zero = (0,) * surface.rank
+    return tuple(
+        DivisorClass(surface, coords)
+        for coords in (head + tail for head, tail in rows)
+        if coords != zero
+    )
 
 
 def enum_classes(
@@ -169,9 +209,10 @@ def fibre_intersection_identity(
     if f != pencil + (-shift) * k:
         raise LatticeError("identity inapplicable: fibre class is not pencil minus shift times canonical")
     classes = enum_classes(fib.surface, query, budget)
-    fds = tuple(f * c for c in classes)
-    pds = tuple(pencil * c for c in classes)
-    holds = all(fd == pd - shift * (k * c) for fd, pd, c in zip(fds, pds, classes))
+    fds = pairings(f, classes)
+    pds = pairings(pencil, classes)
+    kds = pairings(k, classes)
+    holds = all(fd == pd - shift * kd for fd, pd, kd in zip(fds, pds, kds))
     minimum = min(fds) if fds else None
     witnesses = tuple(c for c, fd in zip(classes, fds) if fd == minimum) if fds else ()
     return IdentityReport(holds, shift, pencil, classes, fds, pds, minimum, witnesses)
@@ -204,8 +245,7 @@ def minus_one_section_exists(
     enumerated range.
     """
     classes = enum_classes(fib.surface, ClassQuery(-1, -1, cap), budget)
-    f = fib.fibre_class
-    degrees = tuple(f * c for c in classes)
+    degrees = pairings(fib.fibre_class, classes)
     witness = next((c for c, d in zip(classes, degrees) if d == 1), None)
     minimum = min(degrees) if degrees else None
     minimum_witness = (

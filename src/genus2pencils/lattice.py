@@ -11,7 +11,7 @@ coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import index as _as_int
+from operator import index as _as_int, mul
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "RulingChoiceError",
     "Surface",
     "DivisorClass",
+    "pairings",
     "Fibration",
     "plane_blowup",
     "hirzebruch_blowup",
@@ -100,13 +101,21 @@ class Surface:
         return tuple(tuple(row) for row in m)
 
     def intersect(self, x: Sequence[int], y: Sequence[int]) -> int:
+        # every basis class but the head block squares to -1: negate the
+        # plain dot product and correct the head block
+        x0, y0 = x[0], y[0]
         if self.kind == "plane":
-            s = x[0] * y[0]
+            return 2 * x0 * y0 - sum(map(mul, x, y))
+        x1, y1 = x[1], y[1]
+        return (1 - self.index) * x0 * y0 + x0 * y1 + x1 * y0 + x1 * y1 - sum(map(mul, x, y))
+
+    def dual(self, x: Sequence[int]) -> tuple[int, ...]:
+        """The Gram matrix times x: intersect(x, y) is its dot product with y."""
+        if self.kind == "plane":
+            head: tuple[int, ...] = (x[0],)
         else:
-            s = -self.index * x[0] * y[0] + x[0] * y[1] + x[1] * y[0]
-        for i in range(self.base_rank, self.rank):
-            s -= x[i] * y[i]
-        return s
+            head = (x[1] - self.index * x[0], x[0])
+        return head + tuple(-v for v in x[self.base_rank:])
 
     def divisor(self, *coords: int) -> "DivisorClass":
         return DivisorClass(self, tuple(coords))
@@ -163,7 +172,7 @@ class DivisorClass:
 
     def __post_init__(self) -> None:
         try:
-            coords = tuple(_as_int(c) for c in self.coords)
+            coords = tuple(map(_as_int, self.coords))
         except TypeError:
             raise LatticeError("coordinates must be integers") from None
         if len(coords) != self.surface.rank:
@@ -173,7 +182,7 @@ class DivisorClass:
         object.__setattr__(self, "coords", coords)
 
     def _require_same(self, other: "DivisorClass") -> None:
-        if self.surface != other.surface:
+        if self.surface is not other.surface and self.surface != other.surface:
             raise ForeignClassError("foreign class: operands live on different surfaces")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -231,6 +240,23 @@ class DivisorClass:
 
     def __repr__(self) -> str:
         return f"<{self}>"
+
+
+def pairings(d: DivisorClass, classes: Sequence[DivisorClass]) -> tuple[int, ...]:
+    """(d * c for c in classes), with d's dual vector computed once; every
+    class must live on d's surface."""
+    surface = d.surface
+    dual = surface.dual(d.coords)
+    out = []
+    # equal surfaces are compared once per change of object, not per class
+    checked = surface
+    for c in classes:
+        if c.surface is not checked:
+            if c.surface != surface:
+                raise ForeignClassError("foreign class: operands live on different surfaces")
+            checked = c.surface
+        out.append(sum(map(mul, dual, c.coords)))
+    return tuple(out)
 
 
 def plane_curve(surface: Surface, degree: int, multiplicities: Sequence[int] = ()) -> DivisorClass:

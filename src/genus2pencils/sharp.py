@@ -109,7 +109,8 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     Candidates are re-scanned after every contraction since images evolve;
     ties go to the smallest coordinate vector.  The adjoint square is
     unchanged at every step while the canonical self-intersection rises by
-    one, and both identities are asserted on the result.
+    one; both identities are checked on the result and a violation raises
+    ReductionError.
     """
     fib.validate()
     surface = fib.surface
@@ -130,8 +131,17 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
         surface, pencil, curves = _contract(surface, pencil, curves, e)
         steps.append(TraceStep(e, 1, surface, pencil))
     k_end = surface.canonical()
-    assert (k_end + pencil) * (k_end + pencil) == adj_start
-    assert k_end * k_end == k_start_sq + len(steps)
+    adj_end = (k_end + pencil) * (k_end + pencil)
+    if adj_end != adj_start:
+        raise ReductionError(
+            f"invariant broken: adjoint square went from {adj_start} to {adj_end}"
+        )
+    k_end_sq = k_end * k_end
+    if k_end_sq != k_start_sq + len(steps):
+        raise ReductionError(
+            f"invariant broken: K^2 went from {k_start_sq} to {k_end_sq} "
+            f"over {len(steps)} contractions"
+        )
     return ReducedPencil(
         surface, pencil, tuple(curves), ContractionTrace(start, surface, tuple(steps))
     )

@@ -60,6 +60,52 @@ def box_classes(surface: Surface, query: ClassQuery) -> list[DivisorClass]:
     return found
 
 
+def flat_classes(surface: Surface, query: ClassQuery) -> list[DivisorClass]:
+    """The enumeration's former flat walk, kept as a reference: every tail
+    with the right square and linear sums, depth-first over all integer
+    coordinates with no symmetry reduction, then sorted by head ascending
+    and tail descending."""
+    found: list[DivisorClass] = []
+    for head in _flat_heads(surface, query):
+        square_sum = _tail_square(surface, head, query.self_int)
+        if surface.kind == "plane":
+            linear_sum = -3 * head[0] - query.k_deg
+        else:
+            x, y = head
+            linear_sum = (surface.index - 2) * x - 2 * y - query.k_deg
+        for tail in _flat_tails(square_sum, linear_sum, surface.blowups):
+            found.append(DivisorClass(surface, head + tail))
+    found = [c for c in found if c != surface.zero()]
+    base = surface.base_rank
+    found.sort(key=lambda c: c.coords[:base] + tuple(-x for x in c.coords[base:]))
+    return found
+
+
+def _flat_heads(surface: Surface, query: ClassQuery):
+    for degree in range(query.degree_cap + 1):
+        if surface.kind == "plane":
+            yield (degree,)
+            continue
+        reach = degree + abs(query.self_int) + 3
+        for x in range(-reach, reach + 1):
+            yield (x, degree - x)
+
+
+def _flat_tails(square_sum: int, linear_sum: int, slots: int):
+    if slots == 0:
+        if square_sum == 0 and linear_sum == 0:
+            yield ()
+        return
+    if square_sum < 0 or linear_sum * linear_sum > slots * square_sum:
+        return
+    if (square_sum - linear_sum) % 2:
+        return
+    top = math.isqrt(square_sum)
+    for v in range(top, -top - 1, -1):
+        for rest in _flat_tails(square_sum - v * v, linear_sum - v, slots - 1):
+            yield (v,) + rest
+
+
 def _head_choices(surface: Surface, degree: int):
     if surface.kind == "plane":
         yield (degree,)

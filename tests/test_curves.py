@@ -4,11 +4,14 @@ identities built on it."""
 from __future__ import annotations
 
 import pytest
-from oracles import box_classes
+from oracles import box_classes, flat_classes
 
+from genus2pencils import catalog
 from genus2pencils.curves import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     ClassQuery,
+    _enum_cached,
     enum_classes,
     fibre_intersection_identity,
     minus_one_section_exists,
@@ -39,6 +42,53 @@ def test_enum_matches_box_oracle_hirzebruch():
         s = hirzebruch_blowup(d, n)
         for query in (ClassQuery(-1, -1, 3), ClassQuery(0, -2, 2)):
             assert list(enum_classes(s, query)) == box_classes(s, query)
+
+
+QUERY_KINDS = ((-1, -1), (-2, 0), (0, -2))
+
+
+def test_sorted_walk_matches_flat_walk_on_catalog_surfaces():
+    surfaces = {catalog.get(tag).fibration.surface for tag in catalog.tags()}
+    for s in sorted(surfaces, key=lambda s: s.blowups):
+        for query in QUERY_KINDS:
+            for cap in (1, 2, 3):
+                q = ClassQuery(*query, cap)
+                assert list(enum_classes(s, q)) == flat_classes(s, q)
+
+
+def test_sorted_walk_matches_flat_walk_at_cap_four():
+    s = plane_blowup(12)
+    q = ClassQuery(-1, -1, 4)
+    found = enum_classes(s, q)
+    assert len(found) == 42_714
+    assert list(found) == flat_classes(s, q)
+
+
+def test_sorted_walk_matches_flat_walk_on_ruled_surfaces():
+    for d in (0, 1, 2):
+        s = hirzebruch_blowup(d, 8)
+        for query in QUERY_KINDS:
+            for cap in (1, 2, 3, 4):
+                q = ClassQuery(*query, cap)
+                assert list(enum_classes(s, q)) == flat_classes(s, q)
+
+
+def test_cap_five_sections_fit_the_default_budget():
+    # the count was checked once against oracles.flat_classes, which takes
+    # about twice the time and memory to rerun
+    s = plane_blowup(12)
+    k = s.canonical()
+    try:
+        found = enum_classes(s, ClassQuery(-1, -1, 5), DEFAULT_BUDGET)
+        assert len(found) == 209_760
+        for c in found:
+            assert c * c == -1 and k * c == -1
+            assert 0 <= c.coords[0] <= 5
+        keys = [c.coords[:1] + tuple(-x for x in c.coords[1:]) for c in found]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    finally:
+        # a result this large should not outlive the test
+        _enum_cached.cache_clear()
 
 
 def test_enum_known_members_and_order():

@@ -2,26 +2,32 @@
 
 Each test states one algebraic law the implementation must satisfy for
 all inputs, not just the curated models: pairing bilinearity, the
-characteristic property of the canonical class, isometry laws for the
-quadratic transform, blow-up/blow-down inverses, the pushforward pairing
-rule, elementary-transform inverses, diagram label invariance, and the
-adjoint-square ceiling of the numeric search.
+characteristic property of the canonical class, the batched pairing and
+the Gram matrix against the single pairing, surface checks on mixed
+operands, isometry laws for the quadratic transform, blow-up/blow-down
+inverses, the pushforward pairing rule, elementary-transform inverses,
+diagram label invariance, and the adjoint-square ceiling of the numeric
+search.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from genus2pencils.curves import ClassQuery, enum_classes
 from genus2pencils.fibres import classify_diagram
 from genus2pencils.lattice import (
     DivisorClass,
+    ForeignClassError,
+    Surface,
     arithmetic_genus,
     blow_down,
     blow_up,
     cremona,
     elementary_transform,
     hirzebruch_blowup,
+    pairings,
     plane_blowup,
 )
 from genus2pencils.numerics import search_general
@@ -30,8 +36,10 @@ LIMITS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def surfaces(draw, min_blowups: int = 0, max_blowups: int = 8):
-    if draw(st.booleans()):
+def surfaces(draw, min_blowups: int = 0, max_blowups: int = 8, kind: str | None = None):
+    if kind is None:
+        kind = "plane" if draw(st.booleans()) else "hirzebruch"
+    if kind == "plane":
         return plane_blowup(draw(st.integers(min_blowups, max_blowups)))
     return hirzebruch_blowup(
         draw(st.integers(0, 3)), draw(st.integers(min_blowups, max_blowups))
@@ -39,8 +47,8 @@ def surfaces(draw, min_blowups: int = 0, max_blowups: int = 8):
 
 
 @st.composite
-def surface_and_classes(draw, count: int, min_blowups: int = 0):
-    s = draw(surfaces(min_blowups=min_blowups))
+def surface_and_classes(draw, count: int, min_blowups: int = 0, kind: str | None = None):
+    s = draw(surfaces(min_blowups=min_blowups, kind=kind))
     classes = tuple(
         DivisorClass(
             s,
@@ -60,6 +68,56 @@ def test_pairing_is_symmetric_and_bilinear(data, a, b):
     assert x * y == y * x
     assert (x + y) * z == x * z + y * z
     assert (a * x + b * y) * z == a * (x * z) + b * (y * z)
+
+
+KINDS = ("plane", "hirzebruch")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@LIMITS
+@given(data=st.data())
+def test_batched_pairing_matches_single_pairing(kind, data):
+    _, (d, *cs) = data.draw(surface_and_classes(6, kind=kind))
+    assert pairings(d, cs) == tuple(d * c for c in cs)
+    assert pairings(d, ()) == ()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@LIMITS
+@given(data=st.data())
+def test_intersect_agrees_with_gram(kind, data):
+    s, (x, y) = data.draw(surface_and_classes(2, kind=kind))
+    gram = s.gram()
+    want = sum(
+        x.coords[i] * gram[i][j] * y.coords[j] for i in range(s.rank) for j in range(s.rank)
+    )
+    assert s.intersect(x.coords, y.coords) == want
+    assert x * y == want
+    assert sum(a * b for a, b in zip(s.dual(x.coords), y.coords)) == want
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@LIMITS
+@given(data=st.data(), extra=st.integers(1, 3))
+def test_mixed_surfaces_raise_and_equal_surfaces_pair(kind, data, extra):
+    s, (x, y) = data.draw(surface_and_classes(2, kind=kind))
+    twin = Surface(s.kind, s.index, s.blowups)
+    assert twin is not s
+    y_twin = DivisorClass(twin, y.coords)
+    assert x * y_twin == x * y
+    assert pairings(x, (y, y_twin, y)) == (x * y,) * 3
+    bigger = Surface(s.kind, s.index, s.blowups + extra)
+    z = DivisorClass(bigger, y.coords + (0,) * extra)
+    with pytest.raises(ForeignClassError):
+        x * z
+    with pytest.raises(ForeignClassError):
+        pairings(x, (y, z))
+    with pytest.raises(ForeignClassError):
+        pairings(z, (y,))
+    if s.kind == "hirzebruch":
+        reindexed = DivisorClass(Surface(s.kind, s.index + 1, s.blowups), y.coords)
+        with pytest.raises(ForeignClassError):
+            pairings(x, (y_twin, reindexed))
 
 
 @LIMITS

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from genus2pencils import sharp
 from genus2pencils.lattice import (
     DivisorClass,
     Fibration,
@@ -259,6 +260,31 @@ def test_reduction_validates_the_fibration():
     not_a_fibre = plane_curve(s, 6, (2,) * 8)
     with pytest.raises(Exception, match="self-intersection 4, expected 0"):
         reduction(Fibration(s, not_a_fibre), ())
+
+
+def test_reduction_checks_the_adjoint_square(monkeypatch):
+    real = sharp._contract
+
+    def doubling(surface, pencil, curves, e):
+        smaller, pushed, rest = real(surface, pencil, curves, e)
+        return smaller, 2 * pushed, rest
+
+    monkeypatch.setattr(sharp, "_contract", doubling)
+    s, f = sextic_pencil()
+    # raised, not asserted, so the check survives python -O
+    with pytest.raises(ReductionError, match="adjoint square went from 1 to 6"):
+        reduction(Fibration(s, f), basis_effective(s))
+
+
+def test_reduction_checks_the_canonical_square(monkeypatch):
+    def forgetting(surface, pencil, curves, e):
+        # drops the curve without contracting it
+        return surface, pencil, [c for c in curves if c != e]
+
+    monkeypatch.setattr(sharp, "_contract", forgetting)
+    s, f = sextic_pencil()
+    with pytest.raises(ReductionError, match=r"K\^2 went from -3 to -3 over 4 contractions"):
+        reduction(Fibration(s, f), basis_effective(s))
 
 
 def test_classify_type_special_branch():
