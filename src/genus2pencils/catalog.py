@@ -9,9 +9,15 @@ verify() recomputes everything from the lattice data and compares.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
-from .curves import ClassQuery, fibre_intersection_identity, minus_one_section_exists
+from .curves import (
+    ClassQuery,
+    classes_meeting,
+    fibre_intersection_identity,
+    minus_one_section_exists,
+)
 from .fibres import (
     FibreComponent,
     FibreDecomposition,
@@ -25,6 +31,7 @@ from .intmat import hermite_normal_form
 from .lattice import (
     DivisorClass,
     Fibration,
+    LatticeError,
     Surface,
     adjoint_square,
     cremona,
@@ -87,9 +94,14 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome.  A failed claim has passed False; a check that
+    raised anything but AssertionError or LatticeError also carries
+    ``error``, the exception type and the file:line it was raised at."""
+
     name: str
     passed: bool
     detail: str = ""
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -575,8 +587,15 @@ def get(tag: str) -> CatalogEntry:
 def _run(checks: list[CheckResult], name: str, fn) -> None:
     try:
         detail = fn()
-    except Exception as exc:  # narrow failures into the report
+    except (AssertionError, LatticeError) as exc:  # the claim does not hold
         checks.append(CheckResult(name, False, str(exc)))
+        return
+    except Exception as exc:  # a fault in the library, not in the claim
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{type(exc).__name__} at {os.path.basename(tb.tb_frame.f_code.co_filename)}"
+        checks.append(CheckResult(name, False, str(exc), f"{where}:{tb.tb_lineno}"))
         return
     checks.append(CheckResult(name, True, detail or ""))
 
@@ -756,7 +775,7 @@ def verify(tag: str) -> VerifyReport:
             _require(report.holds, "pairing identity failed")
             _require(report.minimum == exp.empirical_minimum, f"minimum {report.minimum}")
             return (
-                f"identity holds on {len(report.classes)} classes, "
+                f"identity holds on {report.count} classes, "
                 f"minimum {report.minimum}"
             )
 
@@ -775,7 +794,7 @@ def verify(tag: str) -> VerifyReport:
             )
             _require(fib.named("P") in report.witnesses, "pencil class does not attain the minimum")
             return (
-                f"minimum {report.minimum} over {len(report.classes)} pencil classes, "
+                f"minimum {report.minimum} over {report.count} pencil classes, "
                 f"attained at {fib.named('P')}"
             )
 
@@ -784,15 +803,18 @@ def verify(tag: str) -> VerifyReport:
     for name, query, constraints in exp.reconstructed:
 
         def check_unique(name: str = name, query=query, constraints=constraints) -> str:
-            from .curves import enum_classes
-
             stored = fib.named(name)
-            # filter constraint by constraint, so each class meets only the
-            # constraints up to the first one it fails
-            hits = list(enum_classes(surface, ClassQuery(*query, 3)))
-            for other, want in constraints:
-                target = f if other == "F" else fib.named(other)
-                hits = [c for c, v in zip(hits, pairings(target, hits)) if v == want]
+
+            def target(other: str) -> DivisorClass:
+                return f if other == "F" else fib.named(other)
+
+            # the first constraint selects whole block orbits, and only
+            # their classes are built; the rest filter those classes one
+            # constraint at a time
+            (first, want), *rest = constraints
+            hits = list(classes_meeting(surface, target(first), want, ClassQuery(*query, 3)))
+            for other, want in rest:
+                hits = [c for c, v in zip(hits, pairings(target(other), hits)) if v == want]
             _require(hits == [stored], f"constraint solutions {hits}")
             return f"{name} is the unique solution of its {len(constraints)} printed constraints"
 

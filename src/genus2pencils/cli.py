@@ -3,7 +3,8 @@
 Four subcommands: canonical (print a built-in model), verify-example
 (recheck one), search-types (run the numeric search), dual-graph (print or
 DOT a fibre's component graph).  Exit codes: 0 success, 1 failed checks,
-2 bad usage or unparseable input.
+2 bad usage or unparseable input, 3 a check raised an unexpected error
+(a fault in the library rather than a failed claim).
 """
 
 from __future__ import annotations
@@ -67,33 +68,40 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     report = catalog.verify(entry.tag)
+    errors = sum(1 for c in report.checks if c.error)
+    failures = sum(1 for c in report.checks if not c.passed) - errors
+    code = 3 if errors else 1 if failures else 0
     if args.report:
         exp = entry.expected
+        checks = []
+        for c in report.checks:
+            checks.append({"name": c.name, "passed": c.passed, "detail": c.detail})
+            if c.error:
+                checks[-1]["error"] = c.error
         payload = {
             "tag": report.tag,
             "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
+            "checks": checks,
             "block_sizes": list(exp.block_sizes),
             "component_counts": list(exp.component_counts),
             "mordell_weil_rank": exp.mordell_weil_rank,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if report.passed else 1
-    failures = 0
+        return code
     for check in report.checks:
         if check.passed:
             print(f"ok {check.name}" + (f": {check.detail}" if check.detail else ""))
+        elif check.error:
+            print(f"ERROR {check.name}: {check.error}: {check.detail}")
         else:
-            failures += 1
             print(f"FAIL {check.name}: {check.detail}")
     if failures:
         print(f"{report.tag}: {failures} of {len(report.checks)} checks failed")
-        return 1
-    print(f"{report.tag}: all {len(report.checks)} checks passed")
-    return 0
+    if errors:
+        print(f"{report.tag}: {errors} of {len(report.checks)} checks raised an error")
+    if not code:
+        print(f"{report.tag}: all {len(report.checks)} checks passed")
+    return code
 
 
 def _cmd_search(args: argparse.Namespace) -> int:

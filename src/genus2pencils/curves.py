@@ -5,31 +5,47 @@ Classes are enumerated by their pairing with a fixed nef reference class
 a degree cap, constrained to the requested self-intersection and
 canonical degree.  Permuting the exceptional coordinates fixes all three
 numbers, so the depth-first walk visits only non-increasing tails, one
-representative per orbit, with exact integer window pruning; each
-representative is then expanded into its distinct arrangements.  A node
-budget guards against runaway caps: it counts the walk's nodes plus every
-class emitted.  Results are cached for a few recent queries.
+representative per orbit, with exact integer window pruning.
+enum_classes expands each representative into its distinct arrangements.
+
+The section search, the pairing identity and classes_meeting work on block
+orbits instead: the exceptional indices split into blocks on which every
+weight class (the fibre, the pencil, a constraint target) has one
+coordinate, each representative is dealt into one non-increasing tail per
+block, and a weight class pairs to the same value with every class of such
+an orbit.  Each orbit is paired once; only the orbits a caller asks for are
+expanded into classes.
+
+A node budget guards against runaway caps: it counts the walk's nodes plus
+every class (for enum_classes) or block orbit emitted, and expanding
+orbits into more classes than the budget raises as well.  Results are
+cached for a few recent queries; clear_caches drops them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from math import isqrt
-from operator import itemgetter
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import product
+from math import factorial, isqrt, prod
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .lattice import (
     DivisorClass,
     Fibration,
+    ForeignClassError,
     LatticeError,
     Surface,
-    pairings,
 )
 
 __all__ = [
     "BudgetExceededError",
     "ClassQuery",
     "enum_classes",
+    "classes_meeting",
+    "clear_caches",
     "reference_class",
     "minus_one_section_exists",
     "SectionSearch",
@@ -175,18 +191,194 @@ def enum_classes(
     return _enum_cached(surface, query, budget)
 
 
+class _Orbit(NamedTuple):
+    """Classes sharing a head and, block by block, a multiset of exceptional
+    coordinates: one non-increasing tail per block, and the class count."""
+
+    head: tuple[int, ...]
+    tails: tuple[tuple[int, ...], ...]
+    size: int
+
+
+def _blocks(surface: Surface, weights: tuple[DivisorClass, ...]) -> tuple[tuple[int, ...], ...]:
+    """Exceptional positions (0-based) grouped by their coordinates in every
+    weight class, blocks ordered by their first position."""
+    for w in weights:
+        if w.surface != surface:
+            raise ForeignClassError("foreign class: operands live on different surfaces")
+    base = surface.base_rank
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i in range(surface.blowups):
+        groups.setdefault(tuple(w.coords[base + i] for w in weights), []).append(i)
+    return tuple(map(tuple, groups.values()))
+
+
+def _picks(counts: tuple[int, ...], size: int, i: int = 0):
+    """Vectors t with 0 <= t_j <= counts_j for j >= i and sum(t) = size,
+    largest first."""
+    if i == len(counts):
+        if size == 0:
+            yield ()
+        return
+    if sum(counts[i:]) < size:
+        return
+    for t in range(min(counts[i], size), -1, -1):
+        for rest in _picks(counts, size - t, i + 1):
+            yield (t,) + rest
+
+
+def _deals(values: tuple[int, ...], counts: tuple[int, ...], sizes: tuple[int, ...]):
+    """Every way to deal the multiset (values[j] taken counts[j] times,
+    values descending) into blocks of the given sizes, as one
+    non-increasing tail per block."""
+    if not sizes:
+        yield ()
+        return
+    for taken in _picks(counts, sizes[0]):
+        tail = tuple(v for v, t in zip(values, taken) for _ in range(t))
+        left = tuple(c - t for c, t in zip(counts, taken))
+        for rest in _deals(values, left, sizes[1:]):
+            yield (tail,) + rest
+
+
+def _arrangement_count(tail: tuple[int, ...]) -> int:
+    return factorial(len(tail)) // prod(map(factorial, Counter(tail).values()))
+
+
+# An orbit list is small (283 orbits stand for the 808,380 (-1)-classes of
+# P^2 blown up in 12 points at cap 6), so more queries are kept than above.
+@lru_cache(maxsize=64)
+def _orbits_cached(
+    surface: Surface, query: ClassQuery, blocks: tuple[tuple[int, ...], ...], budget_size: int
+) -> tuple[_Orbit, ...]:
+    """Every block orbit of the query's classes, the zero class left out,
+    in walk order; the budget counts walk nodes plus orbits emitted."""
+    budget = _Budget(budget_size)
+    sizes = tuple(map(len, blocks))
+    orbits = []
+    for head, square_sum, linear_sum in _heads(surface, query):
+        top = isqrt(max(square_sum, 0))
+        for rep in _sorted_tails(square_sum, linear_sum, surface.blowups, top, budget):
+            if not any(head) and not any(rep):
+                continue  # the zero class is never enumerated
+            values = tuple(sorted(set(rep), reverse=True))
+            counts = tuple(map(rep.count, values))
+            for tails in _deals(values, counts, sizes):
+                budget.spend()
+                orbits.append(_Orbit(head, tails, prod(map(_arrangement_count, tails))))
+    return tuple(orbits)
+
+
+def clear_caches() -> None:
+    """Drop every cached class list and block-orbit list."""
+    _enum_cached.cache_clear()
+    _orbits_cached.cache_clear()
+
+
+def _orbit_degrees(
+    d: DivisorClass, blocks: tuple[tuple[int, ...], ...], orbits: tuple[_Orbit, ...]
+) -> tuple[int, ...]:
+    """d*C for the classes of each orbit; d must be constant on every block."""
+    dual = d.surface.dual(d.coords)
+    base = d.surface.base_rank
+    head = dual[:base]
+    weights = tuple(dual[base + block[0]] for block in blocks)
+    for w, block in zip(weights, blocks):
+        if any(dual[base + i] != w for i in block):
+            raise LatticeError(f"{d} is not constant on the exceptional block {block}")
+    return tuple(
+        sum(map(mul, head, o.head)) + sum(w * sum(t) for w, t in zip(weights, o.tails))
+        for o in orbits
+    )
+
+
+def _place(n: int, blocks: tuple[tuple[int, ...], ...], parts) -> tuple[int, ...]:
+    tail = [0] * n
+    for block, part in zip(blocks, parts):
+        for i, v in zip(block, part):
+            tail[i] = v
+    return tuple(tail)
+
+
+def _first(surface: Surface, blocks, orbits) -> DivisorClass | None:
+    """The class of the given orbits that comes first in enumeration order:
+    the least head, then the largest tail.  An orbit's largest tail fills
+    each position, in index order, with the largest value left in its block,
+    which is its block tails placed as they stand."""
+    rows = [(o.head, _place(surface.blowups, blocks, o.tails)) for o in orbits]
+    if not rows:
+        return None
+    head, tail = min(rows, key=lambda r: (r[0], tuple(-v for v in r[1])))
+    return DivisorClass(surface, head + tail)
+
+
+def _expand(surface: Surface, blocks, orbits, budget: int) -> list[tuple[DivisorClass, int]]:
+    """(class, index of its orbit) for every class of the given orbits, in
+    enumeration order: heads ascending, tails descending within a head.
+    More classes than the budget raise before any is built."""
+    if sum(o.size for o in orbits) > budget:
+        raise BudgetExceededError("budget exceeded")
+    rows = []
+    for index, o in enumerate(orbits):
+        for parts in product(*(tuple(_arrangements(t)) for t in o.tails)):
+            rows.append((o.head, _place(surface.blowups, blocks, parts), index))
+    rows.sort(key=itemgetter(1), reverse=True)
+    rows.sort(key=itemgetter(0))
+    return [(DivisorClass(surface, head + tail), index) for head, tail, index in rows]
+
+
+def classes_meeting(
+    surface: Surface,
+    d: DivisorClass,
+    degree: int,
+    query: ClassQuery,
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[DivisorClass, ...]:
+    """The classes of enum_classes(surface, query) with d*C == degree, in
+    the same order; only the block orbits that pair to degree are expanded."""
+    blocks = _blocks(surface, (d,))
+    orbits = _orbits_cached(surface, query, blocks, budget)
+    keep = tuple(o for o, v in zip(orbits, _orbit_degrees(d, blocks, orbits)) if v == degree)
+    return tuple(c for c, _ in _expand(surface, blocks, keep, budget))
+
+
 @dataclass(frozen=True)
 class IdentityReport:
-    """Per-class check of F*C = pencil*C - shift*(K*C) over an enumeration."""
+    """Check of F*C = pencil*C - shift*(K*C) over an enumeration, made once
+    per block orbit.
+
+    ``count`` is the number of enumerated classes.  ``classes`` and their
+    degree tuples are expanded, in enumeration order, only when read (more
+    classes than the budget raise BudgetExceededError then); ``witnesses``
+    holds the classes of the orbits attaining the minimum.
+    """
 
     holds: bool
     shift: int
     pencil: DivisorClass
-    classes: tuple[DivisorClass, ...]
-    fibre_degrees: tuple[int, ...]
-    pencil_degrees: tuple[int, ...]
     minimum: int | None
     witnesses: tuple[DivisorClass, ...]
+    count: int
+    _blocks: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+    _orbits: tuple[_Orbit, ...] = field(default=(), repr=False, compare=False)
+    _degrees: tuple[tuple[int, int], ...] = field(default=(), repr=False, compare=False)
+    _budget: int = field(default=DEFAULT_BUDGET, repr=False, compare=False)
+
+    @cached_property
+    def _expanded(self) -> list[tuple[DivisorClass, int]]:
+        return _expand(self.pencil.surface, self._blocks, self._orbits, self._budget)
+
+    @cached_property
+    def classes(self) -> tuple[DivisorClass, ...]:
+        return tuple(c for c, _ in self._expanded)
+
+    @cached_property
+    def fibre_degrees(self) -> tuple[int, ...]:
+        return tuple(self._degrees[i][0] for _, i in self._expanded)
+
+    @cached_property
+    def pencil_degrees(self) -> tuple[int, ...]:
+        return tuple(self._degrees[i][1] for _, i in self._expanded)
 
 
 def fibre_intersection_identity(
@@ -200,7 +392,9 @@ def fibre_intersection_identity(
 
     The decomposition is verified first; the identity then pins F*C for
     every enumerated class, and in particular bounds it below by
-    shift*(-K*C) plus the pairing with the moving part.
+    shift*(-K*C) plus the pairing with the moving part.  F, P and K are
+    constant on the blocks of (F, P), so one check per block orbit covers
+    every class of it.
     """
     f = fib.fibre_class
     k = fib.surface.canonical()
@@ -208,14 +402,20 @@ def fibre_intersection_identity(
         raise LatticeError("identity inapplicable: pencil lives on another surface")
     if f != pencil + (-shift) * k:
         raise LatticeError("identity inapplicable: fibre class is not pencil minus shift times canonical")
-    classes = enum_classes(fib.surface, query, budget)
-    fds = pairings(f, classes)
-    pds = pairings(pencil, classes)
-    kds = pairings(k, classes)
+    blocks = _blocks(fib.surface, (f, pencil))
+    orbits = _orbits_cached(fib.surface, query, blocks, budget)
+    fds = _orbit_degrees(f, blocks, orbits)
+    pds = _orbit_degrees(pencil, blocks, orbits)
+    kds = _orbit_degrees(k, blocks, orbits)
     holds = all(fd == pd - shift * kd for fd, pd, kd in zip(fds, pds, kds))
-    minimum = min(fds) if fds else None
-    witnesses = tuple(c for c, fd in zip(classes, fds) if fd == minimum) if fds else ()
-    return IdentityReport(holds, shift, pencil, classes, fds, pds, minimum, witnesses)
+    minimum = min(fds, default=None)
+    lowest = tuple(o for o, fd in zip(orbits, fds) if fd == minimum)
+    witnesses = tuple(c for c, _ in _expand(fib.surface, blocks, lowest, budget))
+    count = sum(o.size for o in orbits)
+    return IdentityReport(
+        holds, shift, pencil, minimum, witnesses, count,
+        blocks, orbits, tuple(zip(fds, pds)), budget,
+    )
 
 
 @dataclass(frozen=True)
@@ -239,18 +439,19 @@ def minus_one_section_exists(
 ) -> SectionSearch:
     """Search enumerated (-1)-classes for a section of the pencil.
 
-    When a pencil decomposition (pencil, shift) is supplied, the pairing
-    identity certifies shift as a lower bound for F*C over classes with
-    K*C = -1, turning the empirical minimum into a proof for the
-    enumerated range.
+    F*C is computed once per block orbit of F; each witness is the first
+    qualifying class in enumeration order.  When a pencil decomposition
+    (pencil, shift) is supplied, the pairing identity certifies shift as a
+    lower bound for F*C over classes with K*C = -1, turning the empirical
+    minimum into a proof for the enumerated range.
     """
-    classes = enum_classes(fib.surface, ClassQuery(-1, -1, cap), budget)
-    degrees = pairings(fib.fibre_class, classes)
-    witness = next((c for c, d in zip(classes, degrees) if d == 1), None)
-    minimum = min(degrees) if degrees else None
-    minimum_witness = (
-        next(c for c, d in zip(classes, degrees) if d == minimum) if degrees else None
-    )
+    surface = fib.surface
+    blocks = _blocks(surface, (fib.fibre_class,))
+    orbits = _orbits_cached(surface, ClassQuery(-1, -1, cap), blocks, budget)
+    degrees = _orbit_degrees(fib.fibre_class, blocks, orbits)
+    witness = _first(surface, blocks, [o for o, d in zip(orbits, degrees) if d == 1])
+    minimum = min(degrees, default=None)
+    minimum_witness = _first(surface, blocks, [o for o, d in zip(orbits, degrees) if d == minimum])
     certified = None
     note = ""
     if pencil is not None and shift is not None:

@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from genus2pencils.curves import ClassQuery
-from genus2pencils.lattice import DivisorClass, Surface
+from genus2pencils.curves import (
+    DEFAULT_BUDGET,
+    ClassQuery,
+    SectionSearch,
+    enum_classes,
+)
+from genus2pencils.lattice import DivisorClass, Fibration, LatticeError, Surface, pairings
 from genus2pencils.numerics import NumericType, SpecialType
 
 
@@ -79,6 +85,89 @@ def flat_classes(surface: Surface, query: ClassQuery) -> list[DivisorClass]:
     base = surface.base_rank
     found.sort(key=lambda c: c.coords[:base] + tuple(-x for x in c.coords[base:]))
     return found
+
+
+# The section search and the pairing identity as they stood before they
+# moved to block orbits: every enumerated class is built and paired.  The
+# orbit versions in curves must return the same fields.
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Per-class check of F*C = pencil*C - shift*(K*C) over an enumeration
+    (the reference record: every class built and paired)."""
+
+    holds: bool
+    shift: int
+    pencil: DivisorClass
+    classes: tuple[DivisorClass, ...]
+    fibre_degrees: tuple[int, ...]
+    pencil_degrees: tuple[int, ...]
+    minimum: int | None
+    witnesses: tuple[DivisorClass, ...]
+
+
+def fibre_intersection_identity(
+    fib: Fibration,
+    pencil: DivisorClass,
+    shift: int,
+    query: ClassQuery,
+    budget: int = DEFAULT_BUDGET,
+) -> IdentityReport:
+    """Certify the fibre pairing against a pencil decomposition F = P - shift*K.
+
+    The decomposition is verified first; the identity then pins F*C for
+    every enumerated class, and in particular bounds it below by
+    shift*(-K*C) plus the pairing with the moving part.
+    """
+    f = fib.fibre_class
+    k = fib.surface.canonical()
+    if pencil.surface != fib.surface:
+        raise LatticeError("identity inapplicable: pencil lives on another surface")
+    if f != pencil + (-shift) * k:
+        raise LatticeError("identity inapplicable: fibre class is not pencil minus shift times canonical")
+    classes = enum_classes(fib.surface, query, budget)
+    fds = pairings(f, classes)
+    pds = pairings(pencil, classes)
+    kds = pairings(k, classes)
+    holds = all(fd == pd - shift * kd for fd, pd, kd in zip(fds, pds, kds))
+    minimum = min(fds) if fds else None
+    witnesses = tuple(c for c, fd in zip(classes, fds) if fd == minimum) if fds else ()
+    return IdentityReport(holds, shift, pencil, classes, fds, pds, minimum, witnesses)
+
+
+def minus_one_section_exists(
+    fib: Fibration,
+    cap: int = 3,
+    pencil: DivisorClass | None = None,
+    shift: int | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> SectionSearch:
+    """Search enumerated (-1)-classes for a section of the pencil.
+
+    When a pencil decomposition (pencil, shift) is supplied, the pairing
+    identity certifies shift as a lower bound for F*C over classes with
+    K*C = -1, turning the empirical minimum into a proof for the
+    enumerated range.
+    """
+    classes = enum_classes(fib.surface, ClassQuery(-1, -1, cap), budget)
+    degrees = pairings(fib.fibre_class, classes)
+    witness = next((c for c, d in zip(classes, degrees) if d == 1), None)
+    minimum = min(degrees) if degrees else None
+    minimum_witness = (
+        next(c for c, d in zip(classes, degrees) if d == minimum) if degrees else None
+    )
+    certified = None
+    note = ""
+    if pencil is not None and shift is not None:
+        report = fibre_intersection_identity(fib, pencil, shift, ClassQuery(-1, -1, cap), budget)
+        if report.holds:
+            certified = shift
+            note = (
+                f"F*C = pencil*C + {shift} on every enumerated (-1)-class, "
+                f"so effective classes pair at least {shift}"
+            )
+    return SectionSearch(witness is not None, witness, minimum, minimum_witness, certified, note)
 
 
 def _flat_heads(surface: Surface, query: ClassQuery):

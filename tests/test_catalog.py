@@ -151,3 +151,26 @@ def test_annotations_and_titles():
     assert catalog.get("Ex4_3").annotation
     for tag in CHECKS:
         assert catalog.get(tag).title
+
+
+def test_check_outcomes_are_pass_fail_or_error():
+    from genus2pencils.lattice import LatticeError
+
+    def raising(exc):
+        def check():
+            raise exc
+
+        return check
+
+    checks: list[catalog.CheckResult] = []
+    catalog._run(checks, "holds", lambda: "fine")
+    catalog._run(checks, "claim", raising(AssertionError("claim broken")))
+    catalog._run(checks, "lattice", raising(LatticeError("not a class")))
+    catalog._run(checks, "fault", raising(KeyError("P")))
+    assert [(c.name, c.passed, c.error is None) for c in checks] == [
+        ("holds", True, True),
+        ("claim", False, True),
+        ("lattice", False, True),
+        ("fault", False, False),
+    ]
+    assert checks[3].error.startswith("KeyError at test_catalog.py:")

@@ -135,6 +135,49 @@ def test_verify_example_json(capsys):
     assert payload["mordell_weil_rank"] == 0
 
 
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    return broken
+
+
+def test_verify_example_library_fault_is_an_error(monkeypatch, capsys):
+    from genus2pencils import catalog
+
+    monkeypatch.setattr(catalog, "minus_one_section_exists", _raise(TypeError("bad operand")))
+    assert main(["verify-example", "B1"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    (error,) = [line for line in lines if not line.startswith("ok ")][:-1]
+    assert error.startswith("ERROR section: TypeError at test_cli.py:")
+    assert error.endswith(": bad operand")
+    assert lines[-1] == "B1: 1 of 5 checks raised an error"
+    (check,) = [c for c in catalog.verify("B1").checks if not c.passed]
+    assert check.error.startswith("TypeError at test_cli.py:")
+
+    assert main(["verify-example", "B1", "--report"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    with_error = [c for c in payload["checks"] if "error" in c]
+    assert [c["name"] for c in with_error] == ["section"]
+    assert with_error[0]["error"].startswith("TypeError at test_cli.py:")
+
+
+def test_verify_example_failed_claim_is_a_failure(monkeypatch, capsys):
+    from genus2pencils import catalog
+
+    monkeypatch.setattr(catalog, "minus_one_section_exists", _raise(AssertionError("wrong")))
+    assert main(["verify-example", "B1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL section: wrong" in lines
+    assert lines[-1] == "B1: 1 of 5 checks failed"
+    assert not any(line.startswith("ERROR") for line in lines)
+
+    assert main(["verify-example", "B1", "--report"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert not any("error" in c for c in payload["checks"])
+
+
 def test_verify_example_unknown_tag(capsys):
     assert main(["verify-example", "4.9"]) == 2
     assert "unknown example tag" in capsys.readouterr().err

@@ -3,7 +3,9 @@ identities built on it."""
 
 from __future__ import annotations
 
+import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import box_classes, flat_classes
 
 from genus2pencils import catalog
@@ -11,15 +13,24 @@ from genus2pencils.curves import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     ClassQuery,
+    _blocks,
     _enum_cached,
+    _orbit_degrees,
+    _orbits_cached,
+    classes_meeting,
+    clear_caches,
     enum_classes,
     fibre_intersection_identity,
     minus_one_section_exists,
     reference_class,
 )
 from genus2pencils.lattice import (
+    DivisorClass,
     Fibration,
+    ForeignClassError,
+    LatticeError,
     hirzebruch_blowup,
+    pairings,
     plane_blowup,
     plane_curve,
 )
@@ -88,7 +99,7 @@ def test_cap_five_sections_fit_the_default_budget():
         assert all(a < b for a, b in zip(keys, keys[1:]))
     finally:
         # a result this large should not outlive the test
-        _enum_cached.cache_clear()
+        clear_caches()
 
 
 def test_enum_known_members_and_order():
@@ -186,3 +197,186 @@ def test_section_search_certified_absence():
     assert search.minimum == 2
     assert search.certified_bound == 2
     assert "pair at least 2" in search.note
+
+
+# Block orbits: the section search, the pairing identity and
+# classes_meeting against the class-by-class references in oracles.
+
+IDENTITY_FIELDS = (
+    "holds", "shift", "pencil", "classes", "fibre_degrees", "pencil_degrees",
+    "minimum", "witnesses",
+)
+
+
+def _assert_same_identity(got, want):
+    for name in IDENTITY_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.count == len(want.classes)
+
+
+def _catalog_pencils():
+    for tag in catalog.tags():
+        entry = catalog.get(tag)
+        shift = entry.expected.pencil_shift
+        pencil = entry.fibration.named("P") if shift is not None else None
+        yield tag, entry.fibration, pencil, shift
+
+
+def test_section_search_matches_reference_on_catalog():
+    for tag, fib, pencil, shift in _catalog_pencils():
+        for cap in (1, 2, 3, 4):
+            assert minus_one_section_exists(fib, cap) == oracles.minus_one_section_exists(fib, cap), tag
+            if pencil is not None:
+                got = minus_one_section_exists(fib, cap, pencil, shift)
+                assert got == oracles.minus_one_section_exists(fib, cap, pencil, shift), tag
+
+
+def test_identity_matches_reference_on_catalog():
+    for tag, fib, pencil, shift in _catalog_pencils():
+        if pencil is None:
+            continue
+        for query in QUERY_KINDS:
+            for cap in (1, 2, 3, 4):
+                q = ClassQuery(*query, cap)
+                _assert_same_identity(
+                    fibre_intersection_identity(fib, pencil, shift, q),
+                    oracles.fibre_intersection_identity(fib, pencil, shift, q),
+                )
+
+
+def test_classes_meeting_matches_filtered_enumeration_on_catalog():
+    for tag, fib, _, _ in _catalog_pencils():
+        f = fib.fibre_class
+        q = ClassQuery(-1, -1, 3)
+        every = enum_classes(fib.surface, q)
+        degrees = pairings(f, every)
+        for degree in sorted(set(degrees)) + [max(degrees) + 1]:
+            want = [c for c, d in zip(every, degrees) if d == degree]
+            assert list(classes_meeting(fib.surface, f, degree, q)) == want, (tag, degree)
+
+
+def test_reconstruction_expands_only_matching_orbits():
+    for tag, name, total, matching in (("Ex4_3", "E8", 7_074, 160), ("Ex4_5", "EH8", 2_068, 412)):
+        fib = catalog.get(tag).fibration
+        ((stored, query, _),) = catalog.get(tag).expected.reconstructed
+        assert stored == name
+        q = ClassQuery(*query, 3)
+        assert len(enum_classes(fib.surface, q)) == total
+        assert len(classes_meeting(fib.surface, fib.fibre_class, 2, q)) == matching
+
+
+@st.composite
+def _tails(draw, n: int):
+    """Exceptional coordinates that split the indices into blocks: a few
+    repeated values, sometimes interleaved as 2, 1, 2, 1, ..."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        return tuple(-(a if i % 2 == 0 else b) for i in range(n))
+    values = draw(st.lists(st.integers(-3, 1), min_size=1, max_size=3))
+    return tuple(draw(st.sampled_from(values)) for _ in range(n))
+
+
+@st.composite
+def _pencil_data(draw):
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        s = plane_blowup(n)
+        head = (draw(st.integers(0, 5)),)
+    else:
+        s = hirzebruch_blowup(draw(st.integers(0, 2)), min(n, 7))
+        head = (draw(st.integers(0, 3)), draw(st.integers(0, 4)))
+    pencil = DivisorClass(s, head + draw(_tails(s.blowups)))
+    shift = draw(st.integers(0, 3))
+    fib = Fibration(s, pencil + (-shift) * s.canonical())
+    query = ClassQuery(*draw(st.sampled_from(QUERY_KINDS)), draw(st.integers(1, 3)))
+    return fib, pencil, shift, query
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pencil_data())
+def test_orbit_consumers_match_reference(data):
+    fib, pencil, shift, query = data
+    _assert_same_identity(
+        fibre_intersection_identity(fib, pencil, shift, query),
+        oracles.fibre_intersection_identity(fib, pencil, shift, query),
+    )
+    cap = query.degree_cap
+    assert minus_one_section_exists(fib, cap) == oracles.minus_one_section_exists(fib, cap)
+    got = minus_one_section_exists(fib, cap, pencil, shift)
+    assert got == oracles.minus_one_section_exists(fib, cap, pencil, shift)
+    every = enum_classes(fib.surface, query)
+    degrees = pairings(pencil, every)
+    for degree in set(degrees[:3]):
+        want = [c for c, d in zip(every, degrees) if d == degree]
+        assert list(classes_meeting(fib.surface, pencil, degree, query)) == want
+
+
+def test_interleaved_blocks_are_split_by_position():
+    s = plane_blowup(6)
+    f = plane_curve(s, 4, (2, 1, 2, 1, 2, 1))
+    assert _blocks(s, (f,)) == ((0, 2, 4), (1, 3, 5))
+    assert _blocks(s, (s.canonical(),)) == ((0, 1, 2, 3, 4, 5),)
+
+
+def test_orbit_sizes_count_the_enumeration():
+    s = plane_blowup(12)
+    f = plane_curve(s, 6, (2,) * 8 + (1,) * 4)
+    q = ClassQuery(-1, -1, 4)
+    orbits = _orbits_cached(s, q, _blocks(s, (f,)), DEFAULT_BUDGET)
+    assert sum(o.size for o in orbits) == len(enum_classes(s, q)) == 42_714
+
+
+def test_orbit_degrees_refuse_a_class_that_splits_a_block():
+    s = plane_blowup(4)
+    blocks = _blocks(s, (s.canonical(),))
+    orbits = _orbits_cached(s, ClassQuery(-1, -1, 2), blocks, DEFAULT_BUDGET)
+    with pytest.raises(LatticeError, match="not constant on the exceptional block"):
+        _orbit_degrees(plane_curve(s, 1, (1,)), blocks, orbits)
+
+
+def test_section_search_rejects_foreign_fibre_class():
+    f = plane_curve(plane_blowup(9), 3, (1,) * 9)
+    with pytest.raises(ForeignClassError):
+        minus_one_section_exists(Fibration(plane_blowup(8), f))
+
+
+def test_orbit_walk_budget():
+    fib = _b1_fibration()
+    with pytest.raises(BudgetExceededError, match="budget exceeded"):
+        minus_one_section_exists(fib, 3, budget=10)
+    # the walk fits, but expanding every class does not
+    report = fibre_intersection_identity(fib, fib.named("P"), 2, ClassQuery(-1, -1, 3), 500)
+    assert report.count == 2_948
+    with pytest.raises(BudgetExceededError, match="budget exceeded"):
+        report.classes
+
+
+def test_section_search_at_cap_six_fits_the_default_budget():
+    a = catalog.get("A").fibration
+    b1 = catalog.get("B1").fibration
+    p = b1.named("P")
+    # the cap-6 answers agree with the class-by-class reference at cap 4
+    assert minus_one_section_exists(a, 4) == oracles.minus_one_section_exists(a, 4)
+    assert minus_one_section_exists(b1, 4, p, 2) == oracles.minus_one_section_exists(b1, 4, p, 2)
+    try:
+        found = minus_one_section_exists(a, 6, budget=DEFAULT_BUDGET)
+        assert found.exists
+        assert str(found.witness) == "E9"
+        assert found.minimum == 1
+        absent = minus_one_section_exists(b1, 6, p, 2, DEFAULT_BUDGET)
+        assert not absent.exists
+        assert absent.witness is None
+        assert absent.minimum == 2
+        assert absent.certified_bound == 2
+    finally:
+        clear_caches()
+
+
+def test_clear_caches_drops_classes_and_orbits():
+    fib = _b1_fibration()
+    enum_classes(fib.surface, ClassQuery(-1, -1, 2))
+    minus_one_section_exists(fib, 2)
+    assert _enum_cached.cache_info().currsize and _orbits_cached.cache_info().currsize
+    clear_caches()
+    assert _enum_cached.cache_info().currsize == 0
+    assert _orbits_cached.cache_info().currsize == 0
