@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .curves import (
     ClassQuery,
-    classes_meeting,
+    _classes_meeting,
     fibre_intersection_identity,
     minus_one_section_exists,
 )
@@ -41,7 +41,7 @@ from .lattice import (
     plane_curve,
 )
 from .numerics import NumericType
-from .sharp import PlaneModel, canonical_p2_model, sharp_minimal_pipeline
+from .sharp import InvariantError, PlaneModel, canonical_p2_model, sharp_minimal_pipeline
 
 __all__ = [
     "CatalogEntry",
@@ -95,8 +95,11 @@ class CatalogEntry:
 @dataclass(frozen=True)
 class CheckResult:
     """One check's outcome.  A failed claim has passed False; a check that
-    raised anything but AssertionError or LatticeError also carries
-    ``error``, the exception type and the file:line it was raised at."""
+    raised anything but AssertionError or LatticeError, or raised the
+    InvariantError of a broken library invariant, also carries ``error``,
+    the exception type and the file:line it was raised at.  Running out of
+    the enumeration budget (BudgetExceededError) is a failed claim: the
+    claim was not established within the budget."""
 
     name: str
     passed: bool
@@ -584,18 +587,26 @@ def get(tag: str) -> CatalogEntry:
     return _CACHE[key]
 
 
+def _where(exc: Exception) -> str:
+    """The exception type and the file:line it was raised at."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    name = os.path.basename(tb.tb_frame.f_code.co_filename)
+    return f"{type(exc).__name__} at {name}:{tb.tb_lineno}"
+
+
 def _run(checks: list[CheckResult], name: str, fn) -> None:
     try:
         detail = fn()
+    except InvariantError as exc:  # a broken library invariant
+        checks.append(CheckResult(name, False, str(exc), _where(exc)))
+        return
     except (AssertionError, LatticeError) as exc:  # the claim does not hold
         checks.append(CheckResult(name, False, str(exc)))
         return
     except Exception as exc:  # a fault in the library, not in the claim
-        tb = exc.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        where = f"{type(exc).__name__} at {os.path.basename(tb.tb_frame.f_code.co_filename)}"
-        checks.append(CheckResult(name, False, str(exc), f"{where}:{tb.tb_lineno}"))
+        checks.append(CheckResult(name, False, str(exc), _where(exc)))
         return
     checks.append(CheckResult(name, True, detail or ""))
 
@@ -812,7 +823,7 @@ def verify(tag: str) -> VerifyReport:
             # their classes are built; the rest filter those classes one
             # constraint at a time
             (first, want), *rest = constraints
-            hits = list(classes_meeting(surface, target(first), want, ClassQuery(*query, 3)))
+            hits = list(_classes_meeting(surface, target(first), want, ClassQuery(*query, 3)))
             for other, want in rest:
                 hits = [c for c, v in zip(hits, pairings(target(other), hits)) if v == want]
             _require(hits == [stored], f"constraint solutions {hits}")

@@ -8,13 +8,13 @@ numbers, so the depth-first walk visits only non-increasing tails, one
 representative per orbit, with exact integer window pruning.
 enum_classes expands each representative into its distinct arrangements.
 
-The section search, the pairing identity and classes_meeting work on block
-orbits instead: the exceptional indices split into blocks on which every
-weight class (the fibre, the pencil, a constraint target) has one
-coordinate, each representative is dealt into one non-increasing tail per
-block, and a weight class pairs to the same value with every class of such
-an orbit.  Each orbit is paired once; only the orbits a caller asks for are
-expanded into classes.
+The section search, the pairing identity and the catalog's reconstruction
+check work on block orbits instead: the exceptional indices split into
+blocks on which every weight class (the fibre, the pencil, a constraint
+target) has one coordinate, each representative is dealt into one
+non-increasing tail per block, and a weight class pairs to the same value
+with every class of such an orbit.  Each orbit is paired once; only the
+orbits a caller reads are expanded into classes.
 
 A node budget guards against runaway caps: it counts the walk's nodes plus
 every class (for enum_classes) or block orbit emitted, and expanding
@@ -44,7 +44,6 @@ __all__ = [
     "BudgetExceededError",
     "ClassQuery",
     "enum_classes",
-    "classes_meeting",
     "clear_caches",
     "reference_class",
     "minus_one_section_exists",
@@ -157,6 +156,25 @@ def _heads(surface: Surface, query: ClassQuery):
             yield (x, y), square_sum, (d - 2) * x - 2 * y - query.k_deg
 
 
+def _walk(surface: Surface, query: ClassQuery, budget: _Budget):
+    """(head, representative tail) for every orbit of the permutations of
+    the exceptional coordinates, the zero class left out."""
+    for head, square_sum, linear_sum in _heads(surface, query):
+        top = isqrt(max(square_sum, 0))
+        nonzero = any(head)
+        for rep in _sorted_tails(square_sum, linear_sum, surface.blowups, top, budget):
+            if nonzero or any(rep):
+                yield head, rep
+
+
+def _in_order(rows: list) -> list:
+    """Sort (head, tail, ...) rows into enumeration order, in place: heads
+    ascending, tails descending within a head."""
+    rows.sort(key=itemgetter(1), reverse=True)
+    rows.sort(key=itemgetter(0))
+    return rows
+
+
 # A verify pass over the catalog needs 5 distinct queries.  One result
 # that fits the default budget can hold hundreds of thousands of classes
 # (P^2 blown up in 14 points at cap 4: 403,613 classes, about 210 MB), so
@@ -164,23 +182,12 @@ def _heads(surface: Surface, query: ClassQuery):
 @lru_cache(maxsize=16)
 def _enum_cached(surface: Surface, query: ClassQuery, budget_size: int) -> tuple[DivisorClass, ...]:
     budget = _Budget(budget_size)
-    n = surface.blowups
     rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for head, square_sum, linear_sum in _heads(surface, query):
-        top = isqrt(max(square_sum, 0))
-        for rep in _sorted_tails(square_sum, linear_sum, n, top, budget):
-            for tail in _arrangements(rep):
-                budget.spend()
-                rows.append((head, tail))
-    # heads ascending, tails descending within a head
-    rows.sort(key=itemgetter(1), reverse=True)
-    rows.sort(key=itemgetter(0))
-    zero = (0,) * surface.rank
-    return tuple(
-        DivisorClass(surface, coords)
-        for coords in (head + tail for head, tail in rows)
-        if coords != zero
-    )
+    for head, rep in _walk(surface, query, budget):
+        for tail in _arrangements(rep):
+            budget.spend()
+            rows.append((head, tail))
+    return tuple(DivisorClass(surface, head + tail) for head, tail in _in_order(rows))
 
 
 def enum_classes(
@@ -256,16 +263,12 @@ def _orbits_cached(
     budget = _Budget(budget_size)
     sizes = tuple(map(len, blocks))
     orbits = []
-    for head, square_sum, linear_sum in _heads(surface, query):
-        top = isqrt(max(square_sum, 0))
-        for rep in _sorted_tails(square_sum, linear_sum, surface.blowups, top, budget):
-            if not any(head) and not any(rep):
-                continue  # the zero class is never enumerated
-            values = tuple(sorted(set(rep), reverse=True))
-            counts = tuple(map(rep.count, values))
-            for tails in _deals(values, counts, sizes):
-                budget.spend()
-                orbits.append(_Orbit(head, tails, prod(map(_arrangement_count, tails))))
+    for head, rep in _walk(surface, query, budget):
+        values = tuple(sorted(set(rep), reverse=True))
+        counts = tuple(map(rep.count, values))
+        for tails in _deals(values, counts, sizes):
+            budget.spend()
+            orbits.append(_Orbit(head, tails, prod(map(_arrangement_count, tails))))
     return tuple(orbits)
 
 
@@ -308,7 +311,7 @@ def _first(surface: Surface, blocks, orbits) -> DivisorClass | None:
     rows = [(o.head, _place(surface.blowups, blocks, o.tails)) for o in orbits]
     if not rows:
         return None
-    head, tail = min(rows, key=lambda r: (r[0], tuple(-v for v in r[1])))
+    head, tail = _in_order(rows)[0]
     return DivisorClass(surface, head + tail)
 
 
@@ -322,24 +325,18 @@ def _expand(surface: Surface, blocks, orbits, budget: int) -> list[tuple[Divisor
     for index, o in enumerate(orbits):
         for parts in product(*(tuple(_arrangements(t)) for t in o.tails)):
             rows.append((o.head, _place(surface.blowups, blocks, parts), index))
-    rows.sort(key=itemgetter(1), reverse=True)
-    rows.sort(key=itemgetter(0))
-    return [(DivisorClass(surface, head + tail), index) for head, tail, index in rows]
+    return [(DivisorClass(surface, head + tail), index) for head, tail, index in _in_order(rows)]
 
 
-def classes_meeting(
-    surface: Surface,
-    d: DivisorClass,
-    degree: int,
-    query: ClassQuery,
-    budget: int = DEFAULT_BUDGET,
+def _classes_meeting(
+    surface: Surface, d: DivisorClass, degree: int, query: ClassQuery
 ) -> tuple[DivisorClass, ...]:
     """The classes of enum_classes(surface, query) with d*C == degree, in
     the same order; only the block orbits that pair to degree are expanded."""
     blocks = _blocks(surface, (d,))
-    orbits = _orbits_cached(surface, query, blocks, budget)
+    orbits = _orbits_cached(surface, query, blocks, DEFAULT_BUDGET)
     keep = tuple(o for o, v in zip(orbits, _orbit_degrees(d, blocks, orbits)) if v == degree)
-    return tuple(c for c, _ in _expand(surface, blocks, keep, budget))
+    return tuple(c for c, _ in _expand(surface, blocks, keep, DEFAULT_BUDGET))
 
 
 @dataclass(frozen=True)
@@ -347,17 +344,16 @@ class IdentityReport:
     """Check of F*C = pencil*C - shift*(K*C) over an enumeration, made once
     per block orbit.
 
-    ``count`` is the number of enumerated classes.  ``classes`` and their
-    degree tuples are expanded, in enumeration order, only when read (more
-    classes than the budget raise BudgetExceededError then); ``witnesses``
-    holds the classes of the orbits attaining the minimum.
+    ``count`` is the number of enumerated classes.  ``classes``, their
+    degree tuples and ``witnesses`` (the classes attaining the minimum) are
+    expanded, in enumeration order, only when read; more classes than the
+    budget raise BudgetExceededError then.
     """
 
     holds: bool
     shift: int
     pencil: DivisorClass
     minimum: int | None
-    witnesses: tuple[DivisorClass, ...]
     count: int
     _blocks: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
     _orbits: tuple[_Orbit, ...] = field(default=(), repr=False, compare=False)
@@ -379,6 +375,11 @@ class IdentityReport:
     @cached_property
     def pencil_degrees(self) -> tuple[int, ...]:
         return tuple(self._degrees[i][1] for _, i in self._expanded)
+
+    @cached_property
+    def witnesses(self) -> tuple[DivisorClass, ...]:
+        lowest = tuple(o for o, (fd, _) in zip(self._orbits, self._degrees) if fd == self.minimum)
+        return tuple(c for c, _ in _expand(self.pencil.surface, self._blocks, lowest, self._budget))
 
 
 def fibre_intersection_identity(
@@ -408,12 +409,9 @@ def fibre_intersection_identity(
     pds = _orbit_degrees(pencil, blocks, orbits)
     kds = _orbit_degrees(k, blocks, orbits)
     holds = all(fd == pd - shift * kd for fd, pd, kd in zip(fds, pds, kds))
-    minimum = min(fds, default=None)
-    lowest = tuple(o for o, fd in zip(orbits, fds) if fd == minimum)
-    witnesses = tuple(c for c, _ in _expand(fib.surface, blocks, lowest, budget))
     count = sum(o.size for o in orbits)
     return IdentityReport(
-        holds, shift, pencil, minimum, witnesses, count,
+        holds, shift, pencil, min(fds, default=None), count,
         blocks, orbits, tuple(zip(fds, pds)), budget,
     )
 

@@ -26,6 +26,7 @@ from .numerics import NumericType
 
 __all__ = [
     "ReductionError",
+    "InvariantError",
     "IncompleteGeometryError",
     "TraceStep",
     "ContractionTrace",
@@ -44,6 +45,11 @@ __all__ = [
 
 class ReductionError(LatticeError):
     """Input outside the reduction pipeline's domain."""
+
+
+class InvariantError(ReductionError):
+    """An identity the reduction must keep was broken: a fault in the
+    library, not in its input."""
 
 
 class IncompleteGeometryError(ReductionError):
@@ -110,7 +116,7 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     ties go to the smallest coordinate vector.  The adjoint square is
     unchanged at every step while the canonical self-intersection rises by
     one; both identities are checked on the result and a violation raises
-    ReductionError.
+    InvariantError.
     """
     fib.validate()
     surface = fib.surface
@@ -133,12 +139,12 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     k_end = surface.canonical()
     adj_end = (k_end + pencil) * (k_end + pencil)
     if adj_end != adj_start:
-        raise ReductionError(
+        raise InvariantError(
             f"invariant broken: adjoint square went from {adj_start} to {adj_end}"
         )
     k_end_sq = k_end * k_end
     if k_end_sq != k_start_sq + len(steps):
-        raise ReductionError(
+        raise InvariantError(
             f"invariant broken: K^2 went from {k_start_sq} to {k_end_sq} "
             f"over {len(steps)} contractions"
         )

@@ -154,7 +154,9 @@ def test_annotations_and_titles():
 
 
 def test_check_outcomes_are_pass_fail_or_error():
+    from genus2pencils.curves import BudgetExceededError
     from genus2pencils.lattice import LatticeError
+    from genus2pencils.sharp import InvariantError
 
     def raising(exc):
         def check():
@@ -167,10 +169,17 @@ def test_check_outcomes_are_pass_fail_or_error():
     catalog._run(checks, "claim", raising(AssertionError("claim broken")))
     catalog._run(checks, "lattice", raising(LatticeError("not a class")))
     catalog._run(checks, "fault", raising(KeyError("P")))
+    # a broken library invariant is a fault although it is a LatticeError;
+    # running out of budget leaves the claim unproved, a failure
+    catalog._run(checks, "invariant", raising(InvariantError("invariant broken")))
+    catalog._run(checks, "budget", raising(BudgetExceededError("budget exceeded")))
     assert [(c.name, c.passed, c.error is None) for c in checks] == [
         ("holds", True, True),
         ("claim", False, True),
         ("lattice", False, True),
         ("fault", False, False),
+        ("invariant", False, False),
+        ("budget", False, True),
     ]
     assert checks[3].error.startswith("KeyError at test_catalog.py:")
+    assert checks[4].error.startswith("InvariantError at test_catalog.py:")

@@ -178,6 +178,22 @@ def test_verify_example_failed_claim_is_a_failure(monkeypatch, capsys):
     assert not any("error" in c for c in payload["checks"])
 
 
+def test_verify_example_broken_invariant_is_an_error(monkeypatch, capsys):
+    from genus2pencils import sharp
+
+    def forgetting(surface, pencil, curves, e):
+        # drops the curve without contracting it, so K^2 never rises
+        return surface, pencil, [c for c in curves if c != e]
+
+    monkeypatch.setattr(sharp, "_contract", forgetting)
+    assert main(["verify-example", "A"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    (error,) = [line for line in lines if line.startswith("ERROR")]
+    assert error.startswith("ERROR pipeline: InvariantError at sharp.py:")
+    assert error.endswith("over 4 contractions")
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
 def test_verify_example_unknown_tag(capsys):
     assert main(["verify-example", "4.9"]) == 2
     assert "unknown example tag" in capsys.readouterr().err

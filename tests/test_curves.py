@@ -14,10 +14,10 @@ from genus2pencils.curves import (
     BudgetExceededError,
     ClassQuery,
     _blocks,
+    _classes_meeting,
     _enum_cached,
     _orbit_degrees,
     _orbits_cached,
-    classes_meeting,
     clear_caches,
     enum_classes,
     fibre_intersection_identity,
@@ -252,7 +252,7 @@ def test_classes_meeting_matches_filtered_enumeration_on_catalog():
         degrees = pairings(f, every)
         for degree in sorted(set(degrees)) + [max(degrees) + 1]:
             want = [c for c, d in zip(every, degrees) if d == degree]
-            assert list(classes_meeting(fib.surface, f, degree, q)) == want, (tag, degree)
+            assert list(_classes_meeting(fib.surface, f, degree, q)) == want, (tag, degree)
 
 
 def test_reconstruction_expands_only_matching_orbits():
@@ -262,7 +262,7 @@ def test_reconstruction_expands_only_matching_orbits():
         assert stored == name
         q = ClassQuery(*query, 3)
         assert len(enum_classes(fib.surface, q)) == total
-        assert len(classes_meeting(fib.surface, fib.fibre_class, 2, q)) == matching
+        assert len(_classes_meeting(fib.surface, fib.fibre_class, 2, q)) == matching
 
 
 @st.composite
@@ -308,7 +308,7 @@ def test_orbit_consumers_match_reference(data):
     degrees = pairings(pencil, every)
     for degree in set(degrees[:3]):
         want = [c for c, d in zip(every, degrees) if d == degree]
-        assert list(classes_meeting(fib.surface, pencil, degree, query)) == want
+        assert list(_classes_meeting(fib.surface, pencil, degree, query)) == want
 
 
 def test_interleaved_blocks_are_split_by_position():
