@@ -10,8 +10,8 @@ enum_classes expands each representative into its distinct arrangements.
 
 The section search, the pairing identity and the catalog's reconstruction
 check work on block orbits instead: the exceptional indices split into
-blocks on which every weight class (the fibre, the pencil, a constraint
-target) has one coordinate, each representative is dealt into one
+blocks on which every weight class (the fibre, a constraint target) has
+one coordinate, each representative is dealt into one
 non-increasing tail per block, and a weight class pairs to the same value
 with every class of such an orbit.  Each orbit is paired once; only the
 orbits a caller reads are expanded into classes.
@@ -341,9 +341,9 @@ def _classes_meeting(
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Check of F*C = pencil*C - shift*(K*C) over an enumeration, made once
-    per block orbit.
+    """F*C and pencil*C over an enumeration, given F = pencil - shift*K.
 
+    ``holds`` records that decomposition (a failing one raises instead).
     ``count`` is the number of enumerated classes.  ``classes``, their
     degree tuples and ``witnesses`` (the classes attaining the minimum) are
     expanded, in enumeration order, only when read; more classes than the
@@ -382,6 +382,13 @@ class IdentityReport:
         return tuple(c for c, _ in _expand(self.pencil.surface, self._blocks, lowest, self._budget))
 
 
+def _check_decomposition(fib: Fibration, pencil: DivisorClass, shift: int) -> None:
+    if pencil.surface != fib.surface:
+        raise LatticeError("identity inapplicable: pencil lives on another surface")
+    if fib.fibre_class != pencil + (-shift) * fib.surface.canonical():
+        raise LatticeError("identity inapplicable: fibre class is not pencil minus shift times canonical")
+
+
 def fibre_intersection_identity(
     fib: Fibration,
     pencil: DivisorClass,
@@ -391,28 +398,22 @@ def fibre_intersection_identity(
 ) -> IdentityReport:
     """Certify the fibre pairing against a pencil decomposition F = P - shift*K.
 
-    The decomposition is verified first; the identity then pins F*C for
-    every enumerated class, and in particular bounds it below by
-    shift*(-K*C) plus the pairing with the moving part.  F, P and K are
-    constant on the blocks of (F, P), so one check per block orbit covers
-    every class of it.
+    The decomposition is verified (``holds``; a failure raises
+    LatticeError); by bilinearity it pins F*C = P*C - shift*(K*C) for every
+    class, and every enumerated class has K*C = query.k_deg.  So F is
+    paired once per block orbit of F (K is constant on the exceptional
+    coordinates, so P is constant on these blocks too) and P*C is read off
+    as F*C + shift*k_deg.
     """
+    _check_decomposition(fib, pencil, shift)
     f = fib.fibre_class
-    k = fib.surface.canonical()
-    if pencil.surface != fib.surface:
-        raise LatticeError("identity inapplicable: pencil lives on another surface")
-    if f != pencil + (-shift) * k:
-        raise LatticeError("identity inapplicable: fibre class is not pencil minus shift times canonical")
-    blocks = _blocks(fib.surface, (f, pencil))
+    blocks = _blocks(fib.surface, (f,))
     orbits = _orbits_cached(fib.surface, query, blocks, budget)
     fds = _orbit_degrees(f, blocks, orbits)
-    pds = _orbit_degrees(pencil, blocks, orbits)
-    kds = _orbit_degrees(k, blocks, orbits)
-    holds = all(fd == pd - shift * kd for fd, pd, kd in zip(fds, pds, kds))
+    degrees = tuple((fd, fd + shift * query.k_deg) for fd in fds)
     count = sum(o.size for o in orbits)
     return IdentityReport(
-        holds, shift, pencil, min(fds, default=None), count,
-        blocks, orbits, tuple(zip(fds, pds)), budget,
+        True, shift, pencil, min(fds, default=None), count, blocks, orbits, degrees, budget
     )
 
 
@@ -439,9 +440,10 @@ def minus_one_section_exists(
 
     F*C is computed once per block orbit of F; each witness is the first
     qualifying class in enumeration order.  When a pencil decomposition
-    (pencil, shift) is supplied, the pairing identity certifies shift as a
-    lower bound for F*C over classes with K*C = -1, turning the empirical
-    minimum into a proof for the enumerated range.
+    F = pencil - shift*K is supplied (and checked), F*C = pencil*C + shift
+    on classes with K*C = -1, and shift is certified as a lower bound over
+    the enumerated range when pencil*C >= 0 on every enumerated class, that
+    is when the minimum is at least shift.
     """
     surface = fib.surface
     blocks = _blocks(surface, (fib.fibre_class,))
@@ -453,11 +455,13 @@ def minus_one_section_exists(
     certified = None
     note = ""
     if pencil is not None and shift is not None:
-        report = fibre_intersection_identity(fib, pencil, shift, ClassQuery(-1, -1, cap), budget)
-        if report.holds:
+        _check_decomposition(fib, pencil, shift)
+        # F*C = pencil*C + shift on (-1)-classes, so the bound needs
+        # pencil*C >= 0 on every enumerated one
+        if minimum is None or minimum >= shift:
             certified = shift
             note = (
-                f"F*C = pencil*C + {shift} on every enumerated (-1)-class, "
-                f"so effective classes pair at least {shift}"
+                f"F*C = pencil*C + {shift} and pencil*C >= 0 on every enumerated "
+                f"(-1)-class, so the enumerated classes pair at least {shift}"
             )
     return SectionSearch(witness is not None, witness, minimum, minimum_witness, certified, note)

@@ -18,7 +18,6 @@ from .intmat import (
     hermite_normal_form,
     is_negative_semidefinite,
     kernel_basis,
-    rational_rank,
 )
 from .lattice import (
     DivisorClass,
@@ -129,9 +128,6 @@ class DualGraph:
 
     nodes: tuple[tuple[str, int, int], ...]
     edges: tuple[tuple[int, int, int], ...]
-
-    def degree(self, i: int) -> int:
-        return sum(w for a, b, w in self.edges if i in (a, b))
 
 
 def dual_graph(fib: Fibration, dec: FibreDecomposition) -> DualGraph:
@@ -357,7 +353,7 @@ def complement_lattice(surface: Surface, sub: Sequence[DivisorClass]) -> Complem
             raise LatticeError("foreign class: input lives on another surface")
     if sub:
         coords = [list(c.coords) for c in sub]
-        if rational_rank(coords) != len(sub):
+        if len(hermite_normal_form(coords)) != len(sub):
             raise LatticeError("dependent input classes")
     gram_full = surface.gram()
     # rows of (basis x sub) pairing matrix, over all lattice basis vectors

@@ -12,9 +12,11 @@ curves.  The grammar is line based:
         2 TH10
     effective: O TH0 TH1
 
-Coordinates are listed in basis order.  Lines may carry '#' comments;
-serialize() never emits them, so parse/serialize round-trips are exact on
-serialized output.
+A plane takes only n and a Hirzebruch surface only d and n, each at most
+once (a missing one is 0); class names are single tokens and component
+multiplicities are at least 1.  Coordinates are listed in basis order.
+Lines may carry '#' comments; serialize() never emits them, so
+parse/serialize round-trips are exact on serialized output.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ class ModelFile:
         return tuple(name for name, _ in self.classes)
 
 
+# the parameters each surface kind takes; a missing one defaults to 0
+_SURFACE_PARAMETERS = {"plane": ("n",), "hirzebruch": ("d", "n")}
+
+
 def _parse_surface(rest: str, line_number: int) -> Surface:
     parts = rest.split()
     if not parts:
@@ -66,18 +72,23 @@ def _parse_surface(rest: str, line_number: int) -> Surface:
         if "=" not in piece:
             raise ParseError(f"bad surface parameter {piece!r}", line_number)
         key, _, value = piece.partition("=")
+        if key in params:
+            raise ParseError(f"duplicate surface parameter {key!r}", line_number)
         try:
             params[key] = int(value)
         except ValueError:
             raise ParseError(f"bad integer in {piece!r}", line_number) from None
+    if kind not in _SURFACE_PARAMETERS:
+        raise ParseError(f"unknown surface kind {kind!r}", line_number)
+    for key in params:
+        if key not in _SURFACE_PARAMETERS[kind]:
+            raise ParseError(f"unexpected {kind} parameter {key!r}", line_number)
     try:
         if kind == "plane":
-            return plane_blowup(params.pop("n", 0))
-        if kind == "hirzebruch":
-            return hirzebruch_blowup(params.pop("d", 0), params.pop("n", 0))
+            return plane_blowup(params.get("n", 0))
+        return hirzebruch_blowup(params.get("d", 0), params.get("n", 0))
     except ValueError as exc:
         raise ParseError(str(exc), line_number) from None
-    raise ParseError(f"unknown surface kind {kind!r}", line_number)
 
 
 def parse(text: str) -> ModelFile:
@@ -112,6 +123,8 @@ def parse(text: str) -> ModelFile:
                 mult = int(parts[0])
             except ValueError:
                 raise ParseError(f"bad multiplicity {parts[0]!r}", line_number) from None
+            if mult < 1:
+                raise ParseError(f"multiplicity {mult} is below 1", line_number)
             if parts[1] not in classes:
                 raise ParseError(f"unknown class name {parts[1]!r}", line_number)
             open_fibre[1].append(FibreComponent(parts[1], classes[parts[1]], mult))
@@ -129,6 +142,8 @@ def parse(text: str) -> ModelFile:
             name = name.strip()
             if not eq or not name:
                 raise ParseError("class lines read 'class <name> = <coords>'", line_number)
+            if len(name.split()) != 1:
+                raise ParseError(f"class name {name!r} is not a single token", line_number)
             if name in classes:
                 raise ParseError(f"duplicate class name {name!r}", line_number)
             try:

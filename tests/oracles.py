@@ -146,9 +146,9 @@ def minus_one_section_exists(
     """Search enumerated (-1)-classes for a section of the pencil.
 
     When a pencil decomposition (pencil, shift) is supplied, the pairing
-    identity certifies shift as a lower bound for F*C over classes with
-    K*C = -1, turning the empirical minimum into a proof for the
-    enumerated range.
+    identity F*C = pencil*C + shift holds on classes with K*C = -1, and
+    shift is certified as a lower bound for the enumerated range when
+    pencil*C >= 0 on every enumerated class.
     """
     classes = enum_classes(fib.surface, ClassQuery(-1, -1, cap), budget)
     degrees = pairings(fib.fibre_class, classes)
@@ -161,11 +161,11 @@ def minus_one_section_exists(
     note = ""
     if pencil is not None and shift is not None:
         report = fibre_intersection_identity(fib, pencil, shift, ClassQuery(-1, -1, cap), budget)
-        if report.holds:
+        if report.holds and all(pd >= 0 for pd in report.pencil_degrees):
             certified = shift
             note = (
-                f"F*C = pencil*C + {shift} on every enumerated (-1)-class, "
-                f"so effective classes pair at least {shift}"
+                f"F*C = pencil*C + {shift} and pencil*C >= 0 on every enumerated "
+                f"(-1)-class, so the enumerated classes pair at least {shift}"
             )
     return SectionSearch(witness is not None, witness, minimum, minimum_witness, certified, note)
 

@@ -199,6 +199,28 @@ def test_section_search_certified_absence():
     assert "pair at least 2" in search.note
 
 
+def test_section_certificate_needs_a_nonnegative_pencil():
+    # F = E1 - 2K on P^2 blown up in six points: the decomposition holds,
+    # but the pencil E1 pairs -1 with itself, so E1 meets F once and no
+    # bound of 2 may be certified
+    s = plane_blowup(6)
+    p = s.exceptional(1)
+    fib = Fibration(s, p + (-2) * s.canonical())
+    search = minus_one_section_exists(fib, 3, p, 2)
+    assert search.exists
+    assert str(search.witness) == "E1"
+    assert search.minimum == 1
+    assert search.certified_bound is None
+    assert search.note == ""
+    assert search == oracles.minus_one_section_exists(fib, 3, p, 2)
+    certified = {
+        tag: minus_one_section_exists(fib, 3, pencil, shift).certified_bound
+        for tag, fib, pencil, shift in _catalog_pencils()
+        if pencil is not None
+    }
+    assert certified == {"B1": 2, "C": 4, "Ex4_4": 2, "Ex4_6": 4}
+
+
 # Block orbits: the section search, the pairing identity and
 # classes_meeting against the class-by-class references in oracles.
 

@@ -156,8 +156,6 @@ def test_dual_graph_of_chain_fibre():
         ("TH12", -1, 1),
     )
     assert graph.edges == ((0, 2, 1), (1, 2, 1), (2, 3, 1))
-    assert graph.degree(2) == 3
-    assert graph.degree(0) == 1
     alien = FibreDecomposition(
         "Z", (FibreComponent("W", plane_blowup(3).exceptional(1), 1),)
     )

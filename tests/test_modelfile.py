@@ -4,6 +4,7 @@ rejections."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genus2pencils import catalog
 from genus2pencils.modelfile import (
@@ -166,3 +167,64 @@ def test_model_equality_is_structural():
     a = parse("surface plane n=1\nclass F = 1 0\n")
     b = ModelFile(plane_blowup(1), a.classes)
     assert a == b
+
+
+def test_surface_parameters_are_checked():
+    reject("surface plane foo=3\n", 1, "unexpected plane parameter 'foo'")
+    reject("surface plane n=1 n=2\n", 1, "duplicate surface parameter 'n'")
+    reject("surface plane d=4\n", 1, "unexpected plane parameter 'd'")
+    reject("surface hirzebruch d=1 n=2 d=1\n", 1, "duplicate surface parameter 'd'")
+    reject("# model\nsurface hirzebruch d=1 m=2\n", 2, "unexpected hirzebruch parameter 'm'")
+    assert parse("surface hirzebruch n=3 d=1\n").surface == hirzebruch_blowup(1, 3)
+
+
+def test_class_name_is_a_single_token():
+    reject("surface plane n=1\nclass my class = 1 0\n", 2, "class name 'my class' is not a single token")
+
+
+def test_component_multiplicity_is_positive():
+    head = "surface plane n=1\nclass X = 0 1\nfibre F0:\n"
+    reject(head + "  0 X\n", 4, "multiplicity 0 is below 1")
+    reject(head + "  1 X\n  -2 X\n", 5, "multiplicity -2 is below 1")
+
+
+# A well-formed model text (three-coordinate classes, fibre blocks,
+# effective lines), into which arbitrary lines are then inserted: many
+# draws parse, the rest fail somewhere.  Every number stays small.
+_SURFACES = ("surface plane n=2", "surface hirzebruch d=1 n=1", "surface hirzebruch n=1 d=0")
+_WORDS = st.sampled_from((
+    "surface", "plane", "n=2", "n=2 n=2", "d=1", "foo=3", "class", "fibre", "effective:",
+    "F", "O", "my class", "F0:", "=", ":", "0", "1", "-2", "#", "  ", "\t",
+))
+_NOISE = st.one_of(st.lists(_WORDS, min_size=1, max_size=6).map(" ".join), st.text(max_size=10))
+
+
+@st.composite
+def _texts(draw):
+    names = draw(st.lists(st.sampled_from(("F", "O", "X", "TH1", "E8")), unique=True, max_size=4))
+    coords = st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(lambda c: " ".join(map(str, c)))
+    lines = [draw(st.sampled_from(_SURFACES))]
+    lines += [f"class {name} = {draw(coords)}" for name in names]
+    for i in range(draw(st.integers(0, 2)) if names else 0):
+        lines.append(f"fibre F{i}:")
+        for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3)):
+            lines.append(f"  {draw(st.integers(1, 4))} {name}")
+    if names and draw(st.booleans()):
+        lines.append("effective: " + " ".join(draw(st.lists(st.sampled_from(names), max_size=3))))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NOISE))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts())
+def test_parse_gives_a_model_or_a_parse_error(text):
+    try:
+        model = parse(text)
+    except ParseError as exc:
+        assert str(exc).startswith(f"line {exc.line_number}:")
+        return
+    assert isinstance(model, ModelFile)
+    once = serialize(model)
+    assert parse(once) == model
+    assert serialize(parse(once)) == once
