@@ -1,7 +1,8 @@
 """Command line front end.
 
 Four subcommands: canonical (print a built-in model), verify-example
-(recheck one), search-types (run the numeric search), dual-graph (print or
+(recheck one), search-types (run the numeric search; a row at the
+adjoint-degree cap adds a "ceiling reached" line), dual-graph (print or
 DOT a fibre's component graph).  Exit codes: 0 success, 1 failed checks,
 2 bad usage or unparseable input, 3 a check raised an unexpected error
 (a fault in the library rather than a failed claim).
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import catalog
 from .fibres import ade_classify, dual_graph
@@ -108,8 +110,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.ksq_min < 1 or args.ksq_min > args.ksq_max:
         print("the adjoint-square window must satisfy 1 <= min <= max", file=sys.stderr)
         return 2
+    search = search_special if args.special else search_general
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = search(args.genus, args.ksq_min, args.ksq_max, prune=not args.no_prune)
+    # the search warns only when a row sits at its adjoint-degree cap
+    ceiling = max(row.adjoint_degree for row in rows) if caught else None
+    excluded = ()
     if args.special:
-        rows = search_special(args.genus, args.ksq_min, args.ksq_max, prune=not args.no_prune)
         print("degree  extra  points  ksq  multiplicities")
         for row in rows:
             print(
@@ -117,26 +125,25 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 f"{row.base_point_count:>6}  {row.adjoint_square:>3}  "
                 f"{_format_multiplicities(row.multiplicities)}"
             )
-        print(f"{len(rows)} rows")
-        return 0
-    rows = search_general(args.genus, args.ksq_min, args.ksq_max, prune=not args.no_prune)
-    excluded = ()
-    if args.apply_exclusion:
-        if args.genus != 2:
-            print("the exclusion argument is specific to genus 2", file=sys.stderr)
-            return 2
-        kept = apply_exclusion(rows)
-        excluded = tuple(r for r in rows if r not in kept)
-        rows = kept
-    print("degree  offset  points  ksq  indices  multiplicities")
-    for row in rows:
-        indices = ",".join(str(d) for d in row.admissible_indices) or "-"
-        print(
-            f"{row.adjoint_degree:>6}  {row.twice_offset:>6}  "
-            f"{row.base_point_count:>6}  {row.adjoint_square:>3}  "
-            f"{indices:<7}  {_format_multiplicities(row.multiplicities)}"
-        )
+    else:
+        if args.apply_exclusion:
+            if args.genus != 2:
+                print("the exclusion argument is specific to genus 2", file=sys.stderr)
+                return 2
+            kept = apply_exclusion(rows)
+            excluded = tuple(r for r in rows if r not in kept)
+            rows = kept
+        print("degree  offset  points  ksq  indices  multiplicities")
+        for row in rows:
+            indices = ",".join(str(d) for d in row.admissible_indices) or "-"
+            print(
+                f"{row.adjoint_degree:>6}  {row.twice_offset:>6}  "
+                f"{row.base_point_count:>6}  {row.adjoint_square:>3}  "
+                f"{indices:<7}  {_format_multiplicities(row.multiplicities)}"
+            )
     print(f"{len(rows)} rows")
+    if ceiling is not None:
+        print(f"ceiling reached: rows above adjoint degree {ceiling} are not ruled out")
     for row in excluded:
         print(
             f"excluded: adjoint degree {row.adjoint_degree}, "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fibres import FibreComponent, FibreDecomposition
+from .fibres import FibreComponent, FibreDecomposition, validate_fibre
 from .lattice import DivisorClass, Fibration, Surface, hirzebruch_blowup, plane_blowup
 
 __all__ = [
@@ -206,7 +206,9 @@ def to_fibration(model: ModelFile, genus: int = 2) -> Fibration:
     """Promote a model file to a fibration.
 
     The class named F is the fibre class.  Sections are detected: any named
-    class with negative self-intersection meeting F once.
+    class with negative self-intersection meeting F once.  Every fibre
+    block goes through ``validate_fibre``, so components that do not sum
+    to F (or break another fibre identity) raise a ``FibreError``.
     """
     names = dict(model.classes)
     if "F" not in names:
@@ -215,7 +217,7 @@ def to_fibration(model: ModelFile, genus: int = 2) -> Fibration:
     sections = tuple(
         c for name, c in model.classes if name != "F" and f * c == 1 and c * c < 0
     )
-    return Fibration(
+    fib = Fibration(
         model.surface,
         f,
         genus=genus,
@@ -223,6 +225,9 @@ def to_fibration(model: ModelFile, genus: int = 2) -> Fibration:
         fibres=model.fibres,
         named_classes=model.classes,
     ).validate()
+    for dec in fib.fibres:
+        validate_fibre(fib, dec)
+    return fib
 
 
 def from_fibration(fib: Fibration, effective: tuple[str, ...] = ()) -> ModelFile:

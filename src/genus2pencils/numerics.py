@@ -4,8 +4,10 @@ A pencil of genus-g curves on a relatively minimal ruled model is pinned
 numerically by its degree over the ruling, a normalized height (stored
 doubled so odd degrees stay integral), and the multiplicities of its
 base points.  The searches below enumerate every solution of the degree,
-genus and nonnegativity equations inside stated caps, exactly; pruning
-is optional and is checked against the unpruned walk in tests.
+genus and nonnegativity equations inside stated caps, exactly.  Both
+share one cell walk and one pruning bound, the completion floor of
+``_floor_cuts``; pruning is optional and is checked against the unpruned
+walk in tests.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -21,9 +23,6 @@ __all__ = [
     "SpecialType",
     "search_general",
     "search_special",
-    "ksq_prefix_lower_bound",
-    "ksq_even_a_lower_bound",
-    "ksq_odd_a_lower_bound",
     "GenusContext",
     "MinimalAmbientVerdict",
     "exclude_p2_and_hirzebruch",
@@ -176,6 +175,19 @@ class SpecialType:
         )
 
 
+def _floor_cuts(need: int, pair_left: int, m: int) -> bool:
+    """The completion floor, the one pruning bound of both searches.
+
+    ``need`` is how much more the sum of (m-1)^2 must grow to bring the
+    adjoint square down into the window, and ``pair_left`` the sum of
+    m(m-1)/2 still to place with entries at most m.  Each entry adds
+    (m-1)^2 = 2(m-1)/m * m(m-1)/2, so the completions add at most
+    2(m-1)/m * pair_left (equality iff every entry is m); True when that
+    falls short of ``need``.
+    """
+    return m * need > 2 * (m - 1) * pair_left
+
+
 def _mult_vectors(
     pair_sum: int,
     m_max: int,
@@ -204,8 +216,7 @@ def _mult_vectors(
             if extra + s > hi:
                 # each unit of pair-sum adds at least 1 to the extra total
                 return
-            if (lo - extra) * m > 2 * (m - 1) * s:
-                # even finishing with all-m entries cannot reach lo
+            if _floor_cuts(lo - extra, s, m):
                 return
         if square_budget is not None:
             entries = -(-s // _tri(m))
@@ -229,6 +240,43 @@ def _mult_vectors(
     yield from rec(pair_sum, m_max, slots, 0, 0, ())
 
 
+def _caps(
+    genus: int, ksq_lo: int, ksq_hi: int, adjoint_cap: int | None, point_cap: int | None
+) -> tuple[int, int]:
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
+    if not 1 <= ksq_lo <= ksq_hi:
+        raise ValueError("the adjoint-square window must satisfy 1 <= lo <= hi")
+    return (
+        adjoint_cap if adjoint_cap is not None else 2 * genus + 6,
+        point_cap if point_cap is not None else 4 * genus + 4,
+    )
+
+
+def _walk(row_type, cells, ksq_lo: int, ksq_hi: int, a_cap: int, n_cap: int, prune: bool):
+    """Rows of every cell (degree, second field, base, pair sum, largest
+    multiplicity, square cap): the multiplicity vectors of the pair sum
+    whose adjoint square base - sum (m-1)^2 lies in the window and whose
+    pencil square cap - sum m^2 is nonnegative, sorted.  A row at the
+    adjoint-degree cap warns, since the next degree may hold more rows."""
+    found = []
+    for a, second, base, pair_sum, m_max, square_cap in cells:
+        if not 0 <= pair_sum <= n_cap * _tri(m_max):
+            continue
+        hints = ((max(0, base - ksq_hi), base - ksq_lo), square_cap) if prune else (None, None)
+        for ms in _mult_vectors(pair_sum, m_max, n_cap, *hints):
+            ksq = base - sum((m - 1) ** 2 for m in ms)
+            if ksq_lo <= ksq <= ksq_hi and sum(m * m for m in ms) <= square_cap:
+                found.append(row_type(a, second, ms, ksq))
+    if any(row.adjoint_degree == a_cap for row in found):
+        warnings.warn(
+            "search reached the adjoint-degree ceiling; raise adjoint_cap to rule out further rows",
+            stacklevel=3,
+        )
+    found.sort(key=row_type.sort_key)
+    return tuple(found)
+
+
 def search_general(
     genus: int,
     ksq_lo: int,
@@ -241,62 +289,30 @@ def search_general(
     """Every pencil numeric with the given genus and adjoint square in
     [ksq_lo, ksq_hi], within the caps, ordered by (degree, offset, count).
 
-    The default caps (adjoint degree 2*genus + 6, point count 4*genus + 4)
-    cover every type realizable on a rational surface; hitting the degree
-    cap with a live row triggers a warning since it may hide later rows.
+    The rows are exhaustive only within the caps, adjoint degree at most
+    ``adjoint_cap`` (default 2*genus + 6) and at most ``point_cap`` base
+    points (default 4*genus + 4); the defaults are limits, not a proof
+    that no type lies beyond them (genus 3 with adjoint square at most 8
+    has 19 rows at the defaults and 25 at twice the caps).  A row at the
+    degree cap triggers a warning; no warning is a heuristic, not a proof.
     """
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
-    if not 1 <= ksq_lo <= ksq_hi:
-        raise ValueError("the adjoint-square window must satisfy 1 <= lo <= hi")
-    a_cap = adjoint_cap if adjoint_cap is not None else 2 * genus + 6
-    n_cap = point_cap if point_cap is not None else 4 * genus + 4
-    found: list[NumericType] = []
-    ceiling_hit = False
-    for a in range(1, a_cap + 1):
-        if prune and a >= 3 and a % 2:
-            # odd-degree floor: below it the window is unreachable
-            if 2 * genus * (a - 1) + 2 * (a + 1) > ksq_hi * (a + 1):
-                continue
-        m_max = (a + 2) // 2
-        cap_tri = _tri(m_max)
-        step = 2 if a % 2 == 0 else 1
-        t = 0
-        while True:
-            pair_sum = ((a + 1) * (2 * (a + 1) + t)) // 2 - genus
-            if pair_sum > n_cap * cap_tri:
-                break
-            if prune and a % 2 == 0 and a * (2 * (genus - 1) + t) > ksq_hi * (a + 2):
-                break
-            if pair_sum >= 0:
+    a_cap, n_cap = _caps(genus, ksq_lo, ksq_hi, adjoint_cap, point_cap)
+
+    def cells():
+        for a in range(1, a_cap + 1):
+            m_max = (a + 2) // 2
+            for t in count(0, 2 - a % 2):
                 base = a * (2 * a + t)
-                square_cap = (a + 2) * (2 * (a + 2) + t)
-                window = (max(0, base - ksq_hi), base - ksq_lo) if prune else None
-                if window is None or window[1] >= 0:
-                    for ms in _mult_vectors(
-                        pair_sum,
-                        m_max,
-                        n_cap,
-                        window,
-                        square_cap if prune else None,
-                    ):
-                        extra = sum((m - 1) ** 2 for m in ms)
-                        ksq = base - extra
-                        if not ksq_lo <= ksq <= ksq_hi:
-                            continue
-                        if square_cap - sum(m * m for m in ms) < 0:
-                            continue
-                        found.append(NumericType(a, t, ms, ksq))
-                        if a == a_cap:
-                            ceiling_hit = True
-            t += step
-    if ceiling_hit:
-        warnings.warn(
-            "search reached the adjoint-degree ceiling; raise adjoint_cap to rule out further rows",
-            stacklevel=2,
-        )
-    found.sort(key=NumericType.sort_key)
-    return tuple(found)
+                pair_sum = (a + 1) * (2 * (a + 1) + t) // 2 - genus
+                if pair_sum > n_cap * _tri(m_max):
+                    break
+                # at m_max the floor rises with t (slope a/(a+2) for even a,
+                # 1 for odd a), so the first cut offset ends the degree
+                if prune and _floor_cuts(base - ksq_hi, pair_sum, m_max):
+                    break
+                yield a, t, base, pair_sum, m_max, (a + 2) * (2 * (a + 2) + t)
+
+    return _walk(NumericType, cells(), ksq_lo, ksq_hi, a_cap, n_cap, prune)
 
 
 def search_special(
@@ -308,90 +324,21 @@ def search_special(
     adjoint_cap: int | None = None,
     point_cap: int | None = None,
 ) -> tuple[SpecialType, ...]:
-    """Every special pencil numeric in the window; empty in the windows the
-    package certifies (the nonnegativity of the pencil square kills every
-    candidate there), but the walk itself is fully general."""
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
-    if not 1 <= ksq_lo <= ksq_hi:
-        raise ValueError("the adjoint-square window must satisfy 1 <= lo <= hi")
-    a_cap = adjoint_cap if adjoint_cap is not None else 2 * genus + 6
-    n_cap = point_cap if point_cap is not None else 4 * genus + 4
-    found: list[SpecialType] = []
-    for a in range(3, a_cap + 1):
-        if prune:
-            if a % 2 == 0 and genus < a * (a + 3) // 2:
-                if Fraction(2 * genus * (a - 2), a) + 4 > ksq_hi:
-                    continue
-            if a % 2 and genus < (a + 1) * (a + 2) // 2:
-                if Fraction(2 * genus * (a - 1), a + 1) + 1 > ksq_hi:
-                    continue
-        for m0 in range(2, (a + 1) // 2 + 1):
-            pair_sum = a * (a + 1) // 2 + m0 * (a + 1) - genus
-            if pair_sum < 0 or pair_sum > n_cap * _tri(m0):
-                continue
-            base = (a + m0 - 1) ** 2 - (m0 - 1) ** 2
-            square_cap = (a + 2) * (a + 2 + 2 * m0)
-            window = (max(0, base - ksq_hi), base - ksq_lo) if prune else None
-            if window is not None and window[1] < 0:
-                continue
-            for ms in _mult_vectors(pair_sum, m0, n_cap, window, square_cap if prune else None):
-                extra = sum((m - 1) ** 2 for m in ms)
-                ksq = base - extra
-                if not ksq_lo <= ksq <= ksq_hi:
-                    continue
-                if square_cap - sum(m * m for m in ms) < 0:
-                    continue
-                found.append(SpecialType(a, m0, ms, ksq))
-    found.sort(key=SpecialType.sort_key)
-    return tuple(found)
+    """Every special pencil numeric in the window, within the same caps and
+    with the same ceiling warning as ``search_general``; empty in the
+    windows the package certifies (the nonnegativity of the pencil square
+    kills every candidate there), but the walk itself is fully general."""
+    a_cap, n_cap = _caps(genus, ksq_lo, ksq_hi, adjoint_cap, point_cap)
 
+    def cells():
+        for a in range(3, a_cap + 1):
+            for m0 in range(2, (a + 1) // 2 + 1):
+                base = (a + m0 - 1) ** 2 - (m0 - 1) ** 2
+                pair_sum = a * (a + 1) // 2 + m0 * (a + 1) - genus
+                if not (prune and _floor_cuts(base - ksq_hi, pair_sum, m0)):
+                    yield a, m0, base, pair_sum, m0, (a + 2) * (a + 2 + 2 * m0)
 
-def ksq_prefix_lower_bound(
-    genus: int,
-    adjoint_degree: int,
-    twice_offset: int,
-    prefix: Sequence[int],
-    m: int,
-) -> Fraction:
-    """Exact floor for the adjoint square over all completions of a
-    multiplicity prefix by entries at most m.
-
-    Equality needs every remaining multiplicity equal to m; with an empty
-    prefix and even degree this is the closed-form degree floor used to
-    cut whole branches of the search.
-    """
-    if m < 1:
-        raise ValueError("the completion bound needs m >= 1")
-    a, t = adjoint_degree, twice_offset
-    prefix = tuple(prefix)
-    pair_total = Fraction((a + 1) * (2 * (a + 1) + t), 2) - genus
-    pair_left = pair_total - sum(_tri(x) for x in prefix)
-    return (
-        a * (2 * a + t)
-        - sum((x - 1) ** 2 for x in prefix)
-        - Fraction(2 * (m - 1), m) * pair_left
-    )
-
-
-def ksq_even_a_lower_bound(
-    genus: int, adjoint_degree: int, twice_offset: int, n: int, m: int
-) -> Fraction:
-    """Specialized floor with the first n multiplicities pinned at the
-    ceiling (adjoint_degree + 2)/2; needs an even adjoint degree."""
-    if adjoint_degree % 2:
-        raise ValueError("the specialized bound needs an even adjoint degree")
-    top = (adjoint_degree + 2) // 2
-    return ksq_prefix_lower_bound(genus, adjoint_degree, twice_offset, (top,) * n, m)
-
-
-def ksq_odd_a_lower_bound(genus: int, adjoint_degree: int) -> Fraction:
-    """Degree floor for odd adjoint degrees; equality needs zero offset and
-    every multiplicity at the ceiling (adjoint_degree + 1)/2."""
-    a = adjoint_degree
-    if a % 2 == 0:
-        raise ValueError("the odd-degree bound needs an odd adjoint degree")
-    return Fraction(2 * genus * (a - 1), a + 1) + 2
+    return _walk(SpecialType, cells(), ksq_lo, ksq_hi, a_cap, n_cap, prune)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from genus2pencils import catalog
 from genus2pencils.cli import _format_multiplicities, main
+from genus2pencils.modelfile import from_fibration, serialize
 
 CANONICAL_A = """\
 model A
@@ -104,6 +106,16 @@ def test_search_types_unpruned_matches(capsys):
 def test_search_types_special_window_is_empty(capsys):
     assert main(["search-types", "--special"]) == 0
     assert capsys.readouterr().out == "degree  extra  points  ksq  multiplicities\n0 rows\n"
+
+
+def test_search_types_reports_the_ceiling(capsys):
+    # genus 3 up to adjoint square 8 has a row at the default degree cap 12
+    assert main(["search-types", "--genus", "3", "--ksq-max", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "19 rows",
+        "ceiling reached: rows above adjoint degree 12 are not ruled out",
+    ]
 
 
 def test_search_types_usage_errors(capsys):
@@ -214,14 +226,19 @@ def test_dual_graph_unknown_fibre(capsys):
     assert "no fibre named 'F9' (known: F0, F1, Finf)" in capsys.readouterr().err
 
 
+# the sextic pencil of model A blown up twice more at a point of one
+# member: its strict transform C, the (-2)-curve A = E13 - E14 and the
+# last exceptional curve O, counted twice, sum to F
 MODEL_TEXT = """\
-surface plane n=12
-class F = 6 -2 -2 -2 -2 -2 -2 -2 -2 -1 -1 -1 -1
-class A = 0 0 0 0 0 0 0 0 0 1 -1 0 0
-class O = 0 0 0 0 0 0 0 0 0 0 0 0 1
+surface plane n=14
+class F = 6 -2 -2 -2 -2 -2 -2 -2 -2 -1 -1 -1 -1 0 0
+class A = 0 0 0 0 0 0 0 0 0 0 0 0 0 1 -1
+class O = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1
+class C = 6 -2 -2 -2 -2 -2 -2 -2 -2 -1 -1 -1 -1 -1 -1
 fibre F0:
     1 A
     2 O
+    1 C
 """
 
 
@@ -230,10 +247,22 @@ def test_dual_graph_from_file(tmp_path, capsys):
     path.write_text(MODEL_TEXT, encoding="utf-8")
     assert main(["dual-graph", str(path), "--fibre", "F0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("fibre F0 of ") and lines[0].endswith("(2 components)")
+    assert lines[0].startswith("fibre F0 of ") and lines[0].endswith("(3 components)")
     assert lines[1] == "  A (mult 1, self -2, genus 0)"
     assert lines[2] == "  O (mult 2, self -1, genus 0)"
-    assert lines[3] == "diagrams: A1"
+    assert lines[3] == "  C (mult 1, self -2, genus 2)"
+    assert lines[4:] == ["edges:", "  A - O", "  O - C", "diagrams: A1"]
+
+
+def test_dual_graph_rejects_a_fibre_that_does_not_sum_to_f(tmp_path, capsys):
+    text = serialize(from_fibration(catalog.get("Ex4_3").fibration))
+    assert text.count("    10 TH3\n") == 1
+    path = tmp_path / "broken.txt"
+    path.write_text(text.replace("    10 TH3\n", "    3 TH3\n"), encoding="utf-8")
+    assert main(["dual-graph", str(path), "--fibre", "Finf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "decomposition does not sum to F: fibre Finf" in captured.err
 
 
 def test_dual_graph_missing_file(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genus2pencils import catalog
+from genus2pencils.fibres import FibreError
 from genus2pencils.modelfile import (
     ModelFile,
     ParseError,
@@ -78,8 +79,26 @@ def test_catalog_entry_round_trips_as_text():
     assert serialize(reparsed) == text
 
 
+# SAMPLE's F0 (A + 2O, with the section O) does not sum to F; here the
+# pencil of SAMPLE is blown up twice more at a point of one member, whose
+# strict transform C, the (-2)-curve A = E13 - E14 and the last exceptional
+# curve B, counted twice, make up F0
+FIBRED_SAMPLE = """\
+surface plane n=14
+class F = 6 -2 -2 -2 -2 -2 -2 -2 -2 -1 -1 -1 -1 0 0
+class O = 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0
+class A = 0 0 0 0 0 0 0 0 0 0 0 0 0 1 -1
+class B = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1
+class C = 6 -2 -2 -2 -2 -2 -2 -2 -2 -1 -1 -1 -1 -1 -1
+fibre F0:
+    1 A
+    2 B
+    1 C
+"""
+
+
 def test_to_fibration_detects_sections():
-    model = parse(SAMPLE)
+    model = parse(FIBRED_SAMPLE)
     fib = to_fibration(model)
     assert fib.genus == 2
     assert fib.fibre_class == model.named("F")
@@ -98,6 +117,17 @@ def test_to_fibration_validates():
     model = parse(SAMPLE)
     with pytest.raises(ValueError, match="canonical degree 2 does not match genus 3"):
         to_fibration(model, genus=3)
+
+
+def test_to_fibration_validates_every_fibre():
+    with pytest.raises(FibreError, match="does not sum to F: fibre F0"):
+        to_fibration(parse(SAMPLE))
+    entry = catalog.get("Ex4_3")
+    text = serialize(from_fibration(entry.fibration))
+    broken = parse(text.replace("    10 TH3\n", "    3 TH3\n"))
+    with pytest.raises(FibreError, match="does not sum to F: fibre Finf"):
+        to_fibration(broken)
+    assert to_fibration(parse(text)).fibre_class == entry.fibration.fibre_class
 
 
 def reject(text: str, line_number: int, message: str) -> None:

@@ -19,13 +19,12 @@ from genus2pencils.numerics import (
     GenusContext,
     NumericType,
     SpecialType,
+    _floor_cuts,
+    _mult_vectors,
     apply_exclusion,
     branch_consistency,
     enumerate_branch_numerics,
     exclude_p2_and_hirzebruch,
-    ksq_even_a_lower_bound,
-    ksq_odd_a_lower_bound,
-    ksq_prefix_lower_bound,
     search_general,
     search_special,
     triple_point_image_obstruction,
@@ -119,6 +118,49 @@ def test_mult_vector_window_never_drops_in_window_tuples():
                 assert wanted <= got <= blunt
 
 
+SOUNDNESS_CAPS = dict(adjoint_cap=8, point_cap=12)
+
+
+def _windows(genus):
+    top = 2 * genus + 2
+    return [(lo, hi) for lo in range(1, top + 1) for hi in range(lo, top + 1)]
+
+
+@pytest.mark.filterwarnings("ignore:search reached the adjoint-degree ceiling")
+@pytest.mark.parametrize("genus", (2, 3, 4))
+def test_every_window_equals_the_oracle_pruned_and_unpruned(genus):
+    for lo, hi in _windows(genus):
+        general = naive_search_general(genus, lo, hi, **SOUNDNESS_CAPS)
+        special = naive_search_special(genus, lo, hi, **SOUNDNESS_CAPS)
+        for prune in (True, False):
+            assert search_general(genus, lo, hi, prune=prune, **SOUNDNESS_CAPS) == general
+            assert search_special(genus, lo, hi, prune=prune, **SOUNDNESS_CAPS) == special
+
+
+@pytest.mark.parametrize("genus", (2, 3, 4))
+def test_square_budget_alone_keeps_every_nonnegative_pencil_square(genus):
+    # the budget does not depend on the window, so every cell of both
+    # walks within the caps is checked once
+    slots = SOUNDNESS_CAPS["point_cap"]
+    cells = []
+    for a in range(1, SOUNDNESS_CAPS["adjoint_cap"] + 1):
+        m_max = (a + 2) // 2
+        # offsets up to 40 run past the pair-sum cap at every degree here
+        for t in range(0, 40, 2 - a % 2):
+            pair_sum = (a + 1) * (2 * (a + 1) + t) // 2 - genus
+            cells.append((pair_sum, m_max, (a + 2) * (2 * (a + 2) + t)))
+        for m0 in range(2, (a + 1) // 2 + 1):
+            pair_sum = a * (a + 1) // 2 + m0 * (a + 1) - genus
+            cells.append((pair_sum, m0, (a + 2) * (a + 2 + 2 * m0)))
+    cells = [c for c in cells if 0 <= c[0] <= slots * c[1] * (c[1] - 1) // 2]
+    assert len(cells) > 20
+    for pair_sum, m_max, square_cap in cells:
+        blunt = set(blunt_mult_vectors(pair_sum, m_max, slots))
+        got = set(_mult_vectors(pair_sum, m_max, slots, None, square_cap))
+        wanted = {ms for ms in blunt if sum(m * m for m in ms) <= square_cap}
+        assert wanted <= got <= blunt
+
+
 def test_numeric_type_validation():
     with pytest.raises(ValueError, match="adjoint degree must be positive"):
         NumericType(0, 0, (), 0)
@@ -153,6 +195,12 @@ def test_search_cap_warning():
         search_general(2, 1, 3)  # default caps clear the last row
 
 
+def test_special_search_warns_at_the_ceiling():
+    with pytest.warns(UserWarning, match="adjoint-degree ceiling"):
+        rows = search_special(3, 1, 8, adjoint_cap=11)
+    assert any(row.adjoint_degree == 11 for row in rows)
+
+
 def test_search_window_validation():
     with pytest.raises(ValueError, match="genus must be at least 2"):
         search_general(1, 1, 3)
@@ -162,14 +210,24 @@ def test_search_window_validation():
         search_general(2, 3, 1)
 
 
+def _cuts(genus, a, t, prefix, m, ksq_hi):
+    """The general walk's floor at cell (a, t) after a multiplicity prefix,
+    completed by entries at most m: does it rule out ksq <= ksq_hi?"""
+    base = a * (2 * a + t) - sum((x - 1) ** 2 for x in prefix)
+    pair_total = (a + 1) * (2 * (a + 1) + t) // 2 - genus
+    pair_left = pair_total - sum(x * (x - 1) // 2 for x in prefix)
+    return _floor_cuts(base - ksq_hi, pair_left, m)
+
+
 def test_prefix_lower_bound_spot_values():
-    assert ksq_prefix_lower_bound(2, 4, 0, (3,) * 7, 1) == 4
-    assert ksq_even_a_lower_bound(2, 6, 2, 0, 4) == 3
-    assert ksq_odd_a_lower_bound(2, 3) == 4
-    # equality case: degree 3, eight double points, adjoint square 10 at genus 8
-    assert ksq_odd_a_lower_bound(8, 3) == Fraction(2 * 8 * 2, 4) + 2
-    with pytest.raises(ValueError, match="m >= 1"):
-        ksq_prefix_lower_bound(2, 4, 0, (), 0)
+    # each floor value v cuts the window ending at v - 1 and keeps the one ending at v
+    for genus, a, t, prefix, m, floor in (
+        (2, 4, 0, (3,) * 7, 1, 4),
+        (2, 6, 2, (), 4, 3),
+        (2, 3, 0, (), 2, 4),
+    ):
+        assert _cuts(genus, a, t, prefix, m, floor - 1)
+        assert not _cuts(genus, a, t, prefix, m, floor)
 
 
 def test_prefix_bound_below_actual_on_all_rows():
@@ -177,19 +235,21 @@ def test_prefix_bound_below_actual_on_all_rows():
         mults = row.multiplicities
         for cut in range(len(mults) + 1):
             tail_max = mults[cut] if cut < len(mults) else 1
-            bound = ksq_prefix_lower_bound(
-                2, row.adjoint_degree, row.twice_offset, mults[:cut], tail_max
+            assert not _cuts(
+                2, row.adjoint_degree, row.twice_offset, mults[:cut], tail_max, row.adjoint_square
             )
-            assert bound <= row.adjoint_square
 
 
 def test_odd_bound_equality_case():
-    # adjoint degree 3, genus 8: eight double points meet the bound exactly
+    # adjoint degree 3, genus 8: eight double points meet the floor exactly
     rows = naive_search_general(8, 10, 10, adjoint_cap=3, point_cap=12)
     row = NumericType(3, 0, (2,) * 8, 10)
     assert row in rows
     assert row.genus == 8
-    assert ksq_odd_a_lower_bound(8, 3) == 10 == row.adjoint_square
+    assert _cuts(8, 3, 0, (), 2, 9)
+    assert not _cuts(8, 3, 0, (), 2, 10)
+    with pytest.warns(UserWarning, match="adjoint-degree ceiling"):
+        assert row in search_general(8, 10, 10, adjoint_cap=3, point_cap=12)
 
 
 def test_genus_context():
