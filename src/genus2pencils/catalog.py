@@ -349,14 +349,12 @@ def _where(exc: Exception) -> str:
 def _run(checks: list[CheckResult], name: str, fn) -> None:
     try:
         detail = fn()
-    except InvariantError as exc:  # a broken library invariant
-        checks.append(CheckResult(name, False, str(exc), _where(exc)))
-        return
-    except (AssertionError, LatticeError) as exc:  # the claim does not hold
-        checks.append(CheckResult(name, False, str(exc)))
-        return
-    except Exception as exc:  # a fault in the library, not in the claim
-        checks.append(CheckResult(name, False, str(exc), _where(exc)))
+    except Exception as exc:
+        # an AssertionError or LatticeError means the claim does not hold;
+        # a broken invariant or anything else is a fault in the library
+        failed = isinstance(exc, (AssertionError, LatticeError))
+        fault = isinstance(exc, InvariantError) or not failed
+        checks.append(CheckResult(name, False, str(exc), _where(exc) if fault else None))
         return
     checks.append(CheckResult(name, True, detail or ""))
 
@@ -420,8 +418,8 @@ def verify(tag: str) -> VerifyReport:
             o = fib.named("O")
             seen = set()
             for dec in fib.fibres:
-                for comp in dec.components:
-                    val = o * comp.divisor
+                meets = pairings(o, [comp.divisor for comp in dec.components])
+                for comp, val in zip(dec.components, meets):
                     want = 1 if comp.name in exp.section_meets else 0
                     _require(
                         val == want,

@@ -2,10 +2,12 @@
 
 Four subcommands: canonical (print a built-in model), verify-example
 (recheck one), search-types (run the numeric search; a row at the
-adjoint-degree cap adds a "ceiling reached" line), dual-graph (print or
-DOT a fibre's component graph).  Exit codes: 0 success, 1 failed checks,
-2 bad usage or unparseable input, 3 a check raised an unexpected error
-(a fault in the library rather than a failed claim).
+adjoint-degree cap adds a "ceiling reached" line; --apply-exclusion
+works on the general table in genus 2 only, and is a usage error with
+--special or another genus), dual-graph (print or DOT a fibre's
+component graph).  Exit codes: 0 success, 1 failed checks, 2 bad usage
+or unparseable input, 3 a check raised an unexpected error (a fault in
+the library rather than a failed claim).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import warnings
 
 from . import catalog
 from .fibres import ade_classify, dual_graph
-from .lattice import DivisorClass, Fibration, arithmetic_genus
+from .lattice import Fibration
 from .modelfile import ParseError, parse, to_fibration
 from .numerics import apply_exclusion, search_general, search_special
 
@@ -110,6 +112,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.ksq_min < 1 or args.ksq_min > args.ksq_max:
         print("the adjoint-square window must satisfy 1 <= min <= max", file=sys.stderr)
         return 2
+    if args.apply_exclusion and args.special:
+        print("the exclusion argument applies to the general table only", file=sys.stderr)
+        return 2
+    if args.apply_exclusion and args.genus != 2:
+        print("the exclusion argument is specific to genus 2", file=sys.stderr)
+        return 2
     search = search_special if args.special else search_general
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -127,9 +135,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             )
     else:
         if args.apply_exclusion:
-            if args.genus != 2:
-                print("the exclusion argument is specific to genus 2", file=sys.stderr)
-                return 2
             kept = apply_exclusion(rows)
             excluded = tuple(r for r in rows if r not in kept)
             rows = kept
@@ -204,12 +209,8 @@ def _cmd_dual_graph(args: argparse.Namespace) -> int:
         print("}")
         return 0
     print(f"fibre {dec.name} of {label} ({len(dec.components)} components)")
-    for comp in dec.components:
-        print(
-            f"  {comp.name} (mult {comp.multiplicity}, "
-            f"self {comp.divisor * comp.divisor}, "
-            f"genus {arithmetic_genus(comp.divisor)})"
-        )
+    for comp, (_, self_int, genus) in zip(dec.components, graph.nodes):
+        print(f"  {comp.name} (mult {comp.multiplicity}, self {self_int}, genus {genus})")
     if graph.edges:
         print("edges:")
         for i, j, weight in graph.edges:

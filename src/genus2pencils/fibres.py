@@ -1,30 +1,29 @@
 """Fibre decompositions, dual graphs, and lattice certificates.
 
 A reducible fibre is recorded as named components with multiplicities;
-validation checks the class sum, nonnegative pairwise meetings, the
-orthogonality of each component to the fibre, negative semidefiniteness
-of the component Gram matrix, and any declared self-intersections and
-genera.  On top of that sit the dual-graph builder, a Dynkin-diagram
-classifier for the (-2)-part, and the Mordell-Weil rank certificates.
+validation checks the class sum, any declared self-intersections and
+genera, the orthogonality of each component to the fibre, and
+nonnegative pairwise meetings (which together make the component Gram
+matrix negative semidefinite).  On top of that sit the dual-graph
+builder, a Dynkin-diagram classifier for the (-2)-part, and the
+Mordell-Weil rank certificates.  Every certificate reads its pairings
+from one matrix, built by ``_gram``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, combinations, product
 from typing import Sequence
 
-from .intmat import (
-    bareiss_determinant,
-    hermite_normal_form,
-    is_negative_semidefinite,
-    kernel_basis,
-)
+from .intmat import bareiss_determinant, hermite_normal_form, kernel_basis
 from .lattice import (
     DivisorClass,
     Fibration,
     LatticeError,
     Surface,
     arithmetic_genus,
+    pairings,
 )
 
 __all__ = [
@@ -47,6 +46,11 @@ __all__ = [
 
 class FibreError(LatticeError):
     """A fibre decomposition failed an identity."""
+
+
+def _gram(classes: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
+    """The pairing matrix of ``classes``; they must share one surface."""
+    return tuple(pairings(c, classes) for c in classes)
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,13 @@ class FibreReport:
 
 def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
     """Check every identity a reducible fibre must satisfy; raises on the
-    first violation, returns a summary on success."""
+    first violation, returns a summary on success.
+
+    The component Gram matrix G is then negative semidefinite without a
+    further test (Zariski's lemma): with multiplicities m_i >= 1, rows
+    sum_j m_j G_ij = F.C_i = 0 and G_ij >= 0 off the diagonal, writing
+    x_i = m_i y_i gives x^T G x = -1/2 sum_{i != j} m_i m_j G_ij (y_i - y_j)^2.
+    """
     f = fib.fibre_class
     parts = dec.components
     if not parts:
@@ -95,8 +105,9 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
         raise FibreError(
             f"decomposition does not sum to F: fibre {dec.name} leaves residual {residual}"
         )
-    for p in parts:
-        sq = p.divisor * p.divisor
+    gram = _gram([p.divisor for p in parts])
+    for i, p in enumerate(parts):
+        sq = gram[i][i]
         if p.declared_self_intersection is not None and sq != p.declared_self_intersection:
             raise FibreError(
                 f"component {p.name} has self-intersection {sq}, "
@@ -105,20 +116,15 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
         g = arithmetic_genus(p.divisor)
         if p.declared_genus is not None and g != p.declared_genus:
             raise FibreError(f"component {p.name} has genus {g}, declared {p.declared_genus}")
-        if f * p.divisor != 0:
+        # F is the weighted sum of the components, so F.C is a weighted row sum
+        meet = sum(q.multiplicity * w for q, w in zip(parts, gram[i]))
+        if meet != 0:
+            raise FibreError(f"component {p.name} meets the fibre class ({meet}), expected 0")
+    for i, j in combinations(range(len(parts)), 2):
+        if gram[i][j] < 0:
             raise FibreError(
-                f"component {p.name} meets the fibre class ({f * p.divisor}), expected 0"
+                f"components {parts[i].name} and {parts[j].name} pair negatively ({gram[i][j]})"
             )
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            w = parts[i].divisor * parts[j].divisor
-            if w < 0:
-                raise FibreError(
-                    f"components {parts[i].name} and {parts[j].name} pair negatively ({w})"
-                )
-    gram = tuple(tuple(p.divisor * q.divisor for q in parts) for p in parts)
-    if not is_negative_semidefinite(gram):
-        raise FibreError(f"fibre {dec.name} has a component Gram matrix that is not negative semidefinite")
     return FibreReport(dec.name, len(parts), gram)
 
 
@@ -130,20 +136,20 @@ class DualGraph:
     edges: tuple[tuple[int, int, int], ...]
 
 
+def _graph(parts: Sequence[FibreComponent]) -> DualGraph:
+    gram = _gram([p.divisor for p in parts])
+    nodes = tuple(
+        (p.name, gram[i][i], arithmetic_genus(p.divisor)) for i, p in enumerate(parts)
+    )
+    pairs = combinations(range(len(parts)), 2)
+    return DualGraph(nodes, tuple((i, j, gram[i][j]) for i, j in pairs if gram[i][j]))
+
+
 def dual_graph(fib: Fibration, dec: FibreDecomposition) -> DualGraph:
     for p in dec.components:
         if p.divisor.surface != fib.surface:
             raise FibreError(f"foreign class: component {p.name} lives on another surface")
-    nodes = tuple(
-        (p.name, p.divisor * p.divisor, arithmetic_genus(p.divisor)) for p in dec.components
-    )
-    edges = []
-    for i in range(len(dec.components)):
-        for j in range(i + 1, len(dec.components)):
-            w = dec.components[i].divisor * dec.components[j].divisor
-            if w != 0:
-                edges.append((i, j, w))
-    return DualGraph(nodes, tuple(edges))
+    return _graph(dec.components)
 
 
 def classify_diagram(node_count: int, edges: Sequence[tuple[int, int]]) -> str:
@@ -212,20 +218,16 @@ def ade_classify(dec: FibreDecomposition) -> tuple[tuple[tuple[str, ...], str], 
     Components carrying multiplicity weights above one in the pairing are
     left unclassified rather than misread as simply laced.
     """
-    keep = [
-        p
-        for p in dec.components
-        if p.divisor * p.divisor == -2 and arithmetic_genus(p.divisor) == 0
-    ]
-    index = {p.name: i for i, p in enumerate(keep)}
+    graph = _graph(dec.components)
+    keep = [i for i, (_, sq, genus) in enumerate(graph.nodes) if sq == -2 and genus == 0]
+    index = {v: k for k, v in enumerate(keep)}
     n = len(keep)
     adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = keep[i].divisor * keep[j].divisor
-            if w != 0:
-                adj[i][j] = w
-                adj[j][i] = w
+    for a, b, w in graph.edges:
+        if a in index and b in index:
+            i, j = index[a], index[b]
+            adj[i][j] = w
+            adj[j][i] = w
     seen = [False] * n
     out = []
     for i in range(n):
@@ -252,7 +254,7 @@ def ade_classify(dec: FibreDecomposition) -> tuple[tuple[tuple[str, ...], str], 
                     if w > 1:
                         heavy = True
         label = "unclassified" if heavy else classify_diagram(len(comp), edges)
-        out.append((tuple(keep[v].name for v in comp), label))
+        out.append((tuple(graph.nodes[keep[v]][0] for v in comp), label))
     return tuple(out)
 
 
@@ -291,34 +293,32 @@ def orthogonal_decomposition_check(
     rank = fib.surface.rank
     messages: list[str] = []
     blocks = [list(b) for b in blocks]
+    flat = [c for block in blocks for c in block]
     for b, block in enumerate(blocks):
         for c in block:
             if c.surface != fib.surface:
                 messages.append(f"foreign class in block {b + 1}: {c}")
     if not messages:
+        gram = _gram(flat)
         first = blocks[0] if blocks else []
         if len(first) != 2 or fib.fibre_class not in first:
             messages.append("first block must be the fibre class and a section")
-        else:
-            other = first[0] if first[1] == fib.fibre_class else first[1]
-            if other * fib.fibre_class != 1:
-                messages.append(
-                    f"first block partner pairs {other * fib.fibre_class} with the fibre, expected 1"
-                )
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                for x in blocks[i]:
-                    for y in blocks[j]:
-                        if x * y != 0:
-                            messages.append(
-                                f"blocks {i + 1} and {j + 1} are not orthogonal: {x} * {y} = {x * y}"
-                            )
+        elif gram[0][1] != 1:
+            messages.append(f"first block partner pairs {gram[0][1]} with the fibre, expected 1")
+        # the rows and columns of each block in gram
+        ends = accumulate(map(len, blocks))
+        spans = [range(end - len(b), end) for end, b in zip(ends, blocks)]
+        for (i, rows), (j, cols) in combinations(enumerate(spans), 2):
+            for x, y in product(rows, cols):
+                if gram[x][y] != 0:
+                    messages.append(
+                        f"blocks {i + 1} and {j + 1} are not orthogonal: "
+                        f"{flat[x]} * {flat[y]} = {gram[x][y]}"
+                    )
     det: int | None = None
-    flat = [c for block in blocks for c in block]
     if len(flat) != rank:
         messages.append(f"not a basis: {len(flat)} classes on a rank-{rank} lattice")
     elif not messages:
-        gram = [[x * y for y in flat] for x in flat]
         det = bareiss_determinant(gram)
         if abs(det) != 1:
             messages.append(f"not a basis: index {abs(det)}")
@@ -351,22 +351,12 @@ def complement_lattice(surface: Surface, sub: Sequence[DivisorClass]) -> Complem
     for c in sub:
         if c.surface != surface:
             raise LatticeError("foreign class: input lives on another surface")
-    if sub:
-        coords = [list(c.coords) for c in sub]
-        if len(hermite_normal_form(coords)) != len(sub):
-            raise LatticeError("dependent input classes")
-    gram_full = surface.gram()
-    # rows of (basis x sub) pairing matrix, over all lattice basis vectors
-    pairing = []
-    for i in range(surface.rank):
-        row = []
-        for c in sub:
-            row.append(sum(gram_full[i][j] * c.coords[j] for j in range(surface.rank)))
-        pairing.append(row)
-    kernel = kernel_basis(pairing) if sub else [
-        [int(i == j) for j in range(surface.rank)] for i in range(surface.rank)
-    ]
-    basis = tuple(DivisorClass(surface, tuple(v)) for v in hermite_normal_form(kernel))
-    gram = tuple(tuple(x * y for y in basis) for x in basis)
-    disc = bareiss_determinant([list(r) for r in gram])
+    if len(hermite_normal_form([c.coords for c in sub])) != len(sub):
+        raise LatticeError("dependent input classes")
+    # the (lattice basis x sub) pairing matrix: its columns are the dual vectors
+    duals = [surface.dual(c.coords) for c in sub]
+    pairing = [[d[i] for d in duals] for i in range(surface.rank)]
+    basis = tuple(DivisorClass(surface, v) for v in hermite_normal_form(kernel_basis(pairing)))
+    gram = _gram(basis)
+    disc = bareiss_determinant(gram)
     return ComplementLattice(basis, gram, disc)

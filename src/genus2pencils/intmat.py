@@ -1,9 +1,13 @@
 """Small exact linear algebra helpers over the integers.
 
 Matrices are sequences of equal-length integer rows.  Results stay
-integral wherever the mathematics guarantees it (Bareiss elimination,
-Hermite forms, saturated kernels); rational intermediates use
-fractions.Fraction.  Floating point never appears.
+integral wherever the mathematics guarantees it: Bareiss elimination for
+determinants, and one Hermite-form elimination for kernels and ranks.
+The semidefiniteness test, the only one with rational intermediates
+(fractions.Fraction), has no caller in the library: fibre validation
+gets semidefiniteness from its other checks.  It stays as the tests'
+reference for that argument, and because the benchmark's tracer wraps
+it by name.  Floating point never appears.
 """
 
 from __future__ import annotations
@@ -118,27 +122,8 @@ def kernel_basis(rows: Matrix) -> tuple[tuple[int, ...], ...]:
 
 
 def rational_rank(rows: Matrix) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank over the rationals: the number of nonzero Hermite rows."""
+    return len(hermite_normal_form(rows))
 
 
 def is_negative_semidefinite(gram: Matrix) -> bool:

@@ -234,10 +234,8 @@ def _mult_vectors(
 
     if pair_sum == 0:
         yield ()
-        return
-    if m_max < 2:
-        return
-    yield from rec(pair_sum, m_max, slots, 0, 0, ())
+    elif pair_sum > 0 and m_max >= 2:
+        yield from rec(pair_sum, m_max, slots, 0, 0, ())
 
 
 def _caps(

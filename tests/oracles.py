@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -312,3 +313,27 @@ def naive_obstruction_minima() -> tuple[tuple[int, int], tuple[int, int]]:
         if sum(1 for m in marks if m == 2) == 2
     ]
     return (min(first), len(first)), (min(second), len(second))
+
+
+def rational_rank(rows) -> int:
+    """Rank over the rationals by Gauss-Jordan elimination on fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if m and any(len(r) != len(m[0]) for r in m):
+        raise ValueError("ragged matrix")
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank

@@ -127,6 +127,15 @@ def test_search_types_usage_errors(capsys):
     assert "specific to genus 2" in capsys.readouterr().err
 
 
+def test_search_types_exclusion_is_not_for_the_special_table(capsys):
+    for genus in ("2", "3"):
+        argv = ["search-types", "--special", "--apply-exclusion", "--genus", genus]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "applies to the general table only" in captured.err
+
+
 def test_verify_example_text(capsys):
     assert main(["verify-example", "B1"]) == 0
     lines = capsys.readouterr().out.splitlines()

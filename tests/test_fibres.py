@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from genus2pencils import catalog
 from genus2pencils.fibres import (
     ComplementLattice,
     FibreComponent,
@@ -25,6 +26,7 @@ from genus2pencils.fibres import (
     shioda_rank,
     validate_fibre,
 )
+from genus2pencils.intmat import is_negative_semidefinite
 from genus2pencils.lattice import Fibration, LatticeError, plane_blowup, plane_curve
 
 
@@ -60,6 +62,16 @@ def test_validate_fibre_report():
         (1, 1, -2, 1),
         (0, 0, 1, -1),
     )
+
+
+def test_validated_grams_are_negative_semidefinite():
+    fib = sextic_fibration()
+    grams = [validate_fibre(fib, chain_fibre(fib)).gram]
+    for tag in catalog.tags():
+        entry_fib = catalog.get(tag).fibration
+        grams += [validate_fibre(entry_fib, dec).gram for dec in entry_fib.fibres]
+    assert len(grams) == 9
+    assert all(is_negative_semidefinite(g) for g in grams)
 
 
 def test_validate_fibre_rejects_empty():
@@ -248,6 +260,19 @@ def test_ade_classify_skips_heavy_edges_and_positive_genus():
         ),
     )
     assert ade_classify(mixed) == ((("D",), "A1"),)
+
+
+def test_ade_classify_rejects_components_on_two_surfaces():
+    a, b = plane_blowup(3), plane_blowup(4)
+    mixed = FibreDecomposition(
+        "Z",
+        (
+            FibreComponent("X", a.exceptional(1) - a.exceptional(2), 1),
+            FibreComponent("Y", b.exceptional(1), 1),
+        ),
+    )
+    with pytest.raises(LatticeError, match="foreign class"):
+        ade_classify(mixed)
 
 
 def test_shioda_rank_bookkeeping():

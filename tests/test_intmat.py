@@ -8,6 +8,8 @@ import random
 import numpy as np
 import pytest
 
+import oracles
+
 from genus2pencils.intmat import (
     bareiss_determinant,
     hermite_normal_form,
@@ -120,6 +122,22 @@ def test_rational_rank_frozen():
     assert rational_rank([[1, 2], [2, 4]]) == 1
     assert rational_rank([[0, 0], [0, 0]]) == 0
     assert rational_rank([]) == 0
+
+
+def test_rational_rank_matches_fraction_elimination():
+    rng = random.Random(19)
+    for _ in range(60):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        a = random_matrix(rng, n, m, bound=rng.choice((1, 3, 9)))
+        if rng.random() < 0.4:
+            # force a dependent row
+            a.append([2 * x - y for x, y in zip(a[0], a[-1])])
+        assert rational_rank(a) == oracles.rational_rank(a)
+    for rows in ([], [[]], [[], []], [[0, 0, 0]]):
+        assert rational_rank(rows) == oracles.rational_rank(rows) == 0
+    for rank in (rational_rank, oracles.rational_rank):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            rank([[1, 2], [3]])
 
 
 def test_negative_semidefinite_frozen_cases():

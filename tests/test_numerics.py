@@ -104,6 +104,15 @@ def test_mult_vector_generator_equals_blunt():
                 assert got == blunt
 
 
+def test_mult_vectors_of_a_negative_pair_sum_are_empty():
+    # no tuple has a negative sum of m(m-1)/2, whatever the largest entry
+    for pair_sum in (-1, -3, -10):
+        for m_max in range(0, 7):
+            for slots in (0, 5):
+                for window, budget in ((None, None), ((0, 30), 100)):
+                    assert list(_mult_vectors(pair_sum, m_max, slots, window, budget)) == []
+
+
 def test_mult_vector_window_never_drops_in_window_tuples():
     from genus2pencils.numerics import _mult_vectors
 

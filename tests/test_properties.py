@@ -6,17 +6,21 @@ characteristic property of the canonical class, the batched pairing and
 the Gram matrix against the single pairing, surface checks on mixed
 operands, isometry laws for the quadratic transform, blow-up/blow-down
 inverses, the pushforward pairing rule, elementary-transform inverses,
-diagram label invariance, and the adjoint-square ceiling of the numeric
-search.
+diagram label invariance, Zariski's lemma for fibre pairing matrices,
+and the adjoint-square ceiling of the numeric search.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genus2pencils.curves import ClassQuery, enum_classes
 from genus2pencils.fibres import classify_diagram
+from genus2pencils.intmat import is_negative_semidefinite
 from genus2pencils.lattice import (
     DivisorClass,
     ForeignClassError,
@@ -223,6 +227,31 @@ def test_cycle_label_is_permutation_invariant(n, data):
     relabel = data.draw(st.permutations(range(n)))
     edges = [(relabel[i], relabel[(i + 1) % n]) for i in range(n)]
     assert classify_diagram(n, edges) == f"A{n - 1}~"
+
+
+@st.composite
+def fibre_pairings(draw):
+    """A symmetric matrix obeying the rules validate_fibre checks: weights
+    m_i >= 1, entries >= 0 off the diagonal, sum_j m_j G_ij = 0 in every row.
+    The off-diagonal entries are scaled by lcm(m) so the diagonal is integral."""
+    n = draw(st.integers(1, 7))
+    mults = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    scale = math.lcm(*mults)
+    g = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        g[i][j] = g[j][i] = scale * draw(st.integers(0, 3))
+    for i in range(n):
+        g[i][i] = -sum(m * w for m, w in zip(mults, g[i])) // mults[i]
+    return mults, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(fibre_pairings())
+def test_fibre_pairing_rules_force_negative_semidefinite(drawn):
+    # Zariski's lemma: validate_fibre's other checks already imply this
+    mults, g = drawn
+    assert all(sum(m * w for m, w in zip(mults, row)) == 0 for row in g)
+    assert is_negative_semidefinite(g)
 
 
 @st.composite
