@@ -187,7 +187,8 @@ def _enum_cached(surface: Surface, query: ClassQuery, budget_size: int) -> tuple
         for tail in _arrangements(rep):
             budget.spend()
             rows.append((head, tail))
-    return tuple(DivisorClass(surface, head + tail) for head, tail in _in_order(rows))
+    new = DivisorClass._derived
+    return tuple(new(surface, head + tail) for head, tail in _in_order(rows))
 
 
 def enum_classes(
@@ -312,7 +313,7 @@ def _first(surface: Surface, blocks, orbits) -> DivisorClass | None:
     if not rows:
         return None
     head, tail = _in_order(rows)[0]
-    return DivisorClass(surface, head + tail)
+    return DivisorClass._derived(surface, head + tail)
 
 
 def _expand(surface: Surface, blocks, orbits, budget: int) -> list[tuple[DivisorClass, int]]:
@@ -325,7 +326,8 @@ def _expand(surface: Surface, blocks, orbits, budget: int) -> list[tuple[Divisor
     for index, o in enumerate(orbits):
         for parts in product(*(tuple(_arrangements(t)) for t in o.tails)):
             rows.append((o.head, _place(surface.blowups, blocks, parts), index))
-    return [(DivisorClass(surface, head + tail), index) for head, tail, index in _in_order(rows)]
+    new = DivisorClass._derived
+    return [(new(surface, head + tail), index) for head, tail, index in _in_order(rows)]
 
 
 def _classes_meeting(

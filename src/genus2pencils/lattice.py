@@ -6,13 +6,25 @@ up at n points (basis D0, G, E1, ..., En, with D0 the minimal section
 and G a ruling fibre).  The intersection form is fixed by the kind and
 index; every computation is exact integer arithmetic on basis
 coordinates.
+
+Coordinates are validated once, when a class enters the library through
+DivisorClass(surface, coords) or Surface.divisor.  Classes the library
+derives from validated ones (sums, differences, integer multiples,
+blow-up and blow-down images, quadratic transforms) and the classes its
+own integer walks build are made without validating again.  The
+canonical class is built once per Surface object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import index as _as_int, mul
+from functools import cached_property
+from operator import add, index as _as_int, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
+
+# bound once: DivisorClass._derived runs for every class the library builds
+_new_object = object.__new__
+_set_field = object.__setattr__
 
 __all__ = [
     "LatticeError",
@@ -62,6 +74,7 @@ class Surface:
 
     ``index`` is 0 for the plane kind.  Equality is structural, so classes
     built on independently constructed but identical surfaces interoperate.
+    The canonical class is computed once per object.
     """
 
     kind: str
@@ -71,6 +84,11 @@ class Surface:
     def __post_init__(self) -> None:
         if self.kind not in ("plane", "hirzebruch"):
             raise LatticeError(f"unknown surface kind {self.kind!r}")
+        try:
+            object.__setattr__(self, "index", _as_int(self.index))
+            object.__setattr__(self, "blowups", _as_int(self.blowups))
+        except TypeError:
+            raise LatticeError("index and blow-up count must be integers") from None
         if self.kind == "plane" and self.index != 0:
             raise LatticeError("plane surfaces carry no Hirzebruch index")
         if self.index < 0 or self.blowups < 0:
@@ -121,30 +139,36 @@ class Surface:
         return DivisorClass(self, tuple(coords))
 
     def zero(self) -> "DivisorClass":
-        return DivisorClass(self, (0,) * self.rank)
+        return DivisorClass._derived(self, (0,) * self.rank)
+
+    @cached_property
+    def _canonical(self) -> "DivisorClass":
+        if self.kind == "plane":
+            head: tuple[int, ...] = (-3,)
+        else:
+            head = (-2, -(self.index + 2))
+        return DivisorClass._derived(self, head + (1,) * self.blowups)
 
     def canonical(self) -> "DivisorClass":
-        if self.kind == "plane":
-            return self.divisor(-3, *([1] * self.blowups))
-        return self.divisor(-2, -(self.index + 2), *([1] * self.blowups))
+        return self._canonical
 
     @property
     def line(self) -> "DivisorClass":
         if self.kind != "plane":
             raise LatticeError("the line class lives on the plane kind")
-        return self.divisor(1, *([0] * self.blowups))
+        return DivisorClass._derived(self, (1,) + (0,) * self.blowups)
 
     @property
     def minimal_section(self) -> "DivisorClass":
         if self.kind != "hirzebruch":
             raise LatticeError("the minimal section lives on the ruled kind")
-        return self.divisor(1, 0, *([0] * self.blowups))
+        return DivisorClass._derived(self, (1, 0) + (0,) * self.blowups)
 
     @property
     def ruling(self) -> "DivisorClass":
         if self.kind != "hirzebruch":
             raise LatticeError("the ruling fibre lives on the ruled kind")
-        return self.divisor(0, 1, *([0] * self.blowups))
+        return DivisorClass._derived(self, (0, 1) + (0,) * self.blowups)
 
     def exceptional(self, i: int) -> "DivisorClass":
         """Basis class E_i (1-indexed)."""
@@ -152,7 +176,7 @@ class Surface:
             raise LatticeError(f"no exceptional class E{i} on a {self.blowups}-point surface")
         c = [0] * self.rank
         c[self.base_rank + i - 1] = 1
-        return DivisorClass(self, tuple(c))
+        return DivisorClass._derived(self, tuple(c))
 
 
 def plane_blowup(n: int) -> Surface:
@@ -165,7 +189,11 @@ def hirzebruch_blowup(index: int, n: int) -> Surface:
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """An element of the divisor-class lattice, stored by basis coordinates."""
+    """An element of the divisor-class lattice, stored by basis coordinates.
+
+    The constructor coerces every coordinate to an int and checks the count
+    against the surface's rank.
+    """
 
     surface: Surface
     coords: tuple[int, ...]
@@ -181,6 +209,15 @@ class DivisorClass:
             )
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _derived(cls, surface: Surface, coords: tuple[int, ...]) -> "DivisorClass":
+        """A class whose coordinates the library built itself: a tuple of
+        ints of the surface's rank, so the constructor's checks are skipped."""
+        c = _new_object(cls)
+        _set_field(c, "surface", surface)
+        _set_field(c, "coords", coords)
+        return c
+
     def _require_same(self, other: "DivisorClass") -> None:
         if self.surface is not other.surface and self.surface != other.surface:
             raise ForeignClassError("foreign class: operands live on different surfaces")
@@ -189,7 +226,7 @@ class DivisorClass:
         if not isinstance(other, DivisorClass):
             return NotImplemented
         self._require_same(other)
-        return DivisorClass(self.surface, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass._derived(self.surface, tuple(map(add, self.coords, other.coords)))
 
     def __radd__(self, other):
         # lets sum() fold class lists
@@ -201,10 +238,15 @@ class DivisorClass:
         if not isinstance(other, DivisorClass):
             return NotImplemented
         self._require_same(other)
-        return DivisorClass(self.surface, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass._derived(self.surface, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-a for a in self.coords))
+        return DivisorClass._derived(self.surface, tuple(map(neg, self.coords)))
+
+    def _scaled(self, k: int) -> "DivisorClass":
+        # an int subclass could multiply into anything: coerce it once
+        k = _as_int(k)
+        return DivisorClass._derived(self.surface, tuple(k * c for c in self.coords))
 
     def __mul__(self, other):
         """Class times class is the intersection number; int times class scales."""
@@ -212,12 +254,12 @@ class DivisorClass:
             self._require_same(other)
             return self.surface.intersect(self.coords, other.coords)
         if isinstance(other, int):
-            return DivisorClass(self.surface, tuple(other * c for c in self.coords))
+            return self._scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, int):
-            return DivisorClass(self.surface, tuple(other * c for c in self.coords))
+            return self._scaled(other)
         return NotImplemented
 
     @property
@@ -298,6 +340,11 @@ def is_minus_one_class(c: DivisorClass) -> bool:
     return c * c == -1 and c.surface.canonical() * c == -1
 
 
+def _require_on(surface: Surface, c: DivisorClass) -> None:
+    if c.surface is not surface and c.surface != surface:
+        raise ForeignClassError("foreign class: carried class lives on another surface")
+
+
 def _basis_exceptional_index(c: DivisorClass) -> int | None:
     """1-based i when c is exactly the basis class E_i, else None."""
     coords = c.coords
@@ -317,9 +364,8 @@ def blow_up(
     bigger = replace(surface, blowups=surface.blowups + 1)
     out = []
     for c in classes:
-        if c.surface != surface:
-            raise ForeignClassError("foreign class: carried class lives on another surface")
-        out.append(DivisorClass(bigger, c.coords + (0,)))
+        _require_on(surface, c)
+        out.append(DivisorClass._derived(bigger, c.coords + (0,)))
     return bigger, tuple(out)
 
 
@@ -341,8 +387,7 @@ def cremona(
     alpha = surface.line - surface.exceptional(i) - surface.exceptional(j) - surface.exceptional(k)
     out = []
     for c in classes:
-        if c.surface != surface:
-            raise ForeignClassError("foreign class: carried class lives on another surface")
+        _require_on(surface, c)
         out.append(c + (c * alpha) * alpha)
     return tuple(out)
 
@@ -396,8 +441,7 @@ def blow_down(
         raise ForeignClassError("foreign class: e lives on another surface")
     work = []
     for c in classes:
-        if c.surface != surface:
-            raise ForeignClassError("foreign class: carried class lives on another surface")
+        _require_on(surface, c)
         work.append(c)
     if not is_minus_one_class(e):
         raise NotContractibleError(f"not contractible: {e} is not a (-1)-class")
@@ -409,7 +453,7 @@ def blow_down(
     pos = surface.base_rank + idx - 1
     smaller = replace(surface, blowups=surface.blowups - 1)
     pushed = tuple(
-        DivisorClass(smaller, c.coords[:pos] + c.coords[pos + 1:]) for c in work
+        DivisorClass._derived(smaller, c.coords[:pos] + c.coords[pos + 1:]) for c in work
     )
     return smaller, pushed
 

@@ -18,9 +18,8 @@ from .lattice import (
     Fibration,
     LatticeError,
     Surface,
-    arithmetic_genus,
     blow_down,
-    is_minus_one_class,
+    pairings,
 )
 from .numerics import NumericType
 
@@ -89,13 +88,32 @@ class ReducedPencil:
 def _check_carried(surface: Surface, c: DivisorClass) -> None:
     if c.surface != surface:
         raise ReductionError(f"foreign class: {c} lives on another surface")
-    if c * c >= 0:
+    square = c * c
+    if square >= 0:
         raise ReductionError(
-            f"rejected: {c} has self-intersection {c * c}, not a contractible configuration curve"
+            f"rejected: {c} has self-intersection {square}, not a contractible configuration curve"
         )
-    g = arithmetic_genus(c)
+    # adjunction; the canonical class is characteristic, so the sum is even
+    g = (square + surface.canonical() * c) // 2 + 1
     if g not in (0, 1):
         raise ReductionError(f"rejected: {c} has arithmetic genus {g}")
+
+
+def _minus_one_curves(
+    surface: Surface, pencil: DivisorClass, curves: list[DivisorClass]
+) -> list[tuple[int, DivisorClass]]:
+    """(pencil * C, C) for every (-1)-curve C of the list, in list order.
+
+    K*C and pencil*C come from one pairings call each; C*C is computed
+    only where K*C = -1.
+    """
+    k_degrees = pairings(surface.canonical(), curves)
+    pencil_degrees = pairings(pencil, curves)
+    return [
+        (p, c)
+        for c, k, p in zip(curves, k_degrees, pencil_degrees)
+        if k == -1 and c * c == -1
+    ]
 
 
 def _contract(
@@ -130,7 +148,7 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     adj_start = (surface.canonical() + pencil) * (surface.canonical() + pencil)
     steps: list[TraceStep] = []
     while True:
-        cands = [c for c in curves if is_minus_one_class(c) and pencil * c == 1]
+        cands = [c for p, c in _minus_one_curves(surface, pencil, curves) if p == 1]
         if not cands:
             break
         e = min(cands, key=lambda c: c.coords)
@@ -219,21 +237,20 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
     surface = reduced.surface
     pencil = reduced.pencil
     curves = list(reduced.curves)
-    for c in curves:
-        if is_minus_one_class(c) and pencil * c == 1:
+    for p, c in _minus_one_curves(surface, pencil, curves):
+        if p == 1:
             raise ReductionError(f"not a reduction: {c} still meets the pencil once")
     start = surface
     steps: list[TraceStep] = []
     mults: list[int] = []
     violations: list[str] = []
     while surface.rank > 2:
-        cands = [c for c in curves if is_minus_one_class(c)]
+        cands = _minus_one_curves(surface, pencil, curves)
         if not cands:
             raise IncompleteGeometryError(
                 f"incomplete geometry: no (-1)-curve supplied at rank {surface.rank}"
             )
-        e = min(cands, key=lambda c: (pencil * c, c.coords))
-        m = pencil * e
+        m, e = min(cands, key=lambda pc: (pc[0], pc[1].coords))
         if mults and m < mults[-1]:
             violations.append(
                 f"contraction multiplicity dropped from {mults[-1]} to {m} at {e}"
@@ -253,7 +270,7 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
         if index == 0 and alpha > beta:
             # the two rulings are interchangeable at index 0; normalize
             alpha, beta = beta, alpha
-            pencil = DivisorClass(surface, (alpha, beta))
+            pencil = DivisorClass._derived(surface, (alpha, beta))
         ruling_pairing = alpha
         fibre_coefficient = beta
     adjoint_degree = ruling_pairing - 2

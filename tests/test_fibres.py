@@ -27,7 +27,7 @@ from genus2pencils.fibres import (
     validate_fibre,
 )
 from genus2pencils.intmat import is_negative_semidefinite
-from genus2pencils.lattice import Fibration, LatticeError, plane_blowup, plane_curve
+from genus2pencils.lattice import DivisorClass, Fibration, LatticeError, plane_blowup, plane_curve
 
 
 def sextic_fibration():
@@ -173,6 +173,25 @@ def test_dual_graph_of_chain_fibre():
     )
     with pytest.raises(FibreError, match="foreign class: component W"):
         dual_graph(fib, alien)
+
+
+def test_dual_graph_builds_no_validated_class(monkeypatch):
+    # the genus reads the surface's cached canonical class; nothing the
+    # library derives goes through the validating constructor again
+    entries = [catalog.get(tag) for tag in catalog.tags()]
+    fibred = [(e.fibration, d) for e in entries for d in e.fibration.fibres]
+    assert len(fibred) == 8
+    validated = []
+    real = DivisorClass.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        real(self)
+
+    monkeypatch.setattr(DivisorClass, "__post_init__", counting)
+    for fib, dec in fibred:
+        dual_graph(fib, dec)
+    assert validated == []
 
 
 CHAIN = lambda n: [(i, i + 1) for i in range(n - 1)]

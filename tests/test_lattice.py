@@ -11,6 +11,7 @@ from genus2pencils.lattice import (
     LatticeError,
     NotContractibleError,
     RulingChoiceError,
+    Surface,
     adjoint_square,
     arithmetic_genus,
     blow_down,
@@ -67,6 +68,34 @@ def test_surface_validation():
         _ = plane_blowup(1).ruling
     with pytest.raises(LatticeError, match="no exceptional class E3 on a 2-point surface"):
         plane_blowup(2).exceptional(3)
+
+
+def test_surface_rejects_non_integer_parameters():
+    with pytest.raises(LatticeError, match="must be integers"):
+        Surface("hirzebruch", 1.5, 2)
+    with pytest.raises(LatticeError, match="must be integers"):
+        plane_blowup(2.5)
+    with pytest.raises(LatticeError, match="must be integers"):
+        hirzebruch_blowup(1, "2")
+    # integer-like parameters are stored as plain ints
+    s = Surface("hirzebruch", True, True)
+    assert type(s.index) is int and type(s.blowups) is int
+    assert s == hirzebruch_blowup(1, 1)
+    assert s.rank == 3
+
+
+def test_canonical_class_is_built_once_per_surface():
+    s = plane_blowup(4)
+    k = s.canonical()
+    assert s.canonical() is k
+    assert k.coords == (-3, 1, 1, 1, 1)
+    # the cached class changes neither equality nor hashing
+    twin = plane_blowup(4)
+    assert twin == s and hash(twin) == hash(s)
+    assert twin.canonical() == k and twin.canonical() is not k
+    h = hirzebruch_blowup(2, 1)
+    assert h.canonical() is h.canonical()
+    assert h.canonical().coords == (-2, -4, 1)
 
 
 def test_intersection_numbers_frozen():

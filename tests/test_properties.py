@@ -7,7 +7,9 @@ the Gram matrix against the single pairing, surface checks on mixed
 operands, isometry laws for the quadratic transform, blow-up/blow-down
 inverses, the pushforward pairing rule, elementary-transform inverses,
 diagram label invariance, Zariski's lemma for fibre pairing matrices,
-and the adjoint-square ceiling of the numeric search.
+the adjoint-square ceiling of the numeric search, and that every class
+the library derives without validation is one the validating
+constructor would build.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genus2pencils.curves import ClassQuery, enum_classes
+from genus2pencils.curves import ClassQuery, _classes_meeting, enum_classes
 from genus2pencils.fibres import classify_diagram
 from genus2pencils.intmat import is_negative_semidefinite
 from genus2pencils.lattice import (
@@ -292,3 +294,69 @@ def test_adjoint_square_ceiling(genus):
 def test_search_rows_are_sorted():
     rows = search_general(2, 1, 3)
     assert list(rows) == sorted(rows, key=lambda r: r.sort_key())
+
+
+class _IntLike(int):
+    """An int subclass whose products with ints are floats: a scalar the
+    library must coerce before it multiplies coordinates."""
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return float(int(self) * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+def _as_validated(c: DivisorClass, surface: Surface) -> None:
+    assert len(c.coords) == surface.rank
+    assert all(type(x) is int for x in c.coords)
+    assert c.surface == surface
+    assert c == DivisorClass(surface, c.coords)
+
+
+@LIMITS
+@given(
+    surface_and_classes(2),
+    st.one_of(st.integers(-4, 4), st.builds(_IntLike, st.integers(-4, 4))),
+)
+def test_derived_arithmetic_builds_validated_classes(data, k):
+    s, (x, y) = data
+    for c in (x + y, x - y, -x, k * x, x * k, s.zero(), s.canonical()):
+        _as_validated(c, s)
+    assert (k * x).coords == tuple(int(k) * v for v in x.coords)
+    bigger, carried = blow_up(s, (x, y))
+    for c in carried:
+        _as_validated(c, bigger)
+    _as_validated(bigger.exceptional(bigger.blowups), bigger)
+    smaller, pushed = blow_down(bigger, bigger.exceptional(1), carried)
+    for c in pushed:
+        _as_validated(c, smaller)
+
+
+@LIMITS
+@given(cremona_input())
+def test_quadratic_transform_and_its_contractions_build_validated_classes(data):
+    s, (i, j, k), classes = data
+    for c in cremona(s, i, j, k, classes):
+        _as_validated(c, s)
+    # a non-basis (-1)-class: the quadratic image of a basis class
+    (e,) = cremona(s, i, j, k, (s.exceptional(i),))
+    assert e.coords[0] == 1
+    smaller, pushed = blow_down(s, e, classes)
+    for c in pushed:
+        _as_validated(c, smaller)
+
+
+@LIMITS
+@given(enum_setup(), st.integers(-2, 2))
+def test_enumerated_classes_are_validated_classes(data, degree):
+    s, query = data
+    found = enum_classes(s, query)
+    for c in found:
+        _as_validated(c, s)
+    d = s.canonical() + s.exceptional(1) if s.blowups else s.canonical()
+    meeting = _classes_meeting(s, d, degree, query)
+    assert meeting == tuple(c for c in found if d * c == degree)
+    for c in meeting:
+        _as_validated(c, s)

@@ -304,3 +304,68 @@ def test_plane_model_drops_trivial_extra_point():
     model = SharpModelData(1, 2, 5, (2, 2), s, pencil, ContractionTrace(s, s, ()))
     assert model.extra_multiplicity == 1
     assert canonical_p2_model(model) == PlaneModel(5, (2, 2))
+
+
+def step_record(trace: ContractionTrace) -> list[tuple[str, int, int, str]]:
+    """(contracted, pencil degree, blow-ups after, pencil after) per step."""
+    return [
+        (str(s.contracted), s.pencil_degree, s.surface_after.blowups, str(s.pencil_after))
+        for s in trace.steps
+    ]
+
+
+def test_repeated_curves_keep_the_contraction_order():
+    # every exceptional class listed twice or three times: the candidate
+    # key (pencil degree, coordinates) picks the same curve at each step
+    s, f = sextic_pencil()
+    effective = basis_effective(s)
+    result = sharp_minimal_pipeline(
+        Fibration(s, f), effective + effective[::-1] + (s.exceptional(12), s.exceptional(3))
+    )
+    assert step_record(result.reduced.trace) == [
+        ("E12", 1, 11, "6L-2E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8-E9-E10-E11"),
+        ("E11", 1, 10, "6L-2E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8-E9-E10"),
+        ("E10", 1, 9, "6L-2E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8-E9"),
+        ("E9", 1, 8, "6L-2E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8"),
+    ]
+    assert [str(c) for c in result.reduced.curves] == [
+        "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8",
+        "E8", "E7", "E6", "E5", "E4", "E3", "E2", "E1", "E3",
+    ]
+    assert step_record(result.model.trace) == [
+        ("E8", 2, 7, "6L-2E1-2E2-2E3-2E4-2E5-2E6-2E7"),
+        ("E7", 2, 6, "6L-2E1-2E2-2E3-2E4-2E5-2E6"),
+        ("E6", 2, 5, "6L-2E1-2E2-2E3-2E4-2E5"),
+        ("E5", 2, 4, "6L-2E1-2E2-2E3-2E4"),
+        ("E4", 2, 3, "6L-2E1-2E2-2E3"),
+        ("E3", 2, 2, "6L-2E1-2E2"),
+        ("E2", 2, 1, "6L-2E1"),
+    ]
+
+
+def test_greedy_ties_go_to_the_smallest_coordinates():
+    # exceptional classes and lines through two points all meet the
+    # pencil twice; the smallest coordinate vector is contracted, in
+    # either list order
+    s = plane_blowup(3)
+    pencil = plane_curve(s, 6, (2, 2, 2))
+    points = [s.exceptional(i) for i in (1, 2, 3)]
+    lines = [plane_curve(s, 1, m) for m in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
+    for curves in (points + lines + [points[2]], lines[::-1] + [points[2]] + points[::-1]):
+        reduced = ReducedPencil(s, pencil, tuple(curves), ContractionTrace(s, s, ()))
+        model = greedy_sharp_minimal(reduced)
+        assert step_record(model.trace) == [("E3", 2, 2, "6L-2E1-2E2"), ("E2", 2, 1, "6L-2E1")]
+        assert model.violations == ()
+        assert model.multiplicities == (2, 2)
+
+
+def test_greedy_ties_on_the_ruled_kind():
+    # E1 and the fibre component G - E1 both meet the pencil twice
+    s = hirzebruch_blowup(1, 1)
+    pencil = ruled_curve(s, 4, 6, (2,))
+    e1 = s.exceptional(1)
+    other = s.ruling - e1
+    for curves in ((e1, other), (other, e1)):
+        reduced = ReducedPencil(s, pencil, curves, ContractionTrace(s, s, ()))
+        model = greedy_sharp_minimal(reduced)
+        assert step_record(model.trace) == [("E1", 2, 0, "4D0+6G")]
