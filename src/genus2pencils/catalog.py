@@ -2,12 +2,13 @@
 extremal configuration with trivial Mordell-Weil group over each
 (Ex4_3 .. Ex4_6).
 
-Each base pencil is one row of a table: its surface, fibre class F, the
-pencil class P where it has one, and its complete expected record.  An
-extremal entry builds on its base's row and adds only its own curves
-(the section O, the fibre components THi, extra named curves), fibres,
-blocks and the expected fields it changes.  verify() recomputes every
-claim from the lattice data and compares.
+Each model is a packaged model file, ``models/<tag>.model``, that get()
+reads through ``parse`` and ``to_fibration`` like any user file.  This
+module keeps only what the catalog claims about each model: its title,
+its complete expected record, its orthogonal blocks and a note.  An
+extremal entry's record is its base pencil's with its own fields
+replaced.  verify() recomputes every claim from the lattice data and
+compares.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from typing import NamedTuple
 
 from .curves import ClassQuery, _classes_meeting, fibre_intersection_identity, minus_one_section_exists
 from .fibres import (
-    FibreComponent, FibreDecomposition, ade_classify, complement_lattice,
-    orthogonal_decomposition_check, shioda_rank, validate_fibre,
+    ade_classify, complement_lattice, orthogonal_decomposition_check, shioda_rank, validate_fibre,
 )
 from .intmat import hermite_normal_form
 from .lattice import (
-    DivisorClass, Fibration, LatticeError, adjoint_square, cremona, pairings,
-    picard_number, plane_blowup, plane_curve,
+    DivisorClass, Fibration, LatticeError, adjoint_square, cremona, pairings, picard_number,
 )
+from .modelfile import parse, to_fibration
 from .numerics import NumericType
 from .sharp import InvariantError, PlaneModel, canonical_p2_model, sharp_minimal_pipeline
 
@@ -97,243 +97,148 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-class _Base(NamedTuple):
-    """A canonical pencil: F = degree*L - sum(mults_i*E_i) on the plane
-    blown up in ``blowups`` points; P = L - E1 is named when ``pencil``."""
+class _Claims(NamedTuple):
+    """What the catalog claims about one model: its title, the record
+    verify() recomputes, the orthogonal blocks and a printed note."""
 
-    blowups: int
-    degree: int
-    mults: tuple[int, ...]
-    pencil: bool
     title: str
     expected: ExpectedData
+    blocks: tuple[tuple[str, ...], ...] = ()
+    annotation: str = ""
 
 
-_BASES = {
-    "A": _Base(
-        12, 6, (2,) * 8 + (1,) * 4, False, "plane sextic pencil, adjoint square 1",
-        ExpectedData(
-            adjoint_square=1, picard_rank=13, numeric=NumericType(2, 0, (2,) * 7, 1),
-            plane=PlaneModel(6, (2,) * 8), has_minus_one_section=True, section_witness="E9",
-            empirical_minimum=1, pencil_shift=None, reduction_order=("E12", "E11", "E10", "E9"),
-            greedy_order=("E8", "E7", "E6", "E5", "E4", "E3", "E2"), greedy_multiplicities=(2,) * 7,
-            reduced_anticanonical_multiple=2,
+def _zeros(*names: str) -> tuple[tuple[str, int], ...]:
+    return tuple((name, 0) for name in names)
+
+
+# the canonical pencils' records; each extremal entry replaces only its
+# own fields of its base pencil's record
+_A = ExpectedData(
+    adjoint_square=1, picard_rank=13, numeric=NumericType(2, 0, (2,) * 7, 1),
+    plane=PlaneModel(6, (2,) * 8), has_minus_one_section=True, section_witness="E9",
+    empirical_minimum=1, pencil_shift=None, reduction_order=("E12", "E11", "E10", "E9"),
+    greedy_order=("E8", "E7", "E6", "E5", "E4", "E3", "E2"), greedy_multiplicities=(2,) * 7,
+    reduced_anticanonical_multiple=2,
+)
+_B1 = ExpectedData(
+    adjoint_square=2, picard_rank=12, numeric=NumericType(2, 2, (2,) * 10, 2),
+    plane=PlaneModel(7, (3,) + (2,) * 10), has_minus_one_section=False, section_witness=None,
+    empirical_minimum=2, pencil_shift=2, reduction_order=(),
+    greedy_order=tuple(f"E{i}" for i in range(11, 1, -1)), greedy_multiplicities=(2,) * 10,
+)
+_B2 = ExpectedData(
+    adjoint_square=2, picard_rank=12, numeric=NumericType(4, 0, (3,) * 7 + (2, 2), 2),
+    plane=PlaneModel(9, (3,) * 8 + (2, 2)), has_minus_one_section=True, section_witness="E11",
+    empirical_minimum=1, pencil_shift=None, reduction_order=("E11",),
+    greedy_order=("E10", "E9", "E8", "E7", "E6", "E5", "E4", "E3", "E2"),
+    greedy_multiplicities=(2, 2, 3, 3, 3, 3, 3, 3, 3), mid_anticanonical=(2, 3),
+)
+_C = ExpectedData(
+    adjoint_square=3, picard_rank=11, numeric=NumericType(6, 2, (4,) * 9, 3),
+    plane=PlaneModel(13, (5,) + (4,) * 9), has_minus_one_section=False, section_witness=None,
+    empirical_minimum=4, pencil_shift=4, reduction_order=(),
+    greedy_order=tuple(f"E{i}" for i in range(10, 1, -1)), greedy_multiplicities=(4,) * 9,
+    cremona_fixes_fibre=(1, 2, 3), pencil_query_minimum=8,
+)
+
+# every tag in catalog order, with its claims
+_CLAIMS = {
+    "A": _Claims("plane sextic pencil, adjoint square 1", _A),
+    "B1": _Claims("plane septic pencil, adjoint square 2, no section", _B1),
+    "B2": _Claims("plane nonic pencil, adjoint square 2, with section", _B2),
+    "C": _Claims("plane degree-13 pencil, adjoint square 3, no section", _C),
+    "Ex4_3": _Claims(
+        "extremal configuration over the sextic pencil",
+        replace(
+            _A,
+            component_counts=(4, 9),
+            ade_labels=(("F0", ("A3",)), ("Finf", ("E8",))),
+            block_sizes=(2, 3, 8),
+            mordell_weil_rank=0,
+            section_meets=("TH0", "TH11"),
+            fibre_degrees=(("E8", 2),),
+            reconstructed=(("E8", (-1, -1), (("F", 2), ("TH12", 1), ("TH7", 1)) + _zeros(
+                "O", "TH0", "TH1", "TH2", "TH3", "TH4", "TH5", "TH6", "TH8", "TH9", "TH10", "TH11")),),
         ),
+        (("F", "O"), ("TH9", "TH10", "TH12"), tuple(f"TH{i}" for i in range(1, 9))),
+        "one branch germ of the fifth class sits over the four-component fibre "
+        "(epsilon 1); placements are recorded, not checked",
     ),
-    "B1": _Base(
-        11, 7, (3,) + (2,) * 10, True, "plane septic pencil, adjoint square 2, no section",
-        ExpectedData(
-            adjoint_square=2, picard_rank=12, numeric=NumericType(2, 2, (2,) * 10, 2),
-            plane=PlaneModel(7, (3,) + (2,) * 10), has_minus_one_section=False, section_witness=None,
-            empirical_minimum=2, pencil_shift=2, reduction_order=(),
-            greedy_order=tuple(f"E{i}" for i in range(11, 1, -1)), greedy_multiplicities=(2,) * 10,
+    "Ex4_4": _Claims(
+        "extremal configuration over the septic pencil",
+        replace(
+            _B1,
+            component_counts=(6, 6),
+            ade_labels=(("F0", ("D5",)), ("Finf", ("D5",))),
+            block_sizes=(2, 5, 5),
+            mordell_weil_rank=0,
+            section_meets=("TH0", "TH2"),
+            fibre_degrees=(("E6", 2), ("E11", 2)),
         ),
+        (("F", "O"), ("TH7", "TH8", "TH9", "TH10", "TH11"), ("TH1", "TH3", "TH4", "TH5", "TH6")),
     ),
-    "B2": _Base(
-        11, 9, (3,) * 8 + (2, 2, 1), False, "plane nonic pencil, adjoint square 2, with section",
-        ExpectedData(
-            adjoint_square=2, picard_rank=12, numeric=NumericType(4, 0, (3,) * 7 + (2, 2), 2),
-            plane=PlaneModel(9, (3,) * 8 + (2, 2)), has_minus_one_section=True, section_witness="E11",
-            empirical_minimum=1, pencil_shift=None, reduction_order=("E11",),
-            greedy_order=("E10", "E9", "E8", "E7", "E6", "E5", "E4", "E3", "E2"),
-            greedy_multiplicities=(2, 2, 3, 3, 3, 3, 3, 3, 3), mid_anticanonical=(2, 3),
+    "Ex4_5": _Claims(
+        "extremal configuration over the nonic pencil",
+        replace(
+            _B2,
+            component_counts=(11,),
+            ade_labels=(("F0", ("E8", "A1")),),
+            block_sizes=(2, 10),
+            mordell_weil_rank=0,
+            section_meets=("TH10",),
+            fibre_degrees=(("E10", 2), ("EH8", 2)),
+            reconstructed=(("EH8", (-2, 0), (("F", 2), ("O", 1), ("TH7", 1)) + _zeros(
+                "TH0", "TH1", "TH2", "TH3", "TH4", "TH5", "TH6", "TH8", "TH9", "E10")),),
         ),
+        (("F", "O"), tuple(f"TH{i}" for i in range(10))),
     ),
-    "C": _Base(
-        10, 13, (5,) + (4,) * 9, True, "plane degree-13 pencil, adjoint square 3, no section",
-        ExpectedData(
-            adjoint_square=3, picard_rank=11, numeric=NumericType(6, 2, (4,) * 9, 3),
-            plane=PlaneModel(13, (5,) + (4,) * 9), has_minus_one_section=False, section_witness=None,
-            empirical_minimum=4, pencil_shift=4, reduction_order=(),
-            greedy_order=tuple(f"E{i}" for i in range(10, 1, -1)), greedy_multiplicities=(4,) * 9,
-            cremona_fixes_fibre=(1, 2, 3), pencil_query_minimum=8,
+    "Ex4_6": _Claims(
+        "extremal configuration over the degree-13 pencil",
+        replace(
+            _C,
+            component_counts=(4, 4, 4),
+            ade_labels=(("F0", ("A3",)), ("F1", ("A3",)), ("Finf", ("A3",))),
+            block_sizes=(2, 3, 3, 3),
+            mordell_weil_rank=0,
+            section_meets=("TH2", "TH3", "TH4"),
+            fibre_degrees=(("E1", 5), ("E8", 4), ("E9", 4), ("E10", 4)),
         ),
+        (("F", "O"), ("TH5", "TH8", "TH11"), ("TH6", "TH9", "TH12"), ("TH7", "TH10", "TH13")),
     ),
 }
 
-
-def _pencil(tag: str):
-    """A base pencil on its surface: (surface, F, named F and P, table row)."""
-    row = _BASES[tag]
-    s = plane_blowup(row.blowups)
-    f = plane_curve(s, row.degree, row.mults)
-    named = (("F", f),) + ((("P", plane_curve(s, 1, (1,))),) if row.pencil else ())
-    return s, f, named, row
-
-
-def _canonical(tag: str) -> CatalogEntry:
-    s, f, named, row = _pencil(tag)
-    exceptional = tuple((f"E{i}", s.exceptional(i)) for i in range(1, s.blowups + 1))
-    fib = Fibration(s, f, named_classes=named + exceptional)
-    return CatalogEntry(tag, row.title, fib, tuple(n for n, _ in exceptional), (), row.expected)
-
-
-def _fibre(name: str, th: dict[int, DivisorClass], *parts: tuple[int, ...]) -> FibreDecomposition:
-    """Components THi from (i, multiplicity) for a smooth rational
-    (-2)-curve, or (i, multiplicity, self-intersection, genus) otherwise."""
-    components = []
-    for i, multiplicity, *declared in parts:
-        self_int, genus = declared or (-2, 0)
-        components.append(FibreComponent(f"TH{i}", th[i], multiplicity, self_int, genus))
-    return FibreDecomposition(name, tuple(components))
-
-
-def _extremal(tag: str, title: str, base: tuple, o: DivisorClass, th: dict[int, DivisorClass],
-              extra: tuple[tuple[str, DivisorClass], ...], fibres: tuple[FibreDecomposition, ...],
-              blocks: tuple[tuple[str, ...], ...], annotation: str = "", **expected) -> CatalogEntry:
-    """An extremal configuration over a base pencil.  O, the TH classes by
-    index and the extra curves are named after F (and P); every named curve
-    but F and P is effective; the expected record is the base's with the
-    given fields replaced."""
-    s, f, named, row = base
-    named += (("O", o),) + tuple((f"TH{i}", th[i]) for i in sorted(th)) + extra
-    fib = Fibration(s, f, sections=(o,), fibres=fibres, named_classes=named)
-    effective = tuple(name for name, _ in named if name not in ("F", "P"))
-    return CatalogEntry(tag, title, fib, effective, blocks, replace(row.expected, **expected), annotation)
-
-
-def _entry_ex43(tag: str) -> CatalogEntry:
-    base = _pencil("A")
-    s, e = base[0], base[0].exceptional
-    th = {
-        0: plane_curve(s, 1, (1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1)),
-        8: plane_curve(s, 1, (1, 1, 1)),
-        12: plane_curve(s, 3, (1,) * 10),
-    }
-    th.update((i, e(i) - e(i + 1)) for i in (1, 2, 3, 4, 5, 6, 7, 9, 10, 11))
-    zeros = tuple((name, 0) for name in (
-        "O", "TH0", "TH1", "TH2", "TH3", "TH4", "TH5", "TH6", "TH8", "TH9", "TH10", "TH11"))
-    return _extremal(
-        tag, "extremal configuration over the sextic pencil", base, e(12), th, (("E8", e(8)),),
-        fibres=(
-            _fibre("F0", th, (11, 1), (9, 1), (10, 2), (12, 2, -1, 1)),
-            _fibre("Finf", th, (0, 1, -4, 0), (1, 4), (2, 7), (3, 10), (4, 8), (5, 6), (6, 4),
-                   (7, 2), (8, 5)),
-        ),
-        blocks=(("F", "O"), ("TH9", "TH10", "TH12"), tuple(f"TH{i}" for i in range(1, 9))),
-        annotation=(
-            "one branch germ of the fifth class sits over the four-component fibre "
-            "(epsilon 1); placements are recorded, not checked"
-        ),
-        component_counts=(4, 9),
-        ade_labels=(("F0", ("A3",)), ("Finf", ("E8",))),
-        block_sizes=(2, 3, 8),
-        mordell_weil_rank=0,
-        section_meets=("TH0", "TH11"),
-        fibre_degrees=(("E8", 2),),
-        reconstructed=(("E8", (-1, -1), (("F", 2), ("TH12", 1), ("TH7", 1)) + zeros),),
-    )
-
-
-def _entry_ex44(tag: str) -> CatalogEntry:
-    base = _pencil("B1")
-    s, e = base[0], base[0].exceptional
-    th = {
-        0: plane_curve(s, 1, (1, 0, 0, 0, 0, 0, 1, 1)),
-        1: plane_curve(s, 1, (1, 1, 1)),
-        6: plane_curve(s, 3, (1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1)),
-        11: plane_curve(s, 3, (1,) * 10),
-    }
-    th.update((i, e(i) - e(i + 1)) for i in (2, 3, 4, 5, 7, 8, 9, 10))
-    return _extremal(
-        tag, "extremal configuration over the septic pencil", base, e(1) - e(2), th,
-        (("E6", e(6)), ("E11", e(11))),
-        fibres=(
-            _fibre("F0", th, (0, 1), (7, 1), (8, 2), (9, 2), (10, 2), (11, 2, -1, 1)),
-            _fibre("Finf", th, (1, 1), (2, 1), (3, 2), (4, 2), (5, 2), (6, 2, -1, 1)),
-        ),
-        blocks=(("F", "O"), ("TH7", "TH8", "TH9", "TH10", "TH11"), ("TH1", "TH3", "TH4", "TH5", "TH6")),
-        component_counts=(6, 6),
-        ade_labels=(("F0", ("D5",)), ("Finf", ("D5",))),
-        block_sizes=(2, 5, 5),
-        mordell_weil_rank=0,
-        section_meets=("TH0", "TH2"),
-        fibre_degrees=(("E6", 2), ("E11", 2)),
-    )
-
-
-def _entry_ex45(tag: str) -> CatalogEntry:
-    base = _pencil("B2")
-    s, e = base[0], base[0].exceptional
-    th = {
-        0: plane_curve(s, 1, (1, 1, 1)),
-        8: plane_curve(s, 3, (1, 1, 1, 1, 1, 1, 1, 0, 2, 1, 0)),
-        10: plane_curve(s, 3, (1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1)),
-    }
-    th.update((i, e(i) - e(i + 1)) for i in (1, 2, 3, 4, 5, 6, 7, 9))
-    zeros = tuple((name, 0) for name in (
-        "TH0", "TH1", "TH2", "TH3", "TH4", "TH5", "TH6", "TH8", "TH9", "E10"))
-    return _extremal(
-        tag, "extremal configuration over the nonic pencil", base, e(11), th,
-        (("E10", e(10)), ("EH8", e(8) - e(11))),
-        fibres=(
-            _fibre("F0", th, (0, 3), (1, 2), (2, 4), (3, 6), (4, 5), (5, 4), (6, 3), (7, 2),
-                   (8, 1, -3, 0), (9, 1), (10, 1, -1, 1)),
-        ),
-        blocks=(("F", "O"), tuple(f"TH{i}" for i in range(10))),
-        component_counts=(11,),
-        ade_labels=(("F0", ("E8", "A1")),),
-        block_sizes=(2, 10),
-        mordell_weil_rank=0,
-        section_meets=("TH10",),
-        fibre_degrees=(("E10", 2), ("EH8", 2)),
-        reconstructed=(("EH8", (-2, 0), (("F", 2), ("O", 1), ("TH7", 1)) + zeros),),
-    )
-
-
-def _entry_ex46(tag: str) -> CatalogEntry:
-    base = _pencil("C")
-    s, e = base[0], base[0].exceptional
-    th = {i: e(i) - e(i + 3) for i in range(2, 8)}
-    th.update((i, plane_curve(s, 6, [1 if j == i else 2 for j in range(1, 11)])) for i in (8, 9, 10))
-    th.update((i + 9, plane_curve(s, 1, (1,)) - e(i) - e(i + 3)) for i in (2, 3, 4))
-    return _extremal(
-        tag, "extremal configuration over the degree-13 pencil", base,
-        plane_curve(s, 1, (0, 1, 1, 1)), th, (("E1", e(1)), ("E8", e(8)), ("E9", e(9)), ("E10", e(10))),
-        fibres=tuple(
-            _fibre(name, th, (i, 1), (i + 9, 1), (i + 3, 2), (i + 6, 2, -1, 1))
-            for name, i in (("F0", 2), ("F1", 3), ("Finf", 4))
-        ),
-        blocks=(("F", "O"), ("TH5", "TH8", "TH11"), ("TH6", "TH9", "TH12"), ("TH7", "TH10", "TH13")),
-        component_counts=(4, 4, 4),
-        ade_labels=(("F0", ("A3",)), ("F1", ("A3",)), ("Finf", ("A3",))),
-        block_sizes=(2, 3, 3, 3),
-        mordell_weil_rank=0,
-        section_meets=("TH2", "TH3", "TH4"),
-        fibre_degrees=(("E1", 5), ("E8", 4), ("E9", 4), ("E10", 4)),
-    )
-
-
-# every tag in catalog order; a builder is called with the tag it builds
-_BUILDERS = {
-    **dict.fromkeys(_BASES, _canonical),
-    "Ex4_3": _entry_ex43,
-    "Ex4_4": _entry_ex44,
-    "Ex4_5": _entry_ex45,
-    "Ex4_6": _entry_ex46,
-}
+# the packaged model files, <tag>.model each
+_MODELS = os.path.join(os.path.dirname(__file__), "models")
 
 _CACHE: dict[str, CatalogEntry] = {}
 
 
 def tags() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(_CLAIMS)
 
 
 def normalize_tag(tag: str) -> str:
     """The tag a spelling names: case, '.' or '-' for '_' and a missing
     "Ex" prefix are forgiven."""
     cleaned = tag.strip().replace(".", "_").replace("-", "_").upper()
-    for key in _BUILDERS:
+    for key in _CLAIMS:
         if cleaned in (key.upper(), key.upper().removeprefix("EX")):
             return key
     raise KeyError(f"unknown example tag {tag!r}")
 
 
 def get(tag: str) -> CatalogEntry:
+    """The entry of a tag: its packaged model file, read through parse and
+    to_fibration like any user file, and the catalog's claims about it."""
     key = normalize_tag(tag)
     if key not in _CACHE:
-        _CACHE[key] = _BUILDERS[key](key)
+        with open(os.path.join(_MODELS, f"{key}.model"), encoding="utf-8") as handle:
+            model = parse(handle.read())
+        claims = _CLAIMS[key]
+        _CACHE[key] = CatalogEntry(
+            key, claims.title, to_fibration(model), model.effective, claims.blocks,
+            claims.expected, claims.annotation,
+        )
     return _CACHE[key]
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial, isqrt, prod
-from operator import itemgetter, mul
+from operator import index as _as_int, itemgetter, mul
 from typing import NamedTuple
 
 from .lattice import (
@@ -61,13 +61,19 @@ class BudgetExceededError(LatticeError):
 
 @dataclass(frozen=True)
 class ClassQuery:
-    """Target numerical data: C*C, K*C, and a cap on the reference degree."""
+    """Target numerical data: C*C, K*C, and a cap on the reference degree.
+    Each field is coerced to an int; anything else is a LatticeError."""
 
     self_int: int
     k_deg: int
     degree_cap: int = 3
 
     def __post_init__(self) -> None:
+        try:
+            for name in ("self_int", "k_deg", "degree_cap"):
+                object.__setattr__(self, name, _as_int(getattr(self, name)))
+        except TypeError:
+            raise LatticeError("query fields must be integers") from None
         if self.degree_cap < 1:
             raise LatticeError("degree cap must be at least 1")
 

@@ -191,14 +191,16 @@ def hirzebruch_blowup(index: int, n: int) -> Surface:
 class DivisorClass:
     """An element of the divisor-class lattice, stored by basis coordinates.
 
-    The constructor coerces every coordinate to an int and checks the count
-    against the surface's rank.
+    The constructor checks that the surface is a Surface, coerces every
+    coordinate to an int and checks the count against the surface's rank.
     """
 
     surface: Surface
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.surface, Surface):
+            raise LatticeError(f"a class lives on a Surface, not on {self.surface!r}")
         try:
             coords = tuple(map(_as_int, self.coords))
         except TypeError:
@@ -261,10 +263,6 @@ class DivisorClass:
         if isinstance(other, int):
             return self._scaled(other)
         return NotImplemented
-
-    @property
-    def self_intersection(self) -> int:
-        return self * self
 
     def __str__(self) -> str:
         names = self.surface.basis_names()

@@ -9,14 +9,18 @@ curves.  The grammar is line based:
     class F = 6 -2 -2 -2 -2 -2 -2 -2 -2 -1 -1 -1 -1
     fibre F0:
         1 TH11
-        2 TH10
+        2 TH12 self=-1 genus=1
     effective: O TH0 TH1
 
 A plane takes only n and a Hirzebruch surface only d and n, each at most
 once (a missing one is 0); class names are single tokens and component
-multiplicities are at least 1.  Coordinates are listed in basis order.
-Lines may carry '#' comments; serialize() never emits them, so
-parse/serialize round-trips are exact on serialized output.
+multiplicities are at least 1.  A component line may declare the
+component's self-intersection and genus, each at most once and in either
+order; serialize() writes self= before genus= and only what is declared,
+so a fibration round-trips through the text without loss.  Coordinates
+are listed in basis order.  Lines may carry '#' comments; serialize()
+never emits them, so parse/serialize round-trips are exact on serialized
+output.  The built-in catalog models are files in this format.
 """
 
 from __future__ import annotations
@@ -61,23 +65,32 @@ class ModelFile:
 
 # the parameters each surface kind takes; a missing one defaults to 0
 _SURFACE_PARAMETERS = {"plane": ("n",), "hirzebruch": ("d", "n")}
+# the optional declarations of a component line, in serialized order
+_COMPONENT_FIELDS = ("self", "genus")
+
+
+def _integer_fields(pieces: list[str], what: str, line_number: int) -> dict[str, int]:
+    """``key=<integer>`` pieces as a dict; a piece without '=', a repeated
+    key or a non-integer value is a ParseError."""
+    fields: dict[str, int] = {}
+    for piece in pieces:
+        key, eq, value = piece.partition("=")
+        if not eq:
+            raise ParseError(f"bad {what} {piece!r}", line_number)
+        if key in fields:
+            raise ParseError(f"duplicate {what} {key!r}", line_number)
+        try:
+            fields[key] = int(value)
+        except ValueError:
+            raise ParseError(f"bad integer in {piece!r}", line_number) from None
+    return fields
 
 
 def _parse_surface(rest: str, line_number: int) -> Surface:
     parts = rest.split()
     if not parts:
         raise ParseError("surface line needs a kind", line_number)
-    kind, params = parts[0], {}
-    for piece in parts[1:]:
-        if "=" not in piece:
-            raise ParseError(f"bad surface parameter {piece!r}", line_number)
-        key, _, value = piece.partition("=")
-        if key in params:
-            raise ParseError(f"duplicate surface parameter {key!r}", line_number)
-        try:
-            params[key] = int(value)
-        except ValueError:
-            raise ParseError(f"bad integer in {piece!r}", line_number) from None
+    kind, params = parts[0], _integer_fields(parts[1:], "surface parameter", line_number)
     if kind not in _SURFACE_PARAMETERS:
         raise ParseError(f"unknown surface kind {kind!r}", line_number)
     for key in params:
@@ -117,8 +130,12 @@ def parse(text: str) -> ModelFile:
             if open_fibre is None:
                 raise ParseError("indented line outside a fibre block", line_number)
             parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("component lines read '<multiplicity> <class>'", line_number)
+            if len(parts) < 2 or any("=" not in piece for piece in parts[2:]):
+                raise ParseError(
+                    "component lines read '<multiplicity> <class>' "
+                    "and then optional self=<n> and genus=<n>",
+                    line_number,
+                )
             try:
                 mult = int(parts[0])
             except ValueError:
@@ -127,7 +144,14 @@ def parse(text: str) -> ModelFile:
                 raise ParseError(f"multiplicity {mult} is below 1", line_number)
             if parts[1] not in classes:
                 raise ParseError(f"unknown class name {parts[1]!r}", line_number)
-            open_fibre[1].append(FibreComponent(parts[1], classes[parts[1]], mult))
+            declared = _integer_fields(parts[2:], "component field", line_number)
+            for key in declared:
+                if key not in _COMPONENT_FIELDS:
+                    raise ParseError(f"unknown component field {key!r}", line_number)
+            open_fibre[1].append(
+                FibreComponent(parts[1], classes[parts[1]], mult,
+                               declared.get("self"), declared.get("genus"))
+            )
             continue
         close_fibre()
         head, _, rest = line.partition(" ")
@@ -147,7 +171,7 @@ def parse(text: str) -> ModelFile:
             if name in classes:
                 raise ParseError(f"duplicate class name {name!r}", line_number)
             try:
-                coords = tuple(int(tok) for tok in coords_text.split())
+                coords = tuple(map(int, coords_text.split()))
             except ValueError:
                 raise ParseError("bad integer in coordinates", line_number) from None
             if len(coords) != surface.rank:
@@ -196,7 +220,9 @@ def serialize(model: ModelFile) -> str:
     for dec in model.fibres:
         lines.append(f"fibre {dec.name}:")
         for comp in dec.components:
-            lines.append(f"    {comp.multiplicity} {comp.name}")
+            declared = zip(_COMPONENT_FIELDS, (comp.declared_self_intersection, comp.declared_genus))
+            fields = "".join(f" {key}={value}" for key, value in declared if value is not None)
+            lines.append(f"    {comp.multiplicity} {comp.name}{fields}")
     if model.effective:
         lines.append("effective: " + " ".join(model.effective))
     return "\n".join(lines) + "\n"

@@ -265,9 +265,9 @@ def test_dual_graph_from_file(tmp_path, capsys):
 
 def test_dual_graph_rejects_a_fibre_that_does_not_sum_to_f(tmp_path, capsys):
     text = serialize(from_fibration(catalog.get("Ex4_3").fibration))
-    assert text.count("    10 TH3\n") == 1
+    assert text.count("    10 TH3 self=-2 genus=0\n") == 1
     path = tmp_path / "broken.txt"
-    path.write_text(text.replace("    10 TH3\n", "    3 TH3\n"), encoding="utf-8")
+    path.write_text(text.replace("    10 TH3 self=-2 genus=0\n", "    3 TH3 self=-2 genus=0\n"), encoding="utf-8")
     assert main(["dual-graph", str(path), "--fibre", "Finf"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

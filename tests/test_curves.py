@@ -131,6 +131,16 @@ def test_query_validation():
         ClassQuery(-1, -1, 0)
 
 
+def test_query_fields_must_be_integers():
+    # a non-integer field is refused before any walk: as K*C it would
+    # otherwise match no class at all
+    for fields in ((-1.0, -1, 2), (-1, -1, 2.5), (-1, -1.5, 2)):
+        with pytest.raises(LatticeError, match="query fields must be integers"):
+            enum_classes(plane_blowup(3), ClassQuery(*fields))
+    query = ClassQuery(True, -1, 2)
+    assert (query.self_int, type(query.self_int)) == (1, int)
+
+
 def test_budget_exhaustion():
     s = plane_blowup(8)
     with pytest.raises(BudgetExceededError, match="budget exceeded"):

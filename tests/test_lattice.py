@@ -145,6 +145,13 @@ def test_divisor_class_rejects_bad_coords():
         plane_curve(s, 1, (1, 1))
 
 
+def test_divisor_class_needs_a_surface():
+    with pytest.raises(LatticeError, match="a class lives on a Surface, not on 'plane'"):
+        DivisorClass("plane", (1,))
+    with pytest.raises(LatticeError, match="not on None"):
+        DivisorClass(None, ())
+
+
 def test_minus_one_class_detection():
     s = plane_blowup(5)
     assert is_minus_one_class(s.exceptional(3))

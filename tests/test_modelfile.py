@@ -3,11 +3,13 @@ rejections."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genus2pencils import catalog
-from genus2pencils.fibres import FibreError
+from genus2pencils.fibres import FibreDecomposition, FibreError
 from genus2pencils.modelfile import (
     ModelFile,
     ParseError,
@@ -69,8 +71,8 @@ def test_catalog_entry_round_trips_as_text():
     assert reparsed.surface == model.surface
     assert reparsed.classes == model.classes
     assert reparsed.effective == model.effective
-    # declared self-intersections and genera do not survive the text form,
-    # but names, classes, and multiplicities do
+    # names, classes and multiplicities survive the text form; so do the
+    # declared self-intersections and genera (test_declarations_round_trip)
     for got, want in zip(reparsed.fibres, model.fibres):
         assert got.name == want.name
         assert [(c.name, c.divisor, c.multiplicity) for c in got.components] == [
@@ -124,10 +126,94 @@ def test_to_fibration_validates_every_fibre():
         to_fibration(parse(SAMPLE))
     entry = catalog.get("Ex4_3")
     text = serialize(from_fibration(entry.fibration))
-    broken = parse(text.replace("    10 TH3\n", "    3 TH3\n"))
+    broken = parse(text.replace("    10 TH3 self=-2 genus=0\n", "    3 TH3 self=-2 genus=0\n"))
     with pytest.raises(FibreError, match="does not sum to F: fibre Finf"):
         to_fibration(broken)
     assert to_fibration(parse(text)).fibre_class == entry.fibration.fibre_class
+
+
+def _packaged(tag: str) -> str:
+    with open(os.path.join(catalog._MODELS, f"{tag}.model"), encoding="utf-8") as handle:
+        return handle.read()
+
+
+def test_packaged_models_are_the_catalog():
+    assert sorted(os.listdir(catalog._MODELS)) == sorted(f"{tag}.model" for tag in catalog.tags())
+    for tag in catalog.tags():
+        text = _packaged(tag)
+        model = parse(text)
+        assert serialize(model) == text
+        assert to_fibration(model) == catalog.get(tag).fibration
+        assert model.effective == catalog.get(tag).effective
+
+
+def test_declarations_round_trip():
+    for tag in catalog.tags():
+        entry = catalog.get(tag)
+        text = serialize(from_fibration(entry.fibration, entry.effective))
+        assert parse(text).fibres == entry.fibration.fibres
+
+
+def test_component_declarations():
+    head = "surface plane n=1\nclass X = 0 1\nfibre F0:\n"
+    plain, both, swapped, one = (
+        parse(head + line).fibres[0].components[0]
+        for line in ("  1 X\n", "  1 X self=-1 genus=0\n", "  1 X genus=0 self=-1\n", "  1 X genus=3\n")
+    )
+    assert (plain.declared_self_intersection, plain.declared_genus) == (None, None)
+    assert both == swapped
+    assert (both.declared_self_intersection, both.declared_genus) == (-1, 0)
+    assert (one.declared_self_intersection, one.declared_genus) == (None, 3)
+    # serialize writes self= before genus=, and only what is declared
+    for component, line in ((plain, "    1 X\n"), (swapped, "    1 X self=-1 genus=0\n"),
+                            (one, "    1 X genus=3\n")):
+        model = ModelFile(component.divisor.surface, (("X", component.divisor),),
+                          (FibreDecomposition("F0", (component,)),))
+        assert serialize(model).endswith("fibre F0:\n" + line)
+
+
+def test_component_declaration_errors():
+    head = "surface plane n=1\nclass X = 0 1\nfibre F0:\n  1 X\n"
+    reject(head + "  1 X size=3\n", 5, "unknown component field 'size'")
+    reject(head + "  1 X self=-1 self=-1\n", 5, "duplicate component field 'self'")
+    reject(head + "  1 X genus=0 self=-1 genus=1\n", 5, "duplicate component field 'genus'")
+    reject(head + "  1 X self=minus\n", 5, "bad integer in 'self=minus'")
+    reject(head + "  1 X genus=\n", 5, "bad integer in 'genus='")
+    reject(head + "  1 X self=-1 extra\n", 5, "component lines read '<multiplicity> <class>'")
+    reject(head + "  1\n", 5, "component lines read '<multiplicity> <class>'")
+
+
+def test_a_wrong_declaration_is_a_fibre_error():
+    text = _packaged("Ex4_3")
+    assert text.count("    2 TH12 self=-1 genus=1\n") == 1
+    for wrong, message in (("self=-2 genus=1", "component TH12 has self-intersection -1, declared -2"),
+                           ("self=-1 genus=0", "component TH12 has genus 1, declared 0")):
+        model = parse(text.replace("    2 TH12 self=-1 genus=1\n", f"    2 TH12 {wrong}\n"))
+        with pytest.raises(FibreError, match=message):
+            to_fibration(model)
+
+
+def test_catalog_loads_through_the_user_path(tmp_path, monkeypatch):
+    for tag in catalog.tags():
+        (tmp_path / f"{tag}.model").write_text(_packaged(tag), encoding="utf-8")
+    broken = _packaged("Ex4_3").replace("    10 TH3 self=-2 genus=0\n", "    3 TH3 self=-2 genus=0\n")
+    (tmp_path / "Ex4_3.model").write_text(broken, encoding="utf-8")
+    monkeypatch.setattr(catalog, "_MODELS", str(tmp_path))
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    with pytest.raises(FibreError) as as_user:
+        to_fibration(parse(broken))
+    with pytest.raises(FibreError, match="does not sum to F: fibre Finf") as as_catalog:
+        catalog.get("Ex4_3")
+    assert str(as_catalog.value) == str(as_user.value)
+    assert catalog.get("A").fibration == to_fibration(parse(_packaged("A")))
+
+
+def test_catalog_sections_are_detected():
+    want = {"A": ("E9", "E10", "E11", "E12"), "B1": (), "B2": ("E11",), "C": ()}
+    want.update((tag, ("O",)) for tag in ("Ex4_3", "Ex4_4", "Ex4_5", "Ex4_6"))
+    for tag, names in want.items():
+        fib = catalog.get(tag).fibration
+        assert fib.sections == tuple(fib.named(name) for name in names), tag
 
 
 def reject(text: str, line_number: int, message: str) -> None:
