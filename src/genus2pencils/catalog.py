@@ -359,7 +359,8 @@ def verify(tag: str) -> VerifyReport:
             o = fib.named("O")
             comp = complement_lattice(surface, (f, o))
             rest = [fib.named(n) for block in entry.blocks[1:] for n in block]
-            lhs = hermite_normal_form([list(c.coords) for c in comp.basis])
+            # the complement basis is already in Hermite normal form
+            lhs = tuple(c.coords for c in comp.basis)
             rhs = hermite_normal_form([list(c.coords) for c in rest])
             _require(lhs == rhs, "block span is not the full orthogonal complement")
             return f"complement rank {len(comp.basis)}, discriminant {comp.discriminant}"

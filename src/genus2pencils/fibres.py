@@ -345,7 +345,9 @@ def complement_lattice(surface: Surface, sub: Sequence[DivisorClass]) -> Complem
 
     The input classes must be independent; the complement basis comes from
     the integer kernel of the pairing matrix, so it generates the full
-    complement, not a finite-index sublattice.
+    complement, not a finite-index sublattice.  The basis is the nonzero
+    rows of the kernel's Hermite normal form, so it is its own Hermite
+    form: two complements are equal exactly when their bases are.
     """
     sub = list(sub)
     for c in sub:

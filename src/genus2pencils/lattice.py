@@ -11,14 +11,20 @@ Coordinates are validated once, when a class enters the library through
 DivisorClass(surface, coords) or Surface.divisor.  Classes the library
 derives from validated ones (sums, differences, integer multiples,
 blow-up and blow-down images, quadratic transforms) and the classes its
-own integer walks build are made without validating again.  The
-canonical class is built once per Surface object.
+own integer walks build are made without validating again.
+
+Every surface a blow-up or a contraction reaches comes from one shared
+constructor, so equal surfaces reached that way are one object, and the
+canonical class and its dual vector are built once per distinct surface.
+Contraction and the quadratic transform each have one rule, on
+coordinate rows: blow_down and cremona wrap them for classes, and the
+reduction pipeline contracts raw rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import add, index as _as_int, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -74,7 +80,7 @@ class Surface:
 
     ``index`` is 0 for the plane kind.  Equality is structural, so classes
     built on independently constructed but identical surfaces interoperate.
-    The canonical class is computed once per object.
+    The canonical class and its dual vector are computed once per object.
     """
 
     kind: str
@@ -149,6 +155,11 @@ class Surface:
             head = (-2, -(self.index + 2))
         return DivisorClass._derived(self, head + (1,) * self.blowups)
 
+    @cached_property
+    def _canonical_dual(self) -> tuple[int, ...]:
+        """dual(K): K*C is its dot product with C's coordinates."""
+        return self.dual(self._canonical.coords)
+
     def canonical(self) -> "DivisorClass":
         return self._canonical
 
@@ -177,6 +188,13 @@ class Surface:
         c = [0] * self.rank
         c[self.base_rank + i - 1] = 1
         return DivisorClass._derived(self, tuple(c))
+
+
+@lru_cache(maxsize=256)
+def _surface(kind: str, index: int, blowups: int) -> Surface:
+    """The shared Surface of (kind, index, blow-up count); the arguments
+    must be plain ints (a validated surface's fields)."""
+    return Surface(kind, index, blowups)
 
 
 def plane_blowup(n: int) -> Surface:
@@ -343,10 +361,9 @@ def _require_on(surface: Surface, c: DivisorClass) -> None:
         raise ForeignClassError("foreign class: carried class lives on another surface")
 
 
-def _basis_exceptional_index(c: DivisorClass) -> int | None:
-    """1-based i when c is exactly the basis class E_i, else None."""
-    coords = c.coords
-    base = c.surface.base_rank
+def _basis_exceptional_index(coords: tuple[int, ...], base: int) -> int | None:
+    """1-based i when the coordinates (over a base of rank ``base``) are
+    exactly the basis class E_i, else None."""
     if any(coords[:base]):
         return None
     hits = [i for i in range(base, len(coords)) if coords[i]]
@@ -359,12 +376,31 @@ def blow_up(
     surface: Surface, classes: Iterable[DivisorClass] = ()
 ) -> tuple[Surface, tuple[DivisorClass, ...]]:
     """Blow up one more point; carried classes gain a zero coordinate."""
-    bigger = replace(surface, blowups=surface.blowups + 1)
+    bigger = _surface(surface.kind, surface.index, surface.blowups + 1)
     out = []
     for c in classes:
         _require_on(surface, c)
         out.append(DivisorClass._derived(bigger, c.coords + (0,)))
     return bigger, tuple(out)
+
+
+def _reflect(
+    rows: Sequence[tuple[int, ...]], i: int, j: int, k: int
+) -> list[tuple[int, ...]]:
+    """Plane coordinate rows reflected in alpha = L - Ei - Ej - Ek:
+    c + (c*alpha) alpha, where c*alpha = c0 + ci + cj + ck."""
+    out = []
+    for c in rows:
+        m = c[0] + c[i] + c[j] + c[k]
+        if m:
+            c = list(c)
+            c[0] += m
+            c[i] -= m
+            c[j] -= m
+            c[k] -= m
+            c = tuple(c)
+        out.append(c)
+    return out
 
 
 def cremona(
@@ -382,12 +418,11 @@ def cremona(
     for t in (i, j, k):
         if not 1 <= t <= surface.blowups:
             raise LatticeError(f"no exceptional class E{t} on a {surface.blowups}-point surface")
-    alpha = surface.line - surface.exceptional(i) - surface.exceptional(j) - surface.exceptional(k)
-    out = []
+    rows = []
     for c in classes:
         _require_on(surface, c)
-        out.append(c + (c * alpha) * alpha)
-    return tuple(out)
+        rows.append(c.coords)
+    return tuple(DivisorClass._derived(surface, r) for r in _reflect(rows, i, j, k))
 
 
 def contracting_isometry(
@@ -405,23 +440,45 @@ def contracting_isometry(
         raise NotContractibleError("not contractible: only basis classes contract off the plane kind")
     if not is_minus_one_class(e):
         raise NotContractibleError(f"not contractible: {e} is not a (-1)-class")
-    cur = e
+    cur = e.coords
     moves: list[tuple[int, int, int]] = []
     while True:
-        idx = _basis_exceptional_index(cur)
+        idx = _basis_exceptional_index(cur, 1)
         if idx is not None:
             return tuple(moves), idx
         if surface.blowups < 3:
             raise NotContractibleError(f"not contractible: no isometry moves {e} to a basis class")
-        degree = cur.coords[0]
+        degree = cur[0]
         # multiplicities are the negated tail coordinates
-        order = sorted(range(1, surface.blowups + 1), key=lambda t: (cur.coords[t], t))
-        i, j, k = order[0] , order[1], order[2]
-        drop = -(cur.coords[i] + cur.coords[j] + cur.coords[k])
+        order = sorted(range(1, surface.blowups + 1), key=lambda t: (cur[t], t))
+        i, j, k = order[0], order[1], order[2]
+        drop = -(cur[i] + cur[j] + cur[k])
         if drop <= degree:
             raise NotContractibleError(f"not contractible: no isometry moves {e} to a basis class")
-        (cur,) = cremona(surface, i, j, k, (cur,))
+        (cur,) = _reflect((cur,), i, j, k)
         moves.append((i, j, k))
+
+
+def _contract_rows(
+    surface: Surface, e: tuple[int, ...], rows: Sequence[tuple[int, ...]]
+) -> tuple[Surface, list[tuple[int, ...]]]:
+    """Contract the (-1)-class with coordinates e; returns the smaller
+    surface and the coordinate rows pushed forward.
+
+    The caller has checked that e is a (-1)-class of the surface.  A basis
+    exceptional class contracts by dropping its coordinate.  Any other
+    class is first carried onto a basis class by contracting_isometry (which
+    raises off the plane kind), the rows moving along.
+    """
+    base = surface.base_rank
+    idx = _basis_exceptional_index(e, base)
+    if idx is None:
+        moves, idx = contracting_isometry(surface, DivisorClass._derived(surface, e))
+        for (i, j, k) in moves:
+            rows = _reflect(rows, i, j, k)
+    pos = base + idx - 1
+    smaller = _surface(surface.kind, surface.index, surface.blowups - 1)
+    return smaller, [c[:pos] + c[pos + 1:] for c in rows]
 
 
 def blow_down(
@@ -437,23 +494,14 @@ def blow_down(
     """
     if e.surface != surface:
         raise ForeignClassError("foreign class: e lives on another surface")
-    work = []
+    rows = []
     for c in classes:
         _require_on(surface, c)
-        work.append(c)
+        rows.append(c.coords)
     if not is_minus_one_class(e):
         raise NotContractibleError(f"not contractible: {e} is not a (-1)-class")
-    idx = _basis_exceptional_index(e)
-    if idx is None:
-        moves, idx = contracting_isometry(surface, e)
-        for (i, j, k) in moves:
-            work = list(cremona(surface, i, j, k, work))
-    pos = surface.base_rank + idx - 1
-    smaller = replace(surface, blowups=surface.blowups - 1)
-    pushed = tuple(
-        DivisorClass._derived(smaller, c.coords[:pos] + c.coords[pos + 1:]) for c in work
-    )
-    return smaller, pushed
+    smaller, pushed = _contract_rows(surface, e.coords, rows)
+    return smaller, tuple(DivisorClass._derived(smaller, r) for r in pushed)
 
 
 class ElementaryTransformResult(NamedTuple):

@@ -12,14 +12,15 @@ multiplicities) is the numerical type the pencil realizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .lattice import (
     DivisorClass,
     Fibration,
+    ForeignClassError,
     LatticeError,
     Surface,
-    blow_down,
-    pairings,
+    _contract_rows,
 )
 from .numerics import NumericType
 
@@ -85,46 +86,52 @@ class ReducedPencil:
     trace: ContractionTrace
 
 
-def _check_carried(surface: Surface, c: DivisorClass) -> None:
-    if c.surface != surface:
+def _check_carried(surface: Surface, c: DivisorClass) -> tuple[int, ...]:
+    """The coordinates of c, once c is checked to be a curve the reduction
+    may carry."""
+    if c.surface is not surface and c.surface != surface:
         raise ReductionError(f"foreign class: {c} lives on another surface")
-    square = c * c
+    x = c.coords
+    square = surface.intersect(x, x)
     if square >= 0:
         raise ReductionError(
             f"rejected: {c} has self-intersection {square}, not a contractible configuration curve"
         )
     # adjunction; the canonical class is characteristic, so the sum is even
-    g = (square + surface.canonical() * c) // 2 + 1
+    g = (square + sum(map(mul, surface._canonical_dual, x))) // 2 + 1
     if g not in (0, 1):
         raise ReductionError(f"rejected: {c} has arithmetic genus {g}")
+    return x
 
 
 def _minus_one_curves(
-    surface: Surface, pencil: DivisorClass, curves: list[DivisorClass]
-) -> list[tuple[int, DivisorClass]]:
-    """(pencil * C, C) for every (-1)-curve C of the list, in list order.
+    surface: Surface, pencil: DivisorClass, curves: list[tuple[int, ...]]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(pencil * C, C) for every (-1)-curve C of the coordinate rows, in
+    list order.
 
-    K*C and pencil*C come from one pairings call each; C*C is computed
-    only where K*C = -1.
+    K*C and pencil*C are dot products with the two dual vectors; C*C is
+    computed only where K*C = -1.
     """
-    k_degrees = pairings(surface.canonical(), curves)
-    pencil_degrees = pairings(pencil, curves)
+    k_dual = surface._canonical_dual
+    p_dual = surface.dual(pencil.coords)
+    square = surface.intersect
     return [
-        (p, c)
-        for c, k, p in zip(curves, k_degrees, pencil_degrees)
-        if k == -1 and c * c == -1
+        (sum(map(mul, p_dual, c)), c)
+        for c in curves
+        if sum(map(mul, k_dual, c)) == -1 and square(c, c) == -1
     ]
 
 
 def _contract(
     surface: Surface,
     pencil: DivisorClass,
-    curves: list[DivisorClass],
-    e: DivisorClass,
-) -> tuple[Surface, DivisorClass, list[DivisorClass]]:
-    smaller, pushed = blow_down(surface, e, (pencil, *curves))
-    zero = smaller.zero()
-    return smaller, pushed[0], [c for c in pushed[1:] if c != zero]
+    curves: list[tuple[int, ...]],
+    e: tuple[int, ...],
+) -> tuple[Surface, DivisorClass, list[tuple[int, ...]]]:
+    smaller, pushed = _contract_rows(surface, e, [pencil.coords, *curves])
+    zero = (0,) * smaller.rank
+    return smaller, DivisorClass._derived(smaller, pushed[0]), [c for c in pushed[1:] if c != zero]
 
 
 def reduction(fib: Fibration, effective) -> ReducedPencil:
@@ -134,15 +141,15 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     ties go to the smallest coordinate vector.  The adjoint square is
     unchanged at every step while the canonical self-intersection rises by
     one; both identities are checked on the result and a violation raises
-    InvariantError.
+    InvariantError.  The curves are carried as coordinate rows; classes are
+    built only for the trace and the result.
     """
     fib.validate()
     surface = fib.surface
     pencil = fib.fibre_class
-    curves: list[DivisorClass] = []
+    curves: list[tuple[int, ...]] = []
     for c in effective:
-        _check_carried(surface, c)
-        curves.append(c)
+        curves.append(_check_carried(surface, c))
     start = surface
     k_start_sq = surface.canonical() * surface.canonical()
     adj_start = (surface.canonical() + pencil) * (surface.canonical() + pencil)
@@ -151,9 +158,10 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
         cands = [c for p, c in _minus_one_curves(surface, pencil, curves) if p == 1]
         if not cands:
             break
-        e = min(cands, key=lambda c: c.coords)
+        e = min(cands)
+        contracted = DivisorClass._derived(surface, e)
         surface, pencil, curves = _contract(surface, pencil, curves, e)
-        steps.append(TraceStep(e, 1, surface, pencil))
+        steps.append(TraceStep(contracted, 1, surface, pencil))
     k_end = surface.canonical()
     adj_end = (k_end + pencil) * (k_end + pencil)
     if adj_end != adj_start:
@@ -167,7 +175,10 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
             f"over {len(steps)} contractions"
         )
     return ReducedPencil(
-        surface, pencil, tuple(curves), ContractionTrace(start, surface, tuple(steps))
+        surface,
+        pencil,
+        tuple(DivisorClass._derived(surface, c) for c in curves),
+        ContractionTrace(start, surface, tuple(steps)),
     )
 
 
@@ -236,10 +247,18 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
     """
     surface = reduced.surface
     pencil = reduced.pencil
-    curves = list(reduced.curves)
+    curves: list[tuple[int, ...]] = []
+    for c in reduced.curves:
+        if c.surface is not surface and c.surface != surface:
+            raise ForeignClassError("foreign class: operands live on different surfaces")
+        curves.append(c.coords)
+    if curves and pencil.surface != surface:
+        raise ForeignClassError("foreign class: operands live on different surfaces")
     for p, c in _minus_one_curves(surface, pencil, curves):
         if p == 1:
-            raise ReductionError(f"not a reduction: {c} still meets the pencil once")
+            raise ReductionError(
+                f"not a reduction: {DivisorClass._derived(surface, c)} still meets the pencil once"
+            )
     start = surface
     steps: list[TraceStep] = []
     mults: list[int] = []
@@ -250,13 +269,15 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
             raise IncompleteGeometryError(
                 f"incomplete geometry: no (-1)-curve supplied at rank {surface.rank}"
             )
-        m, e = min(cands, key=lambda pc: (pc[0], pc[1].coords))
+        # (pencil degree, coordinates): ties go to the smallest coordinates
+        m, e = min(cands)
+        contracted = DivisorClass._derived(surface, e)
         if mults and m < mults[-1]:
             violations.append(
-                f"contraction multiplicity dropped from {mults[-1]} to {m} at {e}"
+                f"contraction multiplicity dropped from {mults[-1]} to {m} at {contracted}"
             )
         surface, pencil, curves = _contract(surface, pencil, curves, e)
-        steps.append(TraceStep(e, m, surface, pencil))
+        steps.append(TraceStep(contracted, m, surface, pencil))
         mults.append(m)
     if surface.kind == "plane":
         # rank 2 with one exceptional class is the index-1 model in plane coordinates

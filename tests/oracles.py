@@ -21,8 +21,26 @@ from genus2pencils.curves import (
     SectionSearch,
     enum_classes,
 )
-from genus2pencils.lattice import DivisorClass, Fibration, LatticeError, Surface, pairings
+from genus2pencils.lattice import (
+    DivisorClass,
+    Fibration,
+    LatticeError,
+    Surface,
+    blow_down,
+    pairings,
+)
 from genus2pencils.numerics import NumericType, SpecialType
+from genus2pencils.sharp import (
+    ContractionTrace,
+    ElementaryTransformRepair,
+    IncompleteGeometryError,
+    InvariantError,
+    PipelineResult,
+    ReducedPencil,
+    ReductionError,
+    SharpModelData,
+    TraceStep,
+)
 
 
 def box_classes(surface: Surface, query: ClassQuery) -> list[DivisorClass]:
@@ -337,3 +355,141 @@ def rational_rank(rows) -> int:
         if rank == len(m):
             break
     return rank
+
+
+# The contraction pipeline as it stood before it moved to coordinate rows:
+# every carried curve is a class, each scan pairs K and the pencil with the
+# whole list, and every step calls blow_down.  sharp_minimal_pipeline must
+# return an equal PipelineResult, or raise the same error.
+
+
+def _ref_check_carried(surface: Surface, c: DivisorClass) -> None:
+    if c.surface != surface:
+        raise ReductionError(f"foreign class: {c} lives on another surface")
+    square = c * c
+    if square >= 0:
+        raise ReductionError(
+            f"rejected: {c} has self-intersection {square}, not a contractible configuration curve"
+        )
+    g = (square + surface.canonical() * c) // 2 + 1
+    if g not in (0, 1):
+        raise ReductionError(f"rejected: {c} has arithmetic genus {g}")
+
+
+def _ref_minus_one_curves(surface, pencil, curves):
+    k_degrees = pairings(surface.canonical(), curves)
+    pencil_degrees = pairings(pencil, curves)
+    return [
+        (p, c)
+        for c, k, p in zip(curves, k_degrees, pencil_degrees)
+        if k == -1 and c * c == -1
+    ]
+
+
+def _ref_contract(surface, pencil, curves, e):
+    smaller, pushed = blow_down(surface, e, (pencil, *curves))
+    zero = smaller.zero()
+    return smaller, pushed[0], [c for c in pushed[1:] if c != zero]
+
+
+def reference_reduction(fib: Fibration, effective) -> ReducedPencil:
+    fib.validate()
+    surface = fib.surface
+    pencil = fib.fibre_class
+    curves: list[DivisorClass] = []
+    for c in effective:
+        _ref_check_carried(surface, c)
+        curves.append(c)
+    start = surface
+    k_start_sq = surface.canonical() * surface.canonical()
+    adj_start = (surface.canonical() + pencil) * (surface.canonical() + pencil)
+    steps: list[TraceStep] = []
+    while True:
+        cands = [c for p, c in _ref_minus_one_curves(surface, pencil, curves) if p == 1]
+        if not cands:
+            break
+        e = min(cands, key=lambda c: c.coords)
+        surface, pencil, curves = _ref_contract(surface, pencil, curves, e)
+        steps.append(TraceStep(e, 1, surface, pencil))
+    k_end = surface.canonical()
+    adj_end = (k_end + pencil) * (k_end + pencil)
+    if adj_end != adj_start:
+        raise InvariantError(
+            f"invariant broken: adjoint square went from {adj_start} to {adj_end}"
+        )
+    k_end_sq = k_end * k_end
+    if k_end_sq != k_start_sq + len(steps):
+        raise InvariantError(
+            f"invariant broken: K^2 went from {k_start_sq} to {k_end_sq} "
+            f"over {len(steps)} contractions"
+        )
+    return ReducedPencil(
+        surface, pencil, tuple(curves), ContractionTrace(start, surface, tuple(steps))
+    )
+
+
+def reference_greedy(reduced: ReducedPencil) -> SharpModelData:
+    surface = reduced.surface
+    pencil = reduced.pencil
+    curves = list(reduced.curves)
+    for p, c in _ref_minus_one_curves(surface, pencil, curves):
+        if p == 1:
+            raise ReductionError(f"not a reduction: {c} still meets the pencil once")
+    start = surface
+    steps: list[TraceStep] = []
+    mults: list[int] = []
+    violations: list[str] = []
+    while surface.rank > 2:
+        cands = _ref_minus_one_curves(surface, pencil, curves)
+        if not cands:
+            raise IncompleteGeometryError(
+                f"incomplete geometry: no (-1)-curve supplied at rank {surface.rank}"
+            )
+        m, e = min(cands, key=lambda pc: (pc[0], pc[1].coords))
+        if mults and m < mults[-1]:
+            violations.append(
+                f"contraction multiplicity dropped from {mults[-1]} to {m} at {e}"
+            )
+        surface, pencil, curves = _ref_contract(surface, pencil, curves, e)
+        steps.append(TraceStep(e, m, surface, pencil))
+        mults.append(m)
+    if surface.kind == "plane":
+        g0, g1 = pencil.coords
+        index = 1
+        ruling_pairing = g0 + g1
+        fibre_coefficient = g0
+    else:
+        index = surface.index
+        alpha, beta = pencil.coords[0], pencil.coords[1]
+        if index == 0 and alpha > beta:
+            alpha, beta = beta, alpha
+            pencil = DivisorClass(surface, (alpha, beta))
+        ruling_pairing = alpha
+        fibre_coefficient = beta
+    ordered = tuple(sorted(mults, reverse=True))
+    repair = None
+    if fibre_coefficient < ruling_pairing * max(index, 1):
+        violations.append(
+            f"pencil pairs negatively with the minimal section "
+            f"(fibre coefficient {fibre_coefficient} below {ruling_pairing * max(index, 1)})"
+        )
+    top = ordered[0] if ordered else 0
+    if 2 * top > ruling_pairing or (
+        index == 1 and top > fibre_coefficient - ruling_pairing
+    ):
+        violations.append(
+            f"largest multiplicity {top} exceeds the minimality ceiling on the index-{index} model"
+        )
+        repair = ElementaryTransformRepair(
+            (index - 1, fibre_coefficient - top) if index >= 1 else None,
+            (index + 1, fibre_coefficient + ruling_pairing - top),
+        )
+    return SharpModelData(
+        index, ruling_pairing - 2, fibre_coefficient, ordered, surface, pencil,
+        ContractionTrace(start, surface, tuple(steps)), tuple(violations), repair,
+    )
+
+
+def reference_pipeline(fib: Fibration, effective) -> PipelineResult:
+    red = reference_reduction(fib, effective)
+    return PipelineResult(red, reference_greedy(red))

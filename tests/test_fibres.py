@@ -26,7 +26,7 @@ from genus2pencils.fibres import (
     shioda_rank,
     validate_fibre,
 )
-from genus2pencils.intmat import is_negative_semidefinite
+from genus2pencils.intmat import hermite_normal_form, is_negative_semidefinite
 from genus2pencils.lattice import DivisorClass, Fibration, LatticeError, plane_blowup, plane_curve
 
 
@@ -378,6 +378,27 @@ def test_complement_edge_cases():
         complement_lattice(s, (plane_blowup(3).exceptional(1),))
     with pytest.raises(LatticeError, match="dependent input classes"):
         complement_lattice(s, (s.line, s.line + s.line))
+
+
+def test_complement_basis_is_its_own_hermite_form():
+    # verify's complement check compares the basis with a Hermite form as is
+    rows = tuple(c.coords for c in complement_lattice(plane_blowup(2), ()).basis)
+    assert hermite_normal_form(rows) == rows
+    fib = sextic_fibration()
+    s = fib.surface
+    for sub in ((fib.fibre_class,), (fib.fibre_class, s.exceptional(9)), (s.line - s.exceptional(3),)):
+        rows = tuple(c.coords for c in complement_lattice(s, sub).basis)
+        assert hermite_normal_form(rows) == rows
+    checked = 0
+    for tag in catalog.tags():
+        entry = catalog.get(tag)
+        if entry.blocks:
+            fib = entry.fibration
+            comp = complement_lattice(fib.surface, (fib.fibre_class, fib.named("O")))
+            rows = tuple(c.coords for c in comp.basis)
+            assert hermite_normal_form(rows) == rows
+            checked += 1
+    assert checked == 4
 
 
 def test_component_lookup():

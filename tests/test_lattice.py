@@ -210,6 +210,34 @@ def test_blow_down_errors():
         blow_down(s, plane_blowup(3).exceptional(1))
 
 
+def test_contractions_share_their_target_surface():
+    # two blow-downs to equal surfaces return one object, so its canonical
+    # class and the dual vector of K are built once
+    s = plane_blowup(5)
+    first, _ = blow_down(s, s.exceptional(2))
+    second, _ = blow_down(plane_blowup(5), plane_curve(s, 1, (1, 1)))
+    assert first is second
+    assert first.canonical() is second.canonical()
+    assert first._canonical_dual == first.dual(first.canonical().coords)
+    bigger, _ = blow_up(first)
+    assert blow_up(second)[0] is bigger
+    assert blow_down(bigger, bigger.exceptional(1))[0] is first
+    h = hirzebruch_blowup(1, 2)
+    assert blow_down(h, h.exceptional(1))[0] is blow_down(h, h.exceptional(2))[0]
+    # sharing changes neither equality nor hashing
+    assert first == plane_blowup(4) and hash(first) == hash(plane_blowup(4))
+
+
+def test_cremona_is_the_reflection_in_alpha():
+    s = plane_blowup(5)
+    e = [s.exceptional(i) for i in range(1, 6)]
+    alpha = s.line - e[1] - e[3] - e[4]
+    classes = (plane_curve(s, 6, (3, 2, 2, 1, 1)), s.canonical(), e[0], 2 * s.line - e[1], alpha)
+    images = cremona(s, 2, 4, 5, classes)
+    assert images == tuple(c + (c * alpha) * alpha for c in classes)
+    assert images[-1] == -1 * alpha
+
+
 def test_cremona_reflection_frozen():
     s = plane_blowup(3)
     line = plane_curve(s, 1)

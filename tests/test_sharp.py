@@ -9,12 +9,17 @@ pushforward rule and then frozen.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from genus2pencils import sharp
+from genus2pencils import catalog, lattice, sharp
 from genus2pencils.lattice import (
     DivisorClass,
     Fibration,
+    ForeignClassError,
+    Surface,
+    cremona,
     hirzebruch_blowup,
     plane_blowup,
     plane_curve,
@@ -35,6 +40,7 @@ from genus2pencils.sharp import (
     reduction,
     sharp_minimal_pipeline,
 )
+from oracles import reference_greedy, reference_pipeline
 
 
 def exceptional_indices(trace: ContractionTrace) -> list[int]:
@@ -369,3 +375,163 @@ def test_greedy_ties_on_the_ruled_kind():
         reduced = ReducedPencil(s, pencil, curves, ContractionTrace(s, s, ()))
         model = greedy_sharp_minimal(reduced)
         assert step_record(model.trace) == [("E1", 2, 0, "4D0+6G")]
+
+
+# The pipeline against the class-based reference in tests/oracles.py, on
+# random fibrations.  Each draw starts from a fibre class with F.F = 0 and
+# K.F = 2g - 2, adds blow-ups off the base locus, and moves everything by a
+# random isometry: a permutation of the exceptional classes and, on the
+# plane, a few quadratic transforms, which turn basis exceptional classes
+# into non-basis (-1)-classes.
+
+# genus -> (degree, multiplicities) on the plane
+PLANE_PENCILS = {
+    0: ((1, (1,)), (2, (1,) * 4)),
+    1: ((3, (1,) * 9),),
+    2: ((6, (2,) * 8 + (1,) * 4), (7, (3,) + (2,) * 10)),
+}
+# genus -> (index, section coefficient, fibre coefficient, multiplicities)
+RULED_PENCILS = {
+    0: ((0, 0, 1, ()), (1, 0, 1, ()), (2, 0, 1, ()), (0, 1, 0, ())),
+    1: ((0, 2, 2, (1,) * 8), (1, 2, 3, (1,) * 8), (2, 2, 4, (1,) * 8)),
+    2: ((0, 2, 3, (1,) * 12), (1, 2, 4, (1,) * 12), (2, 2, 5, (1,) * 12)),
+}
+
+
+def _permuted(coords, base, perm):
+    return coords[:base] + tuple(coords[base + p] for p in perm)
+
+
+def _random_curve(rng, s):
+    """A (-1)- or (-2)-class of a small shape, basis or not."""
+    n = s.blowups
+    e = [s.exceptional(i) for i in rng.sample(range(1, n + 1), min(n, 3))]
+    shapes = [lambda: e[0]]
+    if s.kind == "plane":
+        if n >= 2:
+            shapes += [lambda: e[0] - e[1], lambda: s.line - e[0] - e[1]]
+        if n >= 3:
+            shapes.append(lambda: s.line - e[0] - e[1] - e[2])
+    else:
+        shapes.append(lambda: s.ruling - e[0])
+        if n >= 2:
+            shapes += [lambda: e[0] - e[1], lambda: s.ruling - e[0] - e[1]]
+        if s.index:
+            shapes.append(lambda: s.minimal_section)
+    return rng.choice(shapes)()
+
+
+def random_pipeline_input(rng):
+    genus = rng.randrange(3)
+    extra = rng.randrange(3)
+    if rng.random() < 0.6:
+        degree, mults = rng.choice(PLANE_PENCILS[genus])
+        s = plane_blowup(len(mults) + extra)
+        f = plane_curve(s, degree, mults)
+    else:
+        index, a, b, mults = rng.choice(RULED_PENCILS[genus])
+        s = hirzebruch_blowup(index, max(len(mults) + extra, 1))
+        f = ruled_curve(s, a, b, mults)
+    n, base = s.blowups, s.base_rank
+    perm = list(range(n))
+    rng.shuffle(perm)
+
+    def move(classes):
+        rows = [_permuted(c.coords, base, perm) for c in classes]
+        out = [DivisorClass(s, r) for r in rows]
+        if s.kind == "plane" and n >= 3:
+            for _ in range(rng.randrange(4)):
+                i, j, k = rng.sample(range(1, n + 1), 3)
+                out = list(cremona(s, i, j, k, out))
+        return out
+
+    # one isometry for the fibre and the exceptional classes alike
+    f, *images = move([f] + [s.exceptional(i) for i in range(1, n + 1)])
+    effective = [c for c in images if rng.random() < 0.85]
+    effective += [_random_curve(rng, s) for _ in range(rng.randrange(6))]
+    effective += rng.choices(effective, k=rng.randrange(3)) if effective else []
+    if rng.random() < 0.05:
+        # F squares to 0: the reduction rejects it
+        effective.append(f)
+    rng.shuffle(effective)
+    return Fibration(s, f, genus), effective
+
+
+def _is_basis_exceptional(c):
+    base = c.surface.base_rank
+    tail = c.coords[base:]
+    return not any(c.coords[:base]) and tail.count(1) == 1 and tail.count(0) == len(tail) - 1
+
+
+def _outcome(pipeline, fib, effective):
+    try:
+        return pipeline(fib, effective)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_pipeline_matches_the_class_based_reference():
+    # whole PipelineResults compare equal: every TraceStep, the reduced
+    # curves, the endpoint; or the same error type and message
+    rng = random.Random(20101018)
+    non_basis_runs = 0
+    complete_genera = set()
+    errors: dict[str, int] = {}
+    for _ in range(300):
+        fib, effective = random_pipeline_input(rng)
+        got = _outcome(sharp_minimal_pipeline, fib, effective)
+        assert got == _outcome(reference_pipeline, fib, effective)
+        if isinstance(got, tuple):
+            errors[got[0].__name__] = errors.get(got[0].__name__, 0) + 1
+            continue
+        complete_genera.add(fib.genus)
+        steps = got.reduced.trace.steps + got.model.trace.steps
+        if not all(_is_basis_exceptional(s.contracted) for s in steps):
+            non_basis_runs += 1
+    # the draw reaches the quadratic-transform path and every outcome
+    assert non_basis_runs >= 20
+    assert complete_genera == {0, 1, 2}
+    assert errors["NotContractibleError"] >= 20
+    assert errors["IncompleteGeometryError"] >= 50
+    assert errors["ReductionError"] >= 5
+
+
+def test_greedy_rejects_foreign_curves_like_the_reference():
+    s, f = sextic_pencil()
+    other = plane_blowup(11)
+    for pencil, curves in ((f, (other.exceptional(1),)), (plane_curve(other, 6), (s.exceptional(1),))):
+        reduced = ReducedPencil(s, pencil, curves, ContractionTrace(s, s, ()))
+        with pytest.raises(ForeignClassError, match="operands live on different surfaces"):
+            greedy_sharp_minimal(reduced)
+        with pytest.raises(ForeignClassError, match="operands live on different surfaces"):
+            reference_greedy(reduced)
+
+
+def test_verify_builds_k_once_per_distinct_surface(monkeypatch):
+    # contractions reach shared surfaces, so each distinct surface builds
+    # its canonical class once over any number of verify passes
+    reached = set()
+    for tag in catalog.tags():
+        entry = catalog.get(tag)
+        fib = entry.fibration
+        result = sharp_minimal_pipeline(fib, [fib.named(n) for n in entry.effective])
+        for trace in (result.reduced.trace, result.model.trace):
+            reached.add(trace.start)
+            reached.update(step.surface_after for step in trace.steps)
+    canonical = Surface.__dict__["_canonical"]
+    real = canonical.func
+    built = []
+
+    def counting(surface):
+        built.append(surface)
+        return real(surface)
+
+    monkeypatch.setattr(canonical, "func", counting)
+    # start cold: every surface a contraction reaches is made anew
+    lattice._surface.cache_clear()
+    for _ in range(2):
+        for tag in catalog.tags():
+            assert catalog.verify(tag).passed
+    assert built
+    assert len(set(built)) == len(built)
+    assert set(built) <= reached
