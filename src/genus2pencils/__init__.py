@@ -9,140 +9,59 @@ group.  Everything runs on plain integers; no floating point anywhere.
 
 from __future__ import annotations
 
-from .catalog import CatalogEntry, VerifyReport, get, tags, verify
-from .curves import (
-    BudgetExceededError,
-    ClassQuery,
-    enum_classes,
-    fibre_intersection_identity,
-    minus_one_section_exists,
-)
-from .fibres import (
-    FibreComponent,
-    FibreDecomposition,
-    FibreError,
-    ade_classify,
-    classify_diagram,
-    complement_lattice,
-    dual_graph,
-    orthogonal_decomposition_check,
-    shioda_rank,
-    validate_fibre,
-)
-from .lattice import (
-    DivisorClass,
-    Fibration,
-    ForeignClassError,
-    LatticeError,
-    NotContractibleError,
-    RulingChoiceError,
-    Surface,
-    adjoint_square,
-    arithmetic_genus,
-    blow_down,
-    blow_up,
-    cremona,
-    elementary_transform,
-    hirzebruch_blowup,
-    is_minus_one_class,
-    picard_number,
-    plane_blowup,
-    plane_curve,
-    ruled_curve,
-)
-from .modelfile import ModelFile, ParseError, from_fibration, parse, serialize, to_fibration
-from .numerics import (
-    BranchNumerics,
-    GenusContext,
-    NumericType,
-    SpecialType,
-    apply_exclusion,
-    branch_consistency,
-    enumerate_branch_numerics,
-    exclude_p2_and_hirzebruch,
-    search_general,
-    search_special,
-    triple_point_image_obstruction,
-)
-from .sharp import (
-    IncompleteGeometryError,
-    InvariantError,
-    PlaneModel,
-    ReductionError,
-    canonical_p2_model,
-    classify_type,
-    greedy_sharp_minimal,
-    reduction,
-    sharp_minimal_pipeline,
-)
+from importlib import import_module
+
+# export name -> defining module, grouped by module; a name is imported on
+# first use (PEP 562), so a process pays only for the modules it touches
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("catalog", ("CatalogEntry", "VerifyReport", "get", "tags", "verify")),
+        ("curves", (
+            "BudgetExceededError", "ClassQuery", "enum_classes",
+            "fibre_intersection_identity", "minus_one_section_exists",
+        )),
+        ("fibres", (
+            "FibreComponent", "FibreDecomposition", "FibreError", "ade_classify",
+            "classify_diagram", "complement_lattice", "dual_graph",
+            "orthogonal_decomposition_check", "shioda_rank", "validate_fibre",
+        )),
+        ("lattice", (
+            "DivisorClass", "Fibration", "ForeignClassError", "LatticeError",
+            "NotContractibleError", "RulingChoiceError", "Surface", "adjoint_square",
+            "arithmetic_genus", "blow_down", "blow_up", "cremona", "elementary_transform",
+            "hirzebruch_blowup", "is_minus_one_class", "picard_number", "plane_blowup",
+            "plane_curve", "ruled_curve",
+        )),
+        ("modelfile", ("ModelFile", "ParseError", "from_fibration", "parse", "serialize", "to_fibration")),
+        ("numerics", (
+            "GenusContext", "NumericType", "SpecialType", "apply_exclusion",
+            "exclude_p2_and_hirzebruch", "search_general", "search_special",
+            "triple_point_image_obstruction",
+        )),
+        ("sharp", (
+            "IncompleteGeometryError", "InvariantError", "PlaneModel", "ReductionError",
+            "canonical_p2_model", "classify_type", "greedy_sharp_minimal", "reduction",
+            "sharp_minimal_pipeline",
+        )),
+    )
+    for name in names
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BranchNumerics",
-    "BudgetExceededError",
-    "CatalogEntry",
-    "ClassQuery",
-    "DivisorClass",
-    "Fibration",
-    "FibreComponent",
-    "FibreDecomposition",
-    "FibreError",
-    "ForeignClassError",
-    "GenusContext",
-    "IncompleteGeometryError",
-    "InvariantError",
-    "LatticeError",
-    "ModelFile",
-    "NotContractibleError",
-    "NumericType",
-    "ParseError",
-    "PlaneModel",
-    "ReductionError",
-    "RulingChoiceError",
-    "SpecialType",
-    "Surface",
-    "VerifyReport",
-    "ade_classify",
-    "adjoint_square",
-    "apply_exclusion",
-    "arithmetic_genus",
-    "blow_down",
-    "blow_up",
-    "branch_consistency",
-    "canonical_p2_model",
-    "classify_diagram",
-    "classify_type",
-    "complement_lattice",
-    "cremona",
-    "dual_graph",
-    "elementary_transform",
-    "enum_classes",
-    "enumerate_branch_numerics",
-    "exclude_p2_and_hirzebruch",
-    "fibre_intersection_identity",
-    "from_fibration",
-    "get",
-    "greedy_sharp_minimal",
-    "hirzebruch_blowup",
-    "is_minus_one_class",
-    "minus_one_section_exists",
-    "orthogonal_decomposition_check",
-    "parse",
-    "picard_number",
-    "plane_blowup",
-    "plane_curve",
-    "reduction",
-    "ruled_curve",
-    "search_general",
-    "search_special",
-    "serialize",
-    "sharp_minimal_pipeline",
-    "shioda_rank",
-    "tags",
-    "to_fibration",
-    "triple_point_image_obstruction",
-    "validate_fibre",
-    "verify",
-]
+__all__ = ["__version__", *sorted(_EXPORTS)]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

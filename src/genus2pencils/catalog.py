@@ -14,7 +14,6 @@ compares.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .curves import ClassQuery, _classes_meeting, fibre_intersection_identity, minus_one_section_exists
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpectedData:
+class ExpectedData(NamedTuple):
     adjoint_square: int
     picard_rank: int
     numeric: NumericType
@@ -61,8 +59,7 @@ class ExpectedData:
     pencil_query_minimum: int | None = None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     tag: str
     title: str
     fibration: Fibration
@@ -72,8 +69,7 @@ class CatalogEntry:
     annotation: str = ""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's outcome.  A failed claim has passed False; a check that
     raised anything but AssertionError or LatticeError, or raised the
     InvariantError of a broken library invariant, also carries ``error``,
@@ -87,8 +83,7 @@ class CheckResult:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     tag: str
     checks: tuple[CheckResult, ...]
 
@@ -149,8 +144,7 @@ _CLAIMS = {
     "C": _Claims("plane degree-13 pencil, adjoint square 3, no section", _C),
     "Ex4_3": _Claims(
         "extremal configuration over the sextic pencil",
-        replace(
-            _A,
+        _A._replace(
             component_counts=(4, 9),
             ade_labels=(("F0", ("A3",)), ("Finf", ("E8",))),
             block_sizes=(2, 3, 8),
@@ -166,8 +160,7 @@ _CLAIMS = {
     ),
     "Ex4_4": _Claims(
         "extremal configuration over the septic pencil",
-        replace(
-            _B1,
+        _B1._replace(
             component_counts=(6, 6),
             ade_labels=(("F0", ("D5",)), ("Finf", ("D5",))),
             block_sizes=(2, 5, 5),
@@ -179,8 +172,7 @@ _CLAIMS = {
     ),
     "Ex4_5": _Claims(
         "extremal configuration over the nonic pencil",
-        replace(
-            _B2,
+        _B2._replace(
             component_counts=(11,),
             ade_labels=(("F0", ("E8", "A1")),),
             block_sizes=(2, 10),
@@ -194,8 +186,7 @@ _CLAIMS = {
     ),
     "Ex4_6": _Claims(
         "extremal configuration over the degree-13 pencil",
-        replace(
-            _C,
+        _C._replace(
             component_counts=(4, 4, 4),
             ade_labels=(("F0", ("A3",)), ("F1", ("A3",)), ("Finf", ("A3",))),
             block_sizes=(2, 3, 3, 3),

@@ -13,15 +13,14 @@ the library rather than a failed claim).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
-from . import catalog
-from .fibres import ade_classify, dual_graph
-from .lattice import Fibration
-from .modelfile import ParseError, parse, to_fibration
-from .numerics import apply_exclusion, search_general, search_special
+# each command imports the library modules it uses, so search-types loads
+# numerics alone and --help loads none
+if TYPE_CHECKING:
+    from .lattice import Fibration
 
 __all__ = ["main"]
 
@@ -41,6 +40,8 @@ def _format_multiplicities(mults: tuple[int, ...]) -> str:
 
 
 def _cmd_canonical(args: argparse.Namespace) -> int:
+    from . import catalog
+
     try:
         entry = catalog.get(args.tag)
     except KeyError as exc:
@@ -66,6 +67,8 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import catalog
+
     try:
         entry = catalog.get(args.tag)
     except KeyError as exc:
@@ -76,6 +79,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failures = sum(1 for c in report.checks if not c.passed) - errors
     code = 3 if errors else 1 if failures else 0
     if args.report:
+        import json
+
         exp = entry.expected
         checks = []
         for c in report.checks:
@@ -118,6 +123,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.apply_exclusion and args.genus != 2:
         print("the exclusion argument is specific to genus 2", file=sys.stderr)
         return 2
+    from .numerics import apply_exclusion, search_general, search_special
+
     search = search_special if args.special else search_general
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -162,6 +169,9 @@ def _normalize_fibre_name(name: str) -> str:
 
 
 def _load_fibration(source: str) -> tuple[str, Fibration] | int:
+    from . import catalog
+    from .modelfile import ParseError, parse, to_fibration
+
     try:
         entry = catalog.get(source)
         return entry.tag, entry.fibration
@@ -183,6 +193,8 @@ def _load_fibration(source: str) -> tuple[str, Fibration] | int:
 
 
 def _cmd_dual_graph(args: argparse.Namespace) -> int:
+    from .fibres import ade_classify, dual_graph
+
     loaded = _load_fibration(args.source)
     if isinstance(loaded, int):
         return loaded

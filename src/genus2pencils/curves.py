@@ -425,8 +425,7 @@ def fibre_intersection_identity(
     )
 
 
-@dataclass(frozen=True)
-class SectionSearch:
+class SectionSearch(NamedTuple):
     """Result of hunting a (-1)-class meeting the fibre exactly once."""
 
     exists: bool

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .intmat import bareiss_determinant, hermite_normal_form, kernel_basis
 from .lattice import (
@@ -74,8 +74,7 @@ class FibreDecomposition:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class FibreReport:
+class FibreReport(NamedTuple):
     name: str
     component_count: int
     gram: tuple[tuple[int, ...], ...]
@@ -128,8 +127,7 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
     return FibreReport(dec.name, len(parts), gram)
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Weighted dual graph: nodes carry (name, self-intersection, genus)."""
 
     nodes: tuple[tuple[str, int, int], ...]
@@ -270,8 +268,7 @@ def shioda_rank(picard_rank: int, component_counts: Sequence[int]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     passed: bool
     rank: int
     determinant: int | None
@@ -333,8 +330,7 @@ def orthogonal_decomposition_check(
     )
 
 
-@dataclass(frozen=True)
-class ComplementLattice:
+class ComplementLattice(NamedTuple):
     basis: tuple[DivisorClass, ...]
     gram: tuple[tuple[int, ...], ...]
     discriminant: int

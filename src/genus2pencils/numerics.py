@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "NumericType",
@@ -29,9 +29,6 @@ __all__ = [
     "ExclusionCertificate",
     "triple_point_image_obstruction",
     "apply_exclusion",
-    "BranchNumerics",
-    "branch_consistency",
-    "enumerate_branch_numerics",
 ]
 
 
@@ -358,8 +355,7 @@ class GenusContext:
         return Fraction(2 * c * (g - c - 1), c + 1)
 
 
-@dataclass(frozen=True)
-class MinimalAmbientVerdict:
+class MinimalAmbientVerdict(NamedTuple):
     """Which relatively minimal rational ambients fit a (genus, adjoint-square) pair."""
 
     genus: int
@@ -403,8 +399,7 @@ def exclude_p2_and_hirzebruch(genus: int, ksq: int) -> MinimalAmbientVerdict:
     return MinimalAmbientVerdict(genus, ksq, planes, ruled)
 
 
-@dataclass(frozen=True)
-class ExclusionCertificate:
+class ExclusionCertificate(NamedTuple):
     """Finite enumeration witnessing that one candidate type has no geometry.
 
     The candidate would force a curve on a quadric of anticanonical degree
@@ -453,114 +448,3 @@ def apply_exclusion(types: Sequence[NumericType]) -> tuple[NumericType, ...]:
     if not cert.holds:  # pragma: no cover - the count above is a constant
         return tuple(types)
     return tuple(t for t in types if t != cert.excluded)
-
-
-@dataclass(frozen=True)
-class BranchNumerics:
-    """Counts of branch-singularity germs by class and half-period k.
-
-    Five classes occur: two odd-weight families (counts_i, counts_iii,
-    weight 2k-1), two even-weight families (counts_ii, counts_iv, weight
-    2k), and a single unindexed class (count_v, weight 1).  ``epsilon``
-    counts the germs needing a base change and must equal the sum of the
-    first and third family counts plus count_v.
-    """
-
-    counts_i: tuple[int, ...] = ()
-    counts_ii: tuple[int, ...] = ()
-    counts_iii: tuple[int, ...] = ()
-    counts_iv: tuple[int, ...] = ()
-    count_v: int = 0
-    epsilon: int = 0
-
-    def __post_init__(self) -> None:
-        for field_val in (self.counts_i, self.counts_ii, self.counts_iii, self.counts_iv):
-            if any(x < 0 for x in field_val):
-                raise ValueError("germ counts must be nonnegative")
-        if self.count_v < 0:
-            raise ValueError("germ counts must be nonnegative")
-        expected = sum(self.counts_i) + sum(self.counts_iii) + self.count_v
-        if self.epsilon != expected:
-            raise ValueError(
-                f"epsilon {self.epsilon} disagrees with its defining count {expected}"
-            )
-
-    @property
-    def degree(self) -> int:
-        return (
-            sum((2 * i + 1) * c for i, c in enumerate(self.counts_i))
-            + sum((2 * i + 2) * c for i, c in enumerate(self.counts_ii))
-            + sum((2 * i + 1) * c for i, c in enumerate(self.counts_iii))
-            + sum((2 * i + 2) * c for i, c in enumerate(self.counts_iv))
-            + self.count_v
-        )
-
-
-def branch_consistency(bn: BranchNumerics, ksq: int) -> bool:
-    """The total germ weight must equal the adjoint square.
-
-    (The epsilon identity is already enforced on construction.)
-    """
-    return bn.degree == ksq
-
-
-def _trim(xs: list[int]) -> tuple[int, ...]:
-    while xs and xs[-1] == 0:
-        xs.pop()
-    return tuple(xs)
-
-
-def enumerate_branch_numerics(ksq: int) -> tuple[BranchNumerics, ...]:
-    """All consistent germ-count vectors with total weight ksq."""
-    if ksq < 0:
-        raise ValueError("the adjoint square must be nonnegative")
-    k_odd = (ksq + 1) // 2
-    k_even = ksq // 2
-    slots: list[tuple[str, int, int]] = []
-    for fam, k_max, weight_of in (
-        ("i", k_odd, lambda k: 2 * k - 1),
-        ("ii", k_even, lambda k: 2 * k),
-        ("iii", k_odd, lambda k: 2 * k - 1),
-        ("iv", k_even, lambda k: 2 * k),
-    ):
-        for k in range(1, k_max + 1):
-            slots.append((fam, k, weight_of(k)))
-    slots.append(("v", 0, 1))
-    out: list[BranchNumerics] = []
-
-    def rec(pos: int, left: int, acc: list[tuple[str, int, int]]):
-        if pos == len(slots):
-            if left == 0:
-                fams: dict[str, list[int]] = {
-                    "i": [0] * k_odd,
-                    "ii": [0] * k_even,
-                    "iii": [0] * k_odd,
-                    "iv": [0] * k_even,
-                }
-                v_count = 0
-                for fam, k, count in acc:
-                    if fam == "v":
-                        v_count = count
-                    else:
-                        fams[fam][k - 1] = count
-                eps = sum(fams["i"]) + sum(fams["iii"]) + v_count
-                out.append(
-                    BranchNumerics(
-                        _trim(fams["i"]),
-                        _trim(fams["ii"]),
-                        _trim(fams["iii"]),
-                        _trim(fams["iv"]),
-                        v_count,
-                        eps,
-                    )
-                )
-            return
-        fam, k, weight = slots[pos]
-        for count in range(left // weight + 1):
-            rec(pos + 1, left - count * weight, acc + [(fam, k, count)])
-
-    rec(0, ksq, [])
-    out.sort(
-        key=lambda bn: (bn.counts_i, bn.counts_ii, bn.counts_iii, bn.counts_iv, bn.count_v)
-    )
-    return tuple(out)

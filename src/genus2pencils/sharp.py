@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .lattice import (
     DivisorClass,
@@ -56,16 +57,14 @@ class IncompleteGeometryError(ReductionError):
     """The supplied curve list ran out before the minimal model was reached."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     contracted: DivisorClass
     pencil_degree: int
     surface_after: Surface
     pencil_after: DivisorClass
 
 
-@dataclass(frozen=True)
-class ContractionTrace:
+class ContractionTrace(NamedTuple):
     start: Surface
     end: Surface
     steps: tuple[TraceStep, ...]
@@ -182,8 +181,7 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     )
 
 
-@dataclass(frozen=True)
-class ElementaryTransformRepair:
+class ElementaryTransformRepair(NamedTuple):
     """The two one-step elementary transforms lowering an offending
     multiplicity: (new index, new fibre coefficient) off and on the
     minimal section; off-section is unavailable at index 0."""
@@ -192,8 +190,7 @@ class ElementaryTransformRepair:
     on_section: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SharpModelData:
+class SharpModelData(NamedTuple):
     """Endpoint of the greedy contraction on the rank-2 minimal model."""
 
     hirzebruch_index: int
@@ -243,7 +240,8 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
     pencil degree one).  Multiplicities recorded along the way must never
     decrease; a decrease, or an endpoint violating the minimality
     conditions, is reported in ``violations`` together with the repairing
-    elementary transforms where one exists.
+    elementary transforms where one exists.  A reduction that ended on P^2
+    itself (rank 1) has no ruled model and raises ReductionError.
     """
     surface = reduced.surface
     pencil = reduced.pencil
@@ -280,6 +278,8 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
         steps.append(TraceStep(contracted, m, surface, pencil))
         mults.append(m)
     if surface.kind == "plane":
+        if surface.rank == 1:
+            raise ReductionError("the reduction ended on P^2 itself: no ruled model to read")
         # rank 2 with one exceptional class is the index-1 model in plane coordinates
         g0, g1 = pencil.coords
         index = 1
@@ -334,8 +334,7 @@ def classify_type(sharp: SharpModelData) -> str:
     return "special"
 
 
-@dataclass(frozen=True)
-class PlaneModel:
+class PlaneModel(NamedTuple):
     degree: int
     multiplicities: tuple[int, ...]
 

@@ -294,34 +294,6 @@ def naive_search_special(
     return tuple(rows)
 
 
-def naive_branch_count(ksq: int) -> int:
-    """Count germ vectors of total weight ksq by unrestricted products."""
-    k_top = max(1, (ksq + 1) // 2)
-    weights_odd = [2 * k - 1 for k in range(1, k_top + 1)]
-    weights_even = [2 * k for k in range(1, k_top + 1)]
-    span = range(ksq + 1)
-    total = 0
-    for ci in itertools.product(span, repeat=k_top):
-        di = sum(w * c for w, c in zip(weights_odd, ci))
-        if di > ksq:
-            continue
-        for cii in itertools.product(span, repeat=k_top):
-            dii = di + sum(w * c for w, c in zip(weights_even, cii))
-            if dii > ksq:
-                continue
-            for ciii in itertools.product(span, repeat=k_top):
-                diii = dii + sum(w * c for w, c in zip(weights_odd, ciii))
-                if diii > ksq:
-                    continue
-                for civ in itertools.product(span, repeat=k_top):
-                    div = diii + sum(w * c for w, c in zip(weights_even, civ))
-                    if div > ksq:
-                        continue
-                    if (ksq - div) >= 0:
-                        total += 1
-    return total
-
-
 def naive_obstruction_minima() -> tuple[tuple[int, int], tuple[int, int]]:
     """Minimum image degree and case count over the two finite families."""
     first = [8 - sum(marks) for marks in itertools.product((0, 1), repeat=6)]
@@ -454,6 +426,8 @@ def reference_greedy(reduced: ReducedPencil) -> SharpModelData:
         steps.append(TraceStep(e, m, surface, pencil))
         mults.append(m)
     if surface.kind == "plane":
+        if surface.rank == 1:
+            raise ReductionError("the reduction ended on P^2 itself: no ruled model to read")
         g0, g1 = pencil.coords
         index = 1
         ruling_pairing = g0 + g1

@@ -1,5 +1,5 @@
 """Numeric-type search against the blunt oracle, frozen classification
-rows, lower bounds, exclusion arithmetic, and branch counts."""
+rows, lower bounds and exclusion arithmetic."""
 
 from __future__ import annotations
 
@@ -8,22 +8,18 @@ from fractions import Fraction
 import pytest
 from oracles import (
     blunt_mult_vectors,
-    naive_branch_count,
     naive_obstruction_minima,
     naive_search_general,
     naive_search_special,
 )
 
 from genus2pencils.numerics import (
-    BranchNumerics,
     GenusContext,
     NumericType,
     SpecialType,
     _floor_cuts,
     _mult_vectors,
     apply_exclusion,
-    branch_consistency,
-    enumerate_branch_numerics,
     exclude_p2_and_hirzebruch,
     search_general,
     search_special,
@@ -298,27 +294,3 @@ def test_apply_exclusion_filters_the_degree_eight_row():
     assert kept == FIVE_ROWS[:4]
     assert apply_exclusion(FIVE_ROWS[:2]) == FIVE_ROWS[:2]
 
-
-def test_branch_counts_frozen_and_against_oracle():
-    for ksq, expected in ((1, 3), (2, 8), (3, 18)):
-        rows = enumerate_branch_numerics(ksq)
-        assert len(rows) == expected
-        assert len(rows) == naive_branch_count(ksq)
-        assert len(set(rows)) == len(rows)
-        for row in rows:
-            assert branch_consistency(row, ksq)
-
-
-def test_branch_examples():
-    assert branch_consistency(BranchNumerics(counts_ii=(1,), epsilon=0), 2)
-    assert branch_consistency(BranchNumerics(counts_i=(2,), epsilon=2), 2)
-    assert not branch_consistency(BranchNumerics(counts_i=(2,), epsilon=2), 3)
-    ksq1 = enumerate_branch_numerics(1)
-    assert BranchNumerics(count_v=1, epsilon=1) in ksq1
-
-
-def test_branch_validation():
-    with pytest.raises(ValueError, match="germ counts must be nonnegative"):
-        BranchNumerics(counts_i=(-1,))
-    with pytest.raises(ValueError, match="disagrees with its defining count"):
-        BranchNumerics(counts_i=(1,), epsilon=0)

@@ -249,6 +249,17 @@ def test_greedy_requires_enough_curves():
         greedy_sharp_minimal(red)
 
 
+def test_greedy_rejects_a_reduction_that_ends_on_the_plane():
+    # L - E1 meets E1 once, so the reduction contracts E1 and lands on P^2
+    # itself, where no ruled model is left to read the type from
+    s = plane_blowup(1)
+    fib = Fibration(s, plane_curve(s, 1, (1,)), genus=0)
+    assert reduction(fib, [s.exceptional(1)]).surface.rank == 1
+    for pipeline in (sharp_minimal_pipeline, reference_pipeline):
+        with pytest.raises(ReductionError, match="the reduction ended on P\\^2 itself"):
+            pipeline(fib, [s.exceptional(1)])
+
+
 def test_reduction_screens_the_curve_list():
     s, f = sextic_pencil()
     fib = Fibration(s, f)
@@ -494,6 +505,7 @@ def test_pipeline_matches_the_class_based_reference():
     assert errors["NotContractibleError"] >= 20
     assert errors["IncompleteGeometryError"] >= 50
     assert errors["ReductionError"] >= 5
+    assert "ValueError" not in errors
 
 
 def test_greedy_rejects_foreign_curves_like_the_reference():
