@@ -35,9 +35,8 @@ _EXPORTS = {
         )),
         ("modelfile", ("ModelFile", "ParseError", "from_fibration", "parse", "serialize", "to_fibration")),
         ("numerics", (
-            "GenusContext", "NumericType", "SpecialType", "apply_exclusion",
-            "exclude_p2_and_hirzebruch", "search_general", "search_special",
-            "triple_point_image_obstruction",
+            "NumericType", "SpecialType", "apply_exclusion", "exclude_p2_and_hirzebruch",
+            "search_general", "search_special", "triple_point_image_obstruction",
         )),
         ("sharp", (
             "IncompleteGeometryError", "InvariantError", "PlaneModel", "ReductionError",

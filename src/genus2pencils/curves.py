@@ -18,8 +18,9 @@ orbits a caller reads are expanded into classes.
 
 A node budget guards against runaway caps: it counts the walk's nodes plus
 every class (for enum_classes) or block orbit emitted, and expanding
-orbits into more classes than the budget raises as well.  Results are
-cached for a few recent queries; clear_caches drops them.
+orbits into more classes than the budget raises as well.  Block-orbit
+lists are cached for recent queries and clear_caches drops them; class
+lists are built afresh on every call.
 """
 
 from __future__ import annotations
@@ -181,28 +182,19 @@ def _in_order(rows: list) -> list:
     return rows
 
 
-# A verify pass over the catalog needs 5 distinct queries.  One result
-# that fits the default budget can hold hundreds of thousands of classes
-# (P^2 blown up in 14 points at cap 4: 403,613 classes, about 210 MB), so
-# a larger cache would have no sane memory ceiling.
-@lru_cache(maxsize=16)
-def _enum_cached(surface: Surface, query: ClassQuery, budget_size: int) -> tuple[DivisorClass, ...]:
-    budget = _Budget(budget_size)
-    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for head, rep in _walk(surface, query, budget):
-        for tail in _arrangements(rep):
-            budget.spend()
-            rows.append((head, tail))
-    new = DivisorClass._derived
-    return tuple(new(surface, head + tail) for head, tail in _in_order(rows))
-
-
 def enum_classes(
     surface: Surface, query: ClassQuery, budget: int = DEFAULT_BUDGET
 ) -> tuple[DivisorClass, ...]:
     """Every class with the queried numerical data and reference degree
     between 0 and the cap, in ascending (degree part, multiplicities) order."""
-    return _enum_cached(surface, query, budget)
+    nodes = _Budget(budget)
+    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for head, rep in _walk(surface, query, nodes):
+        for tail in _arrangements(rep):
+            nodes.spend()
+            rows.append((head, tail))
+    new = DivisorClass._derived
+    return tuple(new(surface, head + tail) for head, tail in _in_order(rows))
 
 
 class _Orbit(NamedTuple):
@@ -260,7 +252,7 @@ def _arrangement_count(tail: tuple[int, ...]) -> int:
 
 
 # An orbit list is small (283 orbits stand for the 808,380 (-1)-classes of
-# P^2 blown up in 12 points at cap 6), so more queries are kept than above.
+# P^2 blown up in 12 points at cap 6), so many queries can be kept.
 @lru_cache(maxsize=64)
 def _orbits_cached(
     surface: Surface, query: ClassQuery, blocks: tuple[tuple[int, ...], ...], budget_size: int
@@ -280,8 +272,7 @@ def _orbits_cached(
 
 
 def clear_caches() -> None:
-    """Drop every cached class list and block-orbit list."""
-    _enum_cached.cache_clear()
+    """Drop every cached block-orbit list."""
     _orbits_cached.cache_clear()
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -23,7 +22,6 @@ __all__ = [
     "SpecialType",
     "search_general",
     "search_special",
-    "GenusContext",
     "MinimalAmbientVerdict",
     "exclude_p2_and_hirzebruch",
     "ExclusionCertificate",
@@ -336,25 +334,6 @@ def search_special(
     return _walk(SpecialType, cells(), ksq_lo, ksq_hi, a_cap, n_cap, prune)
 
 
-@dataclass(frozen=True)
-class GenusContext:
-    """A genus together with a pencil-trope index c on a ruled minimal model."""
-
-    genus: int
-    clifford_index: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 2:
-            raise ValueError("genus must be at least 2")
-        if not 0 <= 2 * self.clifford_index <= self.genus - 1:
-            raise ValueError("the index must lie in [0, (genus-1)/2]")
-
-    @property
-    def pencil_adjoint_square(self) -> Fraction:
-        c, g = self.clifford_index, self.genus
-        return Fraction(2 * c * (g - c - 1), c + 1)
-
-
 class MinimalAmbientVerdict(NamedTuple):
     """Which relatively minimal rational ambients fit a (genus, adjoint-square) pair."""
 
@@ -394,7 +373,7 @@ def exclude_p2_and_hirzebruch(genus: int, ksq: int) -> MinimalAmbientVerdict:
     ruled = tuple(
         c
         for c in range((genus - 1) // 2 + 1)
-        if GenusContext(genus, c).pencil_adjoint_square == ksq
+        if 2 * c * (genus - c - 1) == ksq * (c + 1)
     )
     return MinimalAmbientVerdict(genus, ksq, planes, ruled)
 

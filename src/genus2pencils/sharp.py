@@ -22,6 +22,7 @@ from .lattice import (
     LatticeError,
     Surface,
     _contract_rows,
+    elementary_transform,
 )
 from .numerics import NumericType
 
@@ -309,10 +310,16 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
         violations.append(
             f"largest multiplicity {top} exceeds the minimality ceiling on the index-{index} model"
         )
-        repair = ElementaryTransformRepair(
-            (index - 1, fibre_coefficient - top) if index >= 1 else None,
-            (index + 1, fibre_coefficient + ruling_pairing - top),
-        )
+        curve = (ruling_pairing, fibre_coefficient)
+        try:
+            on = elementary_transform(index, curve, top, on_minimal_section=True)
+            off = elementary_transform(index, curve, top) if index >= 1 else None
+        except LatticeError:
+            pass  # no transform takes this multiplicity: nothing to repair with
+        else:
+            repair = ElementaryTransformRepair(
+                None if off is None else (off.index, off.curve[1]), (on.index, on.curve[1])
+            )
     return SharpModelData(
         index,
         adjoint_degree,
@@ -329,9 +336,7 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
 def classify_type(sharp: SharpModelData) -> str:
     """Return "general" when the pencil clears twice the degree floor,
     else "special" (which can only happen on the index-1 model)."""
-    if 2 * sharp.fibre_coefficient - sharp.pencil_degree * sharp.hirzebruch_index >= 2 * sharp.pencil_degree:
-        return "general"
-    return "special"
+    return "general" if sharp.twice_offset >= 0 else "special"
 
 
 class PlaneModel(NamedTuple):
@@ -349,7 +354,7 @@ def canonical_p2_model(sharp: SharpModelData) -> PlaneModel:
     """
     if sharp.hirzebruch_index != 1:
         raise ReductionError("not a plane-adjacent model")
-    m0 = sharp.fibre_coefficient - sharp.pencil_degree
+    m0 = sharp.extra_multiplicity
     ms = sharp.multiplicities + ((m0,) if m0 >= 2 else ())
     return PlaneModel(sharp.fibre_coefficient, tuple(sorted(ms, reverse=True)))
 

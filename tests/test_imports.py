@@ -122,19 +122,20 @@ with contextlib.redirect_stdout(io.StringIO()):
         main({argv!r})
     except SystemExit:
         pass
-print(json.dumps([loaded(), dataclasses_defined()]))
+print(json.dumps([loaded(), dataclasses_defined(), "fractions" in sys.modules]))
 """
     )
 
 
 def test_search_types_loads_numerics_alone():
-    modules, dataclasses = _after_command(["search-types"])
+    modules, dataclasses, fractions = _after_command(["search-types"])
     assert modules == ["genus2pencils", "genus2pencils.cli", "genus2pencils.numerics"]
-    assert dataclasses <= 3
+    assert dataclasses <= 2
+    assert not fractions
 
 
 def test_help_loads_no_library_module():
-    modules, dataclasses = _after_command(["--help"])
+    modules, dataclasses, _ = _after_command(["--help"])
     assert modules == ["genus2pencils", "genus2pencils.cli"]
     assert dataclasses == 0
 
@@ -144,6 +145,6 @@ def test_help_loads_no_library_module():
     (["canonical", "A"], ["verify-example", "Ex4_3"], ["dual-graph", "Ex4_3", "--fibre", "F0"]),
 )
 def test_model_commands_create_few_dataclasses(argv):
-    modules, dataclasses = _after_command(argv)
+    modules, dataclasses, _ = _after_command(argv)
     assert "genus2pencils.catalog" in modules
-    assert dataclasses <= 13
+    assert dataclasses <= 12

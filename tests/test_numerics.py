@@ -14,7 +14,6 @@ from oracles import (
 )
 
 from genus2pencils.numerics import (
-    GenusContext,
     NumericType,
     SpecialType,
     _floor_cuts,
@@ -257,11 +256,13 @@ def test_odd_bound_equality_case():
         assert row in search_general(8, 10, 10, adjoint_cap=3, point_cap=12)
 
 
-def test_genus_context():
-    ctx = GenusContext(10, 3)
-    assert ctx.pencil_adjoint_square == Fraction(2 * 3 * 6, 4) == 9
-    with pytest.raises(ValueError):
-        GenusContext(10, 5)
+def test_exclusion_ruled_indices_match_a_fraction_scan():
+    for g in range(2, 13):
+        for ksq in range(1, 4 * g + 1):
+            expected = tuple(
+                c for c in range((g - 1) // 2 + 1) if Fraction(2 * c * (g - c - 1), c + 1) == ksq
+            )
+            assert exclude_p2_and_hirzebruch(g, ksq).ruled_indices == expected
 
 
 def test_exclude_p2_and_hirzebruch():

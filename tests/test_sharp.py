@@ -216,6 +216,19 @@ def test_violating_endpoint_reports_repair():
         model.numeric_type()
 
 
+def test_no_repair_beyond_the_section_coefficient():
+    # multiplicity 4 on a curve with section coefficient 2: no elementary
+    # transform takes the point, so the violation stands without a repair
+    s = hirzebruch_blowup(1, 1)
+    g = ruled_curve(s, 2, 5, (4,))
+    model = sharp_minimal_pipeline(Fibration(s, g, genus=-3), [s.exceptional(1)]).model
+    assert model.multiplicities == (4,)
+    assert model.violations == (
+        "largest multiplicity 4 exceeds the minimality ceiling on the index-1 model",
+    )
+    assert model.repair is None
+
+
 def test_low_section_pairing_is_a_violation():
     # rank-2 input whose pencil meets the minimal section negatively
     s = hirzebruch_blowup(2, 0)
