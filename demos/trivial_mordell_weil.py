@@ -2,11 +2,14 @@
 
 Each built-in extremal model ships its reducible fibres as explicit
 component lists.  Validating a fibre means checking, in integers: the
-weighted sum of components is the fibre class, every declared
-self-intersection and genus is the computed one, and the component Gram
-matrix is negative semidefinite with the fibre class spanning its radical.
-The Shioda bookkeeping then leaves rank 0, and an orthogonal block
-decomposition of determinant +-1 confirms there is no room left.
+weighted sum of components is the fibre class, every component meets
+the fibre class in 0, distinct components pair nonnegatively, and every
+declared self-intersection and genus is the computed one.  No separate
+test of the component Gram matrix runs: by Zariski's lemma those checks
+make it negative semidefinite (see ``validate_fibre``).  The Shioda
+bookkeeping then leaves rank 0, and an orthogonal block decomposition of
+determinant +-1, whose blocks the catalog derives from the fibres and
+the section O, confirms there is no room left.
 """
 
 from genus2pencils import catalog

@@ -5,9 +5,11 @@ extremal configuration with trivial Mordell-Weil group over each
 Each model is a packaged model file, ``models/<tag>.model``, that get()
 reads through ``parse`` and ``to_fibration`` like any user file.  This
 module keeps only what the catalog claims about each model: its title,
-its complete expected record, its orthogonal blocks and a note.  An
-extremal entry's record is its base pencil's with its own fields
-replaced.  verify() recomputes every claim from the lattice data and
+its complete expected record and a note.  An extremal entry's record is
+its base pencil's with its own fields replaced.  The orthogonal blocks
+of an entry are not claimed but derived from its model: F and the
+section O, then the components of each declared fibre that O does not
+meet.  verify() recomputes every claim from the lattice data and
 compares.
 """
 
@@ -39,13 +41,11 @@ class ExpectedData(NamedTuple):
     picard_rank: int
     numeric: NumericType
     plane: PlaneModel
-    has_minus_one_section: bool
     section_witness: str | None
     empirical_minimum: int
     pencil_shift: int | None
     reduction_order: tuple[str, ...]
     greedy_order: tuple[str, ...]
-    greedy_multiplicities: tuple[int, ...]
     reduced_anticanonical_multiple: int | None = None
     mid_anticanonical: tuple[int, int] | None = None
     component_counts: tuple[int, ...] = ()
@@ -94,11 +94,11 @@ class VerifyReport(NamedTuple):
 
 class _Claims(NamedTuple):
     """What the catalog claims about one model: its title, the record
-    verify() recomputes, the orthogonal blocks and a printed note."""
+    verify() recomputes and a printed note.  The orthogonal blocks are
+    derived from the model's fibres and its section O, not claimed."""
 
     title: str
     expected: ExpectedData
-    blocks: tuple[tuple[str, ...], ...] = ()
     annotation: str = ""
 
 
@@ -110,29 +110,25 @@ def _zeros(*names: str) -> tuple[tuple[str, int], ...]:
 # own fields of its base pencil's record
 _A = ExpectedData(
     adjoint_square=1, picard_rank=13, numeric=NumericType(2, 0, (2,) * 7, 1),
-    plane=PlaneModel(6, (2,) * 8), has_minus_one_section=True, section_witness="E9",
-    empirical_minimum=1, pencil_shift=None, reduction_order=("E12", "E11", "E10", "E9"),
-    greedy_order=("E8", "E7", "E6", "E5", "E4", "E3", "E2"), greedy_multiplicities=(2,) * 7,
-    reduced_anticanonical_multiple=2,
+    plane=PlaneModel(6, (2,) * 8), section_witness="E9", empirical_minimum=1,
+    pencil_shift=None, reduction_order=("E12", "E11", "E10", "E9"),
+    greedy_order=("E8", "E7", "E6", "E5", "E4", "E3", "E2"), reduced_anticanonical_multiple=2,
 )
 _B1 = ExpectedData(
     adjoint_square=2, picard_rank=12, numeric=NumericType(2, 2, (2,) * 10, 2),
-    plane=PlaneModel(7, (3,) + (2,) * 10), has_minus_one_section=False, section_witness=None,
-    empirical_minimum=2, pencil_shift=2, reduction_order=(),
-    greedy_order=tuple(f"E{i}" for i in range(11, 1, -1)), greedy_multiplicities=(2,) * 10,
+    plane=PlaneModel(7, (3,) + (2,) * 10), section_witness=None, empirical_minimum=2,
+    pencil_shift=2, reduction_order=(), greedy_order=tuple(f"E{i}" for i in range(11, 1, -1)),
 )
 _B2 = ExpectedData(
     adjoint_square=2, picard_rank=12, numeric=NumericType(4, 0, (3,) * 7 + (2, 2), 2),
-    plane=PlaneModel(9, (3,) * 8 + (2, 2)), has_minus_one_section=True, section_witness="E11",
-    empirical_minimum=1, pencil_shift=None, reduction_order=("E11",),
-    greedy_order=("E10", "E9", "E8", "E7", "E6", "E5", "E4", "E3", "E2"),
-    greedy_multiplicities=(2, 2, 3, 3, 3, 3, 3, 3, 3), mid_anticanonical=(2, 3),
+    plane=PlaneModel(9, (3,) * 8 + (2, 2)), section_witness="E11", empirical_minimum=1,
+    pencil_shift=None, reduction_order=("E11",),
+    greedy_order=("E10", "E9", "E8", "E7", "E6", "E5", "E4", "E3", "E2"), mid_anticanonical=(2, 3),
 )
 _C = ExpectedData(
     adjoint_square=3, picard_rank=11, numeric=NumericType(6, 2, (4,) * 9, 3),
-    plane=PlaneModel(13, (5,) + (4,) * 9), has_minus_one_section=False, section_witness=None,
-    empirical_minimum=4, pencil_shift=4, reduction_order=(),
-    greedy_order=tuple(f"E{i}" for i in range(10, 1, -1)), greedy_multiplicities=(4,) * 9,
+    plane=PlaneModel(13, (5,) + (4,) * 9), section_witness=None, empirical_minimum=4,
+    pencil_shift=4, reduction_order=(), greedy_order=tuple(f"E{i}" for i in range(10, 1, -1)),
     cremona_fixes_fibre=(1, 2, 3), pencil_query_minimum=8,
 )
 
@@ -154,7 +150,6 @@ _CLAIMS = {
             reconstructed=(("E8", (-1, -1), (("F", 2), ("TH12", 1), ("TH7", 1)) + _zeros(
                 "O", "TH0", "TH1", "TH2", "TH3", "TH4", "TH5", "TH6", "TH8", "TH9", "TH10", "TH11")),),
         ),
-        (("F", "O"), ("TH9", "TH10", "TH12"), tuple(f"TH{i}" for i in range(1, 9))),
         "one branch germ of the fifth class sits over the four-component fibre "
         "(epsilon 1); placements are recorded, not checked",
     ),
@@ -168,7 +163,6 @@ _CLAIMS = {
             section_meets=("TH0", "TH2"),
             fibre_degrees=(("E6", 2), ("E11", 2)),
         ),
-        (("F", "O"), ("TH7", "TH8", "TH9", "TH10", "TH11"), ("TH1", "TH3", "TH4", "TH5", "TH6")),
     ),
     "Ex4_5": _Claims(
         "extremal configuration over the nonic pencil",
@@ -182,7 +176,6 @@ _CLAIMS = {
             reconstructed=(("EH8", (-2, 0), (("F", 2), ("O", 1), ("TH7", 1)) + _zeros(
                 "TH0", "TH1", "TH2", "TH3", "TH4", "TH5", "TH6", "TH8", "TH9", "E10")),),
         ),
-        (("F", "O"), tuple(f"TH{i}" for i in range(10))),
     ),
     "Ex4_6": _Claims(
         "extremal configuration over the degree-13 pencil",
@@ -194,7 +187,6 @@ _CLAIMS = {
             section_meets=("TH2", "TH3", "TH4"),
             fibre_degrees=(("E1", 5), ("E8", 4), ("E9", 4), ("E10", 4)),
         ),
-        (("F", "O"), ("TH5", "TH8", "TH11"), ("TH6", "TH9", "TH12"), ("TH7", "TH10", "TH13")),
     ),
 }
 
@@ -220,14 +212,26 @@ def normalize_tag(tag: str) -> str:
 
 def get(tag: str) -> CatalogEntry:
     """The entry of a tag: its packaged model file, read through parse and
-    to_fibration like any user file, and the catalog's claims about it."""
+    to_fibration like any user file, and the catalog's claims about it.
+
+    The blocks are the trivial lattice read off the model: F and O, then
+    for each fibre, in file order, its components that O does not meet;
+    a model without fibres has none."""
     key = normalize_tag(tag)
     if key not in _CACHE:
         with open(os.path.join(_MODELS, f"{key}.model"), encoding="utf-8") as handle:
             model = parse(handle.read())
+        fib = to_fibration(model)
+        blocks: tuple[tuple[str, ...], ...] = ()
+        if fib.fibres:
+            o = fib.named("O")
+            blocks = (("F", "O"),) + tuple(
+                tuple(c.name for c in dec.components if o * c.divisor == 0)
+                for dec in fib.fibres
+            )
         claims = _CLAIMS[key]
         _CACHE[key] = CatalogEntry(
-            key, claims.title, to_fibration(model), model.effective, claims.blocks,
+            key, claims.title, fib, model.effective, blocks,
             claims.expected, claims.annotation,
         )
     return _CACHE[key]
@@ -329,7 +333,7 @@ def verify(tag: str) -> VerifyReport:
         _run(checks, "section-meets", check_section_meets)
 
         def check_shioda() -> str:
-            rank = shioda_rank(exp.picard_rank, exp.component_counts)
+            rank = shioda_rank(surface.rank, [len(dec.components) for dec in fib.fibres])
             _require(rank == exp.mordell_weil_rank, f"shioda rank {rank}")
             return f"Mordell-Weil rank {rank}"
 
@@ -376,7 +380,7 @@ def verify(tag: str) -> VerifyReport:
         greedy_order = tuple(str(s.contracted) for s in result.model.trace.steps)
         _require(greedy_order == exp.greedy_order, f"greedy order {greedy_order}")
         mults = result.model.trace.multiplicities
-        _require(mults == exp.greedy_multiplicities, f"greedy multiplicities {mults}")
+        _require(mults == exp.numeric.multiplicities[::-1], f"greedy multiplicities {mults}")
         _require(not result.model.violations, "; ".join(result.model.violations))
         _require(result.model.numeric_type() == exp.numeric, "endpoint numeric type mismatch")
         _require(result.model.type_tag == "general", "endpoint is not of general type")
@@ -408,7 +412,9 @@ def verify(tag: str) -> VerifyReport:
     def check_section() -> str:
         pencil = fib.named("P") if exp.pencil_shift is not None else None
         search = minus_one_section_exists(fib, 3, pencil, exp.pencil_shift)
-        _require(search.exists == exp.has_minus_one_section, f"section existence {search.exists}")
+        _require(
+            search.exists == (exp.section_witness is not None), f"section existence {search.exists}"
+        )
         if exp.section_witness is not None:
             _require(str(search.witness) == exp.section_witness, f"witness {search.witness}")
         _require(search.minimum == exp.empirical_minimum, f"minimum {search.minimum}")

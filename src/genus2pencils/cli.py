@@ -2,10 +2,10 @@
 
 Four subcommands: canonical (print a built-in model), verify-example
 (recheck one), search-types (run the numeric search; a row at the
-adjoint-degree cap adds a "ceiling reached" line; --apply-exclusion
-works on the general table in genus 2 only, and is a usage error with
---special or another genus), dual-graph (print or DOT a fibre's
-component graph).  Exit codes: 0 success, 1 failed checks, 2 bad usage
+adjoint-degree cap adds a "ceiling reached" line; a genus below 2 is a
+usage error; --apply-exclusion works on the general table in genus 2
+only, and is a usage error with --special or another genus), dual-graph
+(print or DOT a fibre's component graph).  Exit codes: 0 success, 1 failed checks, 2 bad usage
 or unparseable input, 3 a check raised an unexpected error (a fault in
 the library rather than a failed claim).
 """
@@ -114,6 +114,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.genus < 2:
+        print("the genus must be at least 2", file=sys.stderr)
+        return 2
     if args.ksq_min < 1 or args.ksq_min > args.ksq_max:
         print("the adjoint-square window must satisfy 1 <= min <= max", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import count, product
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -32,6 +33,19 @@ __all__ = [
 
 def _tri(m: int) -> int:
     return m * (m - 1) // 2
+
+
+def _coerce_fields(row) -> None:
+    """Store every field of a row as exact ints, the multiplicities as a
+    tuple of them; a non-integer (a float, a string) is a ValueError, not
+    silently truncated."""
+    try:
+        for name in row.__dataclass_fields__:
+            value = getattr(row, name)
+            value = tuple(map(index, value)) if name == "multiplicities" else index(value)
+            object.__setattr__(row, name, value)
+    except TypeError:
+        raise ValueError(f"numeric type field {name} must hold integers") from None
 
 
 @dataclass(frozen=True)
@@ -54,7 +68,7 @@ class NumericType:
     adjoint_square: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "multiplicities", tuple(int(m) for m in self.multiplicities))
+        _coerce_fields(self)
         a, t, ms = self.adjoint_degree, self.twice_offset, self.multiplicities
         if a < 1:
             raise ValueError("adjoint degree must be positive")
@@ -129,7 +143,7 @@ class SpecialType:
     adjoint_square: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "multiplicities", tuple(int(m) for m in self.multiplicities))
+        _coerce_fields(self)
         a, m0, ms = self.adjoint_degree, self.extra_multiplicity, self.multiplicities
         if a < 3:
             raise ValueError("special data needs adjoint degree at least 3")

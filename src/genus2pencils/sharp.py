@@ -11,7 +11,6 @@ multiplicities) is the numerical type the pencil realizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
@@ -75,8 +74,7 @@ class ContractionTrace(NamedTuple):
         return tuple(s.pencil_degree for s in self.steps)
 
 
-@dataclass(frozen=True)
-class ReducedPencil:
+class ReducedPencil(NamedTuple):
     """Endpoint of the reduction phase: no supplied (-1)-curve meets the
     pencil exactly once any more."""
 
@@ -359,8 +357,7 @@ def canonical_p2_model(sharp: SharpModelData) -> PlaneModel:
     return PlaneModel(sharp.fibre_coefficient, tuple(sorted(ms, reverse=True)))
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     reduced: ReducedPencil
     model: SharpModelData
 

@@ -454,10 +454,13 @@ def reference_greedy(reduced: ReducedPencil) -> SharpModelData:
         violations.append(
             f"largest multiplicity {top} exceeds the minimality ceiling on the index-{index} model"
         )
-        repair = ElementaryTransformRepair(
-            (index - 1, fibre_coefficient - top) if index >= 1 else None,
-            (index + 1, fibre_coefficient + ruling_pairing - top),
-        )
+        # an elementary transform takes a point of multiplicity at most the
+        # section coefficient; beyond it there is nothing to repair with
+        if 0 <= top <= ruling_pairing:
+            repair = ElementaryTransformRepair(
+                (index - 1, fibre_coefficient - top) if index >= 1 else None,
+                (index + 1, fibre_coefficient + ruling_pairing - top),
+            )
     return SharpModelData(
         index, ruling_pairing - 2, fibre_coefficient, ordered, surface, pencil,
         ContractionTrace(start, surface, tuple(steps)), tuple(violations), repair,

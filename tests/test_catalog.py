@@ -6,6 +6,7 @@ condition that stops being exercised) fails loudly here.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -107,6 +108,44 @@ def test_extremal_entries_certify_rank_zero():
         assert entry.expected.mordell_weil_rank == 0
         assert entry.blocks[0][0] == "F"
         assert sum(entry.expected.block_sizes) == entry.expected.picard_rank
+
+
+def test_blocks_are_derived_from_the_fibres():
+    # each model's trivial lattice, written out by hand: each derived
+    # block holds the same classes, in the same block order
+    written = {
+        "Ex4_3": (("F", "O"), ("TH9", "TH10", "TH12"), tuple(f"TH{i}" for i in range(1, 9))),
+        "Ex4_4": (("F", "O"), ("TH7", "TH8", "TH9", "TH10", "TH11"),
+                  ("TH1", "TH3", "TH4", "TH5", "TH6")),
+        "Ex4_5": (("F", "O"), tuple(f"TH{i}" for i in range(10))),
+        "Ex4_6": (("F", "O"), ("TH5", "TH8", "TH11"), ("TH6", "TH9", "TH12"),
+                  ("TH7", "TH10", "TH13")),
+    }
+    for tag in catalog.tags():
+        blocks = catalog.get(tag).blocks
+        assert [set(b) for b in blocks] == [set(b) for b in written.get(tag, ())], tag
+        assert all(len(set(b)) == len(b) for b in blocks)
+    # within a block, the fibre's components keep their file order
+    assert catalog.get("Ex4_6").blocks[1] == ("TH11", "TH5", "TH8")
+
+
+def test_a_missing_fibre_fails_the_lattice_checks(tmp_path, monkeypatch):
+    with open(os.path.join(catalog._MODELS, "Ex4_4.model"), encoding="utf-8") as handle:
+        text = handle.read()
+    start = text.index("fibre Finf:\n")
+    end = text.index("effective:")
+    assert text[start:end].count("\n") == 7
+    (tmp_path / "Ex4_4.model").write_text(text[:start] + text[end:], encoding="utf-8")
+    monkeypatch.setattr(catalog, "_MODELS", str(tmp_path))
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    assert catalog.get("Ex4_4").blocks == (("F", "O"), ("TH7", "TH8", "TH9", "TH10", "TH11"))
+    checks = {c.name: c for c in catalog.verify("Ex4_4").checks}
+    # the blocks and the Shioda rank are read off the model, not the record
+    for name in ("shioda", "blocks", "complement"):
+        assert (checks[name].passed, checks[name].error) == (False, None), name
+    assert checks["shioda"].detail == "shioda rank 5"
+    assert "not a basis: 7 classes on a rank-12 lattice" in checks["blocks"].detail
+    assert checks["complement"].detail == "block span is not the full orthogonal complement"
 
 
 def test_normalize_tag_spellings():

@@ -125,6 +125,10 @@ def test_search_types_usage_errors(capsys):
     capsys.readouterr()
     assert main(["search-types", "--genus", "3", "--apply-exclusion"]) == 2
     assert "specific to genus 2" in capsys.readouterr().err
+    for genus in ("1", "0", "-2"):
+        assert main(["search-types", "--genus", genus]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "the genus must be at least 2\n")
 
 
 def test_search_types_exclusion_is_not_for_the_special_table(capsys):

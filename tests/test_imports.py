@@ -147,4 +147,4 @@ def test_help_loads_no_library_module():
 def test_model_commands_create_few_dataclasses(argv):
     modules, dataclasses, _ = _after_command(argv)
     assert "genus2pencils.catalog" in modules
-    assert dataclasses <= 12
+    assert dataclasses <= 10

@@ -179,6 +179,30 @@ def test_numeric_type_validation():
     assert row.admissible_indices == (0, 1, 2)
 
 
+def test_numeric_rows_take_integers_only():
+    # floats, strings and non-sequences are rejected, not truncated
+    for args in (
+        (2, 0, (2.9,) * 7, 1),
+        (2, 0, ("2",) * 7, 1),
+        (2.0, 0, (2,) * 7, 1),
+        (2, 0.0, (2,) * 7, 1),
+        (2, 0, (2,) * 7, 1.0),
+        (2, 0, 2, 1),
+    ):
+        with pytest.raises(ValueError, match="must hold integers"):
+            NumericType(*args)
+    for args in ((3.0, 2, (2,) * 12, 3), (3, "2", (2,) * 12, 3), (3, 2, (2.0,) * 12, 3),
+                 (3, 2, (2,) * 12, Fraction(3))):
+        with pytest.raises(ValueError, match="must hold integers"):
+            SpecialType(*args)
+    # any integer type is stored as int and a list as a tuple
+    row = NumericType(2, False, [2] * 7, 1)
+    assert row == FIVE_ROWS[0]
+    assert all(type(v) is int for v in (row.adjoint_degree, row.twice_offset, *row.multiplicities))
+    assert type(row.multiplicities) is tuple
+    assert SpecialType(3, 2, [2] * 12, 3).multiplicities == (2,) * 12
+
+
 def test_admissible_indices_family():
     # the degree-8 fibre coefficients across indices follow b = 9 + 4d
     row = NumericType(6, 2, (4,) * 9, 3)

@@ -488,15 +488,22 @@ def _is_basis_exceptional(c):
 
 
 def _outcome(pipeline, fib, effective):
+    """("result", the PipelineResult) or ("error", its type, its message)."""
     try:
-        return pipeline(fib, effective)
+        return "result", pipeline(fib, effective)
     except Exception as exc:
-        return type(exc), str(exc)
+        return "error", type(exc), str(exc)
 
 
 def test_pipeline_matches_the_class_based_reference():
     # whole PipelineResults compare equal: every TraceStep, the reduced
     # curves, the endpoint; or the same error type and message
+    ruled = hirzebruch_blowup(1, 1)
+    # multiplicity 4 above the section coefficient 2: neither gives a repair
+    fixed = Fibration(ruled, ruled_curve(ruled, 2, 5, (4,)), genus=-3), [ruled.exceptional(1)]
+    got = _outcome(sharp_minimal_pipeline, *fixed)
+    assert got == _outcome(reference_pipeline, *fixed)
+    assert got[0] == "result" and got[1].model.violations and got[1].model.repair is None
     rng = random.Random(20101018)
     non_basis_runs = 0
     complete_genera = set()
@@ -505,11 +512,12 @@ def test_pipeline_matches_the_class_based_reference():
         fib, effective = random_pipeline_input(rng)
         got = _outcome(sharp_minimal_pipeline, fib, effective)
         assert got == _outcome(reference_pipeline, fib, effective)
-        if isinstance(got, tuple):
-            errors[got[0].__name__] = errors.get(got[0].__name__, 0) + 1
+        if got[0] == "error":
+            errors[got[1].__name__] = errors.get(got[1].__name__, 0) + 1
             continue
+        result = got[1]
         complete_genera.add(fib.genus)
-        steps = got.reduced.trace.steps + got.model.trace.steps
+        steps = result.reduced.trace.steps + result.model.trace.steps
         if not all(_is_basis_exceptional(s.contracted) for s in steps):
             non_basis_runs += 1
     # the draw reaches the quadratic-transform path and every outcome
