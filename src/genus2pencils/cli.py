@@ -81,7 +81,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.report:
         import json
 
-        exp = entry.expected
         checks = []
         for c in report.checks:
             checks.append({"name": c.name, "passed": c.passed, "detail": c.detail})
@@ -91,9 +90,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "tag": report.tag,
             "passed": report.passed,
             "checks": checks,
-            "block_sizes": list(exp.block_sizes),
-            "component_counts": list(exp.component_counts),
-            "mordell_weil_rank": exp.mordell_weil_rank,
+            "block_sizes": [len(block) for block in entry.blocks],
+            "component_counts": [len(d.components) for d in entry.fibration.fibres],
+            "mordell_weil_rank": entry.expected.mordell_weil_rank,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return code

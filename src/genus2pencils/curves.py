@@ -6,7 +6,10 @@ a degree cap, constrained to the requested self-intersection and
 canonical degree.  Permuting the exceptional coordinates fixes all three
 numbers, so the depth-first walk visits only non-increasing tails, one
 representative per orbit, with exact integer window pruning.
-enum_classes expands each representative into its distinct arrangements.
+enum_classes expands each representative into its distinct arrangements,
+a large orbit by halves (each arrangement of the first half of the
+positions joined to each of the second), sorts each head's tails once and
+builds the classes in bulk.
 
 The section search, the pairing identity and the catalog's reconstruction
 check work on block orbits instead: the exceptional indices split into
@@ -18,19 +21,20 @@ orbits a caller reads are expanded into classes.
 
 A node budget guards against runaway caps: it counts the walk's nodes plus
 every class (for enum_classes) or block orbit emitted, and expanding
-orbits into more classes than the budget raises as well.  Block-orbit
+orbits into more classes than the budget raises as well.  enum_classes
+charges each representative for all its classes before expanding it, so
+a runaway orbit raises before its classes are built.  Block-orbit
 lists are cached for recent queries and clear_caches drops them; class
 lists are built afresh on every call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import factorial, isqrt, prod
-from operator import index as _as_int, itemgetter, mul
+from operator import add, index as _as_int, mul, sub
 from typing import NamedTuple
 
 from .lattice import (
@@ -86,14 +90,22 @@ def reference_class(surface: Surface) -> DivisorClass:
     return surface.minimal_section + (surface.index + 1) * surface.ruling
 
 
+def _budget_size(n: int) -> int:
+    """A budget as an int; anything else is a LatticeError."""
+    try:
+        return _as_int(n)
+    except TypeError:
+        raise LatticeError(f"budget must be an integer, not {n!r}") from None
+
+
 class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, n: int) -> None:
-        self.left = n
+        self.left = _budget_size(n)
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, count: int = 1) -> None:
+        self.left -= count
         if self.left < 0:
             raise BudgetExceededError("budget exceeded")
 
@@ -126,7 +138,7 @@ def _sorted_tails(square_sum: int, linear_sum: int, slots: int, top: int, budget
             yield (v,) + rest
 
 
-def _arrangements(tail: tuple[int, ...]):
+def _descending(tail: tuple[int, ...]):
     """Distinct permutations of a non-increasing tuple, in descending
     lexicographic order (repeated previous-permutation steps)."""
     t = list(tail)
@@ -143,6 +155,39 @@ def _arrangements(tail: tuple[int, ...]):
             j -= 1
         t[i], t[j] = t[j], t[i]
         t[i + 1:] = t[:i:-1]
+
+
+# below this many arrangements, joining halves costs more than it saves
+_SPLIT_AT = 64
+
+
+def _arrangements(tail: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Distinct permutations of a non-increasing tuple, as a list.
+
+    Fewer than _SPLIT_AT are stepped through directly, in descending
+    lexicographic order.  A larger multiset is split over the two halves of
+    the positions, once for each way to deal it into them, and every
+    arrangement of the first half is joined to every arrangement of the
+    second; each distinct half is permuted once.  The order is then
+    descending within one split, not across splits.
+    """
+    if _arrangement_count(tail) < _SPLIT_AT:
+        return list(_descending(tail))
+    values, counts = _multiset(tail)
+    permuted: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def arranged(taken):
+        half = _spread(values, taken)
+        if half not in permuted:
+            permuted[half] = list(_descending(half))
+        return permuted[half]
+
+    out: list[tuple[int, ...]] = []
+    for taken in _picks(counts, len(tail) // 2):
+        rights = arranged(tuple(map(sub, counts, taken)))
+        for left in arranged(taken):
+            out += map(add, repeat(left), rights)
+    return out
 
 
 def _heads(surface: Surface, query: ClassQuery):
@@ -174,27 +219,32 @@ def _walk(surface: Surface, query: ClassQuery, budget: _Budget):
                 yield head, rep
 
 
-def _in_order(rows: list) -> list:
-    """Sort (head, tail, ...) rows into enumeration order, in place: heads
-    ascending, tails descending within a head."""
-    rows.sort(key=itemgetter(1), reverse=True)
-    rows.sort(key=itemgetter(0))
-    return rows
+def _in_order(groups: dict[tuple[int, ...], list]):
+    """(head, rows) in enumeration order, heads ascending, each head's rows
+    sorted descending in place with no key.  A row is a tail, or a (tail,
+    tag) pair; tails are distinct within a head, so tags never compare."""
+    for head in sorted(groups):
+        rows = groups[head]
+        rows.sort(reverse=True)
+        yield head, rows
 
 
 def enum_classes(
     surface: Surface, query: ClassQuery, budget: int = DEFAULT_BUDGET
 ) -> tuple[DivisorClass, ...]:
     """Every class with the queried numerical data and reference degree
-    between 0 and the cap, in ascending (degree part, multiplicities) order."""
+    between 0 and the cap, in ascending (degree part, multiplicities) order.
+    Each representative charges the budget for all its classes before any
+    is built."""
     nodes = _Budget(budget)
-    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for head, rep in _walk(surface, query, nodes):
-        for tail in _arrangements(rep):
-            nodes.spend()
-            rows.append((head, tail))
-    new = DivisorClass._derived
-    return tuple(new(surface, head + tail) for head, tail in _in_order(rows))
+        nodes.spend(_arrangement_count(rep))
+        groups.setdefault(head, []).extend(_arrangements(rep))
+    coords: list[tuple[int, ...]] = []
+    for head, tails in _in_order(groups):
+        coords += map(add, repeat(head), tails)
+    return DivisorClass._derived_all(surface, coords)
 
 
 class _Orbit(NamedTuple):
@@ -241,14 +291,25 @@ def _deals(values: tuple[int, ...], counts: tuple[int, ...], sizes: tuple[int, .
         yield ()
         return
     for taken in _picks(counts, sizes[0]):
-        tail = tuple(v for v, t in zip(values, taken) for _ in range(t))
-        left = tuple(c - t for c, t in zip(counts, taken))
+        tail = _spread(values, taken)
+        left = tuple(map(sub, counts, taken))
         for rest in _deals(values, left, sizes[1:]):
             yield (tail,) + rest
 
 
+def _spread(values: tuple[int, ...], counts: tuple[int, ...]) -> tuple[int, ...]:
+    """The non-increasing tuple holding values[j] counts[j] times."""
+    return tuple(v for v, c in zip(values, counts) for _ in range(c))
+
+
+def _multiset(tail: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(distinct values, descending; how often each occurs) of a tuple."""
+    values = tuple(sorted(set(tail), reverse=True))
+    return values, tuple(map(tail.count, values))
+
+
 def _arrangement_count(tail: tuple[int, ...]) -> int:
-    return factorial(len(tail)) // prod(map(factorial, Counter(tail).values()))
+    return factorial(len(tail)) // prod(map(factorial, map(tail.count, set(tail))))
 
 
 # An orbit list is small (283 orbits stand for the 808,380 (-1)-classes of
@@ -263,9 +324,7 @@ def _orbits_cached(
     sizes = tuple(map(len, blocks))
     orbits = []
     for head, rep in _walk(surface, query, budget):
-        values = tuple(sorted(set(rep), reverse=True))
-        counts = tuple(map(rep.count, values))
-        for tails in _deals(values, counts, sizes):
+        for tails in _deals(*_multiset(rep), sizes):
             budget.spend()
             orbits.append(_Orbit(head, tails, prod(map(_arrangement_count, tails))))
     return tuple(orbits)
@@ -306,10 +365,10 @@ def _first(surface: Surface, blocks, orbits) -> DivisorClass | None:
     the least head, then the largest tail.  An orbit's largest tail fills
     each position, in index order, with the largest value left in its block,
     which is its block tails placed as they stand."""
-    rows = [(o.head, _place(surface.blowups, blocks, o.tails)) for o in orbits]
-    if not rows:
+    if not orbits:
         return None
-    head, tail = _in_order(rows)[0]
+    head = min(o.head for o in orbits)
+    tail = max(_place(surface.blowups, blocks, o.tails) for o in orbits if o.head == head)
     return DivisorClass._derived(surface, head + tail)
 
 
@@ -319,12 +378,18 @@ def _expand(surface: Surface, blocks, orbits, budget: int) -> list[tuple[Divisor
     More classes than the budget raise before any is built."""
     if sum(o.size for o in orbits) > budget:
         raise BudgetExceededError("budget exceeded")
-    rows = []
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for index, o in enumerate(orbits):
-        for parts in product(*(tuple(_arrangements(t)) for t in o.tails)):
-            rows.append((o.head, _place(surface.blowups, blocks, parts), index))
-    new = DivisorClass._derived
-    return [(new(surface, head + tail), index) for head, tail, index in _in_order(rows)]
+        rows = groups.setdefault(o.head, [])
+        for parts in product(*map(_arrangements, o.tails)):
+            rows.append((_place(surface.blowups, blocks, parts), index))
+    coords: list[tuple[int, ...]] = []
+    indices: list[int] = []
+    for head, rows in _in_order(groups):
+        for tail, index in rows:
+            coords.append(head + tail)
+            indices.append(index)
+    return list(zip(DivisorClass._derived_all(surface, coords), indices))
 
 
 def _classes_meeting(
@@ -405,6 +470,7 @@ def fibre_intersection_identity(
     as F*C + shift*k_deg.
     """
     _check_decomposition(fib, pencil, shift)
+    budget = _budget_size(budget)
     f = fib.fibre_class
     blocks = _blocks(fib.surface, (f,))
     orbits = _orbits_cached(fib.surface, query, blocks, budget)
@@ -445,7 +511,7 @@ def minus_one_section_exists(
     """
     surface = fib.surface
     blocks = _blocks(surface, (fib.fibre_class,))
-    orbits = _orbits_cached(surface, ClassQuery(-1, -1, cap), blocks, budget)
+    orbits = _orbits_cached(surface, ClassQuery(-1, -1, cap), blocks, _budget_size(budget))
     degrees = _orbit_degrees(fib.fibre_class, blocks, orbits)
     witness = _first(surface, blocks, [o for o, d in zip(orbits, degrees) if d == 1])
     minimum = min(degrees, default=None)

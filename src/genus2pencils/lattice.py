@@ -23,12 +23,15 @@ reduction pipeline contracts raw rows.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import add, index as _as_int, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
-# bound once: DivisorClass._derived runs for every class the library builds
+# bound once: DivisorClass._derived and _derived_all build every class the
+# library makes
 _new_object = object.__new__
 _set_field = object.__setattr__
 
@@ -238,6 +241,18 @@ class DivisorClass:
         _set_field(c, "coords", coords)
         return c
 
+    @classmethod
+    def _derived_all(
+        cls, surface: Surface, rows: Iterable[tuple[int, ...]]
+    ) -> tuple["DivisorClass", ...]:
+        """_derived for every row, in order: the objects are made and both
+        fields set by C-level loops, with no Python call per class."""
+        rows = tuple(rows)
+        made = tuple(map(_new_object, repeat(cls, len(rows))))
+        deque(map(_set_field, made, repeat("surface"), repeat(surface)), 0)
+        deque(map(_set_field, made, repeat("coords"), rows), 0)
+        return made
+
     def _require_same(self, other: "DivisorClass") -> None:
         if self.surface is not other.surface and self.surface != other.surface:
             raise ForeignClassError("foreign class: operands live on different surfaces")
@@ -422,7 +437,7 @@ def cremona(
     for c in classes:
         _require_on(surface, c)
         rows.append(c.coords)
-    return tuple(DivisorClass._derived(surface, r) for r in _reflect(rows, i, j, k))
+    return DivisorClass._derived_all(surface, _reflect(rows, i, j, k))
 
 
 def contracting_isometry(
@@ -501,7 +516,7 @@ def blow_down(
     if not is_minus_one_class(e):
         raise NotContractibleError(f"not contractible: {e} is not a (-1)-class")
     smaller, pushed = _contract_rows(surface, e.coords, rows)
-    return smaller, tuple(DivisorClass._derived(smaller, r) for r in pushed)
+    return smaller, DivisorClass._derived_all(smaller, pushed)
 
 
 class ElementaryTransformResult(NamedTuple):

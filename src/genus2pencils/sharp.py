@@ -175,7 +175,7 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     return ReducedPencil(
         surface,
         pencil,
-        tuple(DivisorClass._derived(surface, c) for c in curves),
+        DivisorClass._derived_all(surface, curves),
         ContractionTrace(start, surface, tuple(steps)),
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -158,6 +159,22 @@ def test_verify_example_json(capsys):
     assert payload["block_sizes"] == [2, 3, 8]
     assert payload["component_counts"] == [4, 9]
     assert payload["mordell_weil_rank"] == 0
+
+
+def test_verify_report_prints_the_derived_sizes(tmp_path, monkeypatch, capsys):
+    # Ex4_4 without its Finf block: the payload reports the model's fibres
+    # and derived blocks, not the expected record's (2, 5, 5) and (6, 6)
+    with open(os.path.join(catalog._MODELS, "Ex4_4.model"), encoding="utf-8") as handle:
+        text = handle.read()
+    start = text.index("fibre Finf:\n")
+    (tmp_path / "Ex4_4.model").write_text(text[:start] + text[text.index("effective:"):], encoding="utf-8")
+    monkeypatch.setattr(catalog, "_MODELS", str(tmp_path))
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    assert main(["verify-example", "Ex4_4", "--report"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["block_sizes"] == [2, 5]
+    assert payload["component_counts"] == [6]
+    assert payload["passed"] is False
 
 
 def _raise(exc):

@@ -3,6 +3,10 @@ identities built on it."""
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations_with_replacement, permutations
+from math import factorial, prod
+
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,8 @@ from genus2pencils.curves import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     ClassQuery,
+    _SPLIT_AT,
+    _arrangements,
     _blocks,
     _classes_meeting,
     _orbit_degrees,
@@ -140,6 +146,79 @@ def test_budget_exhaustion():
     s = plane_blowup(8)
     with pytest.raises(BudgetExceededError, match="budget exceeded"):
         enum_classes(s, ClassQuery(-1, -1, 3), budget=10)
+
+
+def test_smallest_budget_counts_walk_nodes_and_classes():
+    # each smallest budget was measured while the budget was still charged
+    # class by class; charging a representative's classes at once keeps it
+    for s, query, smallest in (
+        (plane_blowup(8), ClassQuery(-1, -1, 3), 235),
+        (plane_blowup(12), ClassQuery(-1, -1, 4), 43_081),
+        (hirzebruch_blowup(1, 9), ClassQuery(-2, 0, 3), 460),
+    ):
+        assert enum_classes(s, query, smallest)
+        with pytest.raises(BudgetExceededError, match="budget exceeded"):
+            enum_classes(s, query, smallest - 1)
+
+
+class _Index:
+    """An integer-like budget that hashes by identity."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __index__(self) -> int:
+        return self.n
+
+
+def test_budget_must_be_an_integer():
+    s = plane_blowup(3)
+    query = ClassQuery(-1, -1, 2)
+    fib = _b1_fibration()
+    for bad in ("10", None, 2.5):
+        with pytest.raises(LatticeError, match="budget must be an integer"):
+            enum_classes(s, query, bad)
+        with pytest.raises(LatticeError, match="budget must be an integer"):
+            minus_one_section_exists(fib, 2, budget=bad)
+        with pytest.raises(LatticeError, match="budget must be an integer"):
+            fibre_intersection_identity(fib, fib.named("P"), 2, query, bad)
+    assert enum_classes(s, query, _Index(DEFAULT_BUDGET)) == enum_classes(s, query)
+    # the orbit cache is keyed by the coerced budget
+    clear_caches()
+    minus_one_section_exists(fib, 2, budget=_Index(DEFAULT_BUDGET))
+    minus_one_section_exists(fib, 2)
+    assert _orbits_cached.cache_info().hits == 1
+    report = fibre_intersection_identity(fib, fib.named("P"), 2, ClassQuery(-1, -1, 3), _Index(500))
+    with pytest.raises(BudgetExceededError, match="budget exceeded"):
+        report.classes
+
+
+def test_arrangements_are_the_distinct_permutations():
+    # every non-increasing tuple over -2..2 of length at most 8, on both
+    # sides of the split
+    for n in range(9):
+        for tail in combinations_with_replacement(range(2, -3, -1), n):
+            got = _arrangements(tail)
+            assert len(got) == len(set(got))
+            assert set(got) == set(permutations(tail)), tail
+            if len(got) < _SPLIT_AT:
+                assert got == sorted(got, reverse=True)
+
+
+def test_arrangements_of_long_tails():
+    # too many permutations to list: check each is a distinct rearrangement
+    # and count them by the multinomial
+    for tail in (
+        (1,) + (0,) * 12,
+        (1, 1) + (0,) * 11,
+        (1,) * 4 + (0,) * 5 + (-1,) * 4,
+        (2, 1, 1, 1) + (0,) * 7 + (-1, -1),
+    ):
+        got = _arrangements(tail)
+        count = factorial(13) // prod(map(factorial, Counter(tail).values()))
+        assert (count < _SPLIT_AT) == (tail == (1,) + (0,) * 12)
+        assert len(got) == len(set(got)) == count
+        assert all(sorted(a, reverse=True) == list(tail) for a in got)
 
 
 def test_reference_class():
