@@ -446,11 +446,18 @@ class IdentityReport:
         return tuple(c for c, _ in _expand(self.pencil.surface, self._blocks, lowest, self._budget))
 
 
-def _check_decomposition(fib: Fibration, pencil: DivisorClass, shift: int) -> None:
+def _check_decomposition(fib: Fibration, pencil: DivisorClass, shift: int) -> int:
+    """The shift as an int, once F = pencil - shift*K is checked; a shift
+    that is not an integer is a LatticeError."""
+    try:
+        shift = _as_int(shift)
+    except TypeError:
+        raise LatticeError(f"shift must be an integer, not {shift!r}") from None
     if pencil.surface != fib.surface:
         raise LatticeError("identity inapplicable: pencil lives on another surface")
     if fib.fibre_class != pencil + (-shift) * fib.surface.canonical():
         raise LatticeError("identity inapplicable: fibre class is not pencil minus shift times canonical")
+    return shift
 
 
 def fibre_intersection_identity(
@@ -469,7 +476,7 @@ def fibre_intersection_identity(
     coordinates, so P is constant on these blocks too) and P*C is read off
     as F*C + shift*k_deg.
     """
-    _check_decomposition(fib, pencil, shift)
+    shift = _check_decomposition(fib, pencil, shift)
     budget = _budget_size(budget)
     f = fib.fibre_class
     blocks = _blocks(fib.surface, (f,))
@@ -503,8 +510,9 @@ def minus_one_section_exists(
     """Search enumerated (-1)-classes for a section of the pencil.
 
     F*C is computed once per block orbit of F; each witness is the first
-    qualifying class in enumeration order.  When a pencil decomposition
-    F = pencil - shift*K is supplied (and checked), F*C = pencil*C + shift
+    qualifying class in enumeration order.  When a pencil is supplied,
+    ``shift`` must be an integer (else LatticeError) and the decomposition
+    F = pencil - shift*K is checked; then F*C = pencil*C + shift
     on classes with K*C = -1, and shift is certified as a lower bound over
     the enumerated range when pencil*C >= 0 on every enumerated class, that
     is when the minimum is at least shift.
@@ -518,8 +526,8 @@ def minus_one_section_exists(
     minimum_witness = _first(surface, blocks, [o for o, d in zip(orbits, degrees) if d == minimum])
     certified = None
     note = ""
-    if pencil is not None and shift is not None:
-        _check_decomposition(fib, pencil, shift)
+    if pencil is not None:
+        shift = _check_decomposition(fib, pencil, shift)
         # F*C = pencil*C + shift on (-1)-classes, so the bound needs
         # pencil*C >= 0 on every enumerated one
         if minimum is None or minimum >= shift:

@@ -207,44 +207,56 @@ def _mult_vectors(
     """Non-increasing tuples with entries in [2, m_max] and
     sum of m(m-1)/2 equal to pair_sum, at most ``slots`` entries.
 
-    ``extra_window`` bounds the total sum of (m-1)^2 and ``square_budget``
-    the total sum of m^2; both are pruning hints only, exact filtering
-    stays with the caller.
+    Once the pair sum P is fixed, (m-1)^2 = 2 tri(m) - (m-1) and
+    m^2 = 2 tri(m) + m give sum (m-1)^2 = 2P - d and sum m^2 = 2P + S,
+    with d = sum (m-1) and S = sum m.  So ``extra_window``, bounds on the
+    total sum of (m-1)^2, is the window 2P - hi <= d <= 2P - lo, and
+    ``square_budget``, a cap on the total sum of m^2, is S <= budget - 2P.
+    Both filter exactly: the tuples yielded are those inside them, every
+    tuple when they are None.  ``_walk`` keeps its own exact filter, so the
+    unpruned walk, given no hints, checks the pruned one.
+
+    The walk picks, from m_max down, how many entries equal each value,
+    carrying d and S.  Below 4 it is closed-form: the count c of 3s fixes
+    that of 2s as s - 3c, every constraint (slots, the d window, the S cap)
+    is linear in c, and the valid c form an interval emitted directly.  The
+    nodes sit on one explicit stack, so the tuples come one at a time from
+    a single generator: no generator is nested per entry, and no list of
+    them is held (an unpruned cell at genus 4 holds megabytes of tuples).
     """
-
-    def rec(s: int, m: int, left: int, extra: int, square: int, prefix: tuple[int, ...]):
-        if s == 0:
-            yield prefix
-            return
-        if left == 0 or m < 2:
-            return
-        if s > left * _tri(m):
-            return
-        if extra_window is not None:
-            lo, hi = extra_window
-            if extra + s > hi:
-                # each unit of pair-sum adds at least 1 to the extra total
-                return
-            if _floor_cuts(lo - extra, s, m):
-                return
-        if square_budget is not None:
-            entries = -(-s // _tri(m))
-            if square + 2 * s + 2 * entries > square_budget:
-                return
-        if m == 2:
-            if s <= left:
-                yield prefix + (2,) * s
-            return
-        for v in range(m, 1, -1):
-            tv = _tri(v)
-            if tv > s:
-                continue
-            yield from rec(s - tv, v, left - 1, extra + (v - 1) ** 2, square + v * v, prefix + (v,))
-
-    if pair_sum == 0:
-        yield ()
-    elif pair_sum > 0 and m_max >= 2:
-        yield from rec(pair_sum, m_max, slots, 0, 0, ())
+    if pair_sum < 0 or (pair_sum and m_max < 2):
+        return
+    if extra_window is None:
+        # every tuple has 0 <= d <= P and S <= 2P, so nothing is cut
+        d_lo, d_hi = 0, pair_sum
+    else:
+        d_lo, d_hi = 2 * pair_sum - extra_window[1], 2 * pair_sum - extra_window[0]
+    s_cap = 2 * pair_sum if square_budget is None else square_budget - 2 * pair_sum
+    stack = [(pair_sum, m_max, slots, 0, 0, ())]
+    while stack:
+        s, m, left, d, total, prefix = stack.pop()
+        if m <= 3 or s == 0:
+            # c threes and s - 3c twos: d grows by s - c, S by 2s - 3c
+            top = min(s // 3 if m == 3 else 0, d + s - d_lo)
+            low = max(0, -((left - s) // 2), d + s - d_hi, -((s_cap - total - 2 * s) // 3))
+            for c in range(top, low - 1, -1):
+                yield prefix + (3,) * c + (2,) * (s - 3 * c)
+            continue
+        tm = _tri(m)
+        if s > left * tm:
+            continue
+        # each unit of pair sum adds at most 1 to d
+        if d + s < d_lo:
+            continue
+        # the completion floor written in d: the rest adds at least 2s/m to d
+        if _floor_cuts(2 * s + d - d_hi, s, m):
+            continue
+        # at least ceil(s / tri(m)) more entries, each adding at least 2 to S
+        if total + 2 * -(-s // tm) > s_cap:
+            continue
+        # pushed by rising count, so the largest count is walked first
+        for c in range(min(s // tm, left) + 1):
+            stack.append((s - c * tm, m - 1, left - c, d + c * (m - 1), total + c * m, prefix + (m,) * c))
 
 
 def _caps(
@@ -264,7 +276,10 @@ def _walk(row_type, cells, ksq_lo: int, ksq_hi: int, a_cap: int, n_cap: int, pru
     """Rows of every cell (degree, second field, base, pair sum, largest
     multiplicity, square cap): the multiplicity vectors of the pair sum
     whose adjoint square base - sum (m-1)^2 lies in the window and whose
-    pencil square cap - sum m^2 is nonnegative, sorted.  A row at the
+    pencil square cap - sum m^2 is nonnegative, sorted.  With the pair sum
+    P fixed these read base - 2P + sum (m-1) and cap - 2P - sum m (see
+    ``_mult_vectors``); the filter is applied in both modes, so the
+    unpruned walk, given no hints, checks the pruned one.  A row at the
     adjoint-degree cap warns, since the next degree may hold more rows."""
     found = []
     for a, second, base, pair_sum, m_max, square_cap in cells:
@@ -272,8 +287,9 @@ def _walk(row_type, cells, ksq_lo: int, ksq_hi: int, a_cap: int, n_cap: int, pru
             continue
         hints = ((max(0, base - ksq_hi), base - ksq_lo), square_cap) if prune else (None, None)
         for ms in _mult_vectors(pair_sum, m_max, n_cap, *hints):
-            ksq = base - sum((m - 1) ** 2 for m in ms)
-            if ksq_lo <= ksq <= ksq_hi and sum(m * m for m in ms) <= square_cap:
+            total = sum(ms)
+            ksq = base - 2 * pair_sum + total - len(ms)
+            if ksq_lo <= ksq <= ksq_hi and total <= square_cap - 2 * pair_sum:
                 found.append(row_type(a, second, ms, ksq))
     if any(row.adjoint_degree == a_cap for row in found):
         warnings.warn(

@@ -263,6 +263,19 @@ def test_fibre_intersection_identity_rejects_mismatch():
         fibre_intersection_identity(fib, other, 2, ClassQuery(-1, -1, 3))
 
 
+@pytest.mark.parametrize("bad", (2.0, "2", None))
+def test_shift_must_be_an_integer(bad):
+    fib = _b1_fibration()
+    p = fib.named("P")
+    with pytest.raises(LatticeError, match="shift must be an integer"):
+        fibre_intersection_identity(fib, p, bad, ClassQuery(-1, -1, 2))
+    with pytest.raises(LatticeError, match="shift must be an integer"):
+        minus_one_section_exists(fib, 2, p, bad)
+    # an __index__ shift is taken as the int it stands for
+    assert fibre_intersection_identity(fib, p, _Index(2), ClassQuery(-1, -1, 2)).shift == 2
+    assert minus_one_section_exists(fib, 2, p, _Index(2)).certified_bound == 2
+
+
 def test_section_search_with_witness():
     s = plane_blowup(12)
     f = plane_curve(s, 6, (2,) * 8 + (1,) * 4)

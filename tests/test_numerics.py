@@ -122,6 +122,34 @@ def test_mult_vector_window_never_drops_in_window_tuples():
                 assert wanted <= got <= blunt
 
 
+def test_mult_vector_hints_filter_exactly():
+    # m_max up to 7 runs above the largest value that fits the small pair
+    # sums, and slots from 1 make the slot limit meet the tail of 3s and 2s
+    for pair_sum in range(0, 41):
+        for m_max in range(2, 8):
+            for slots in range(1, 13):
+                blunt = []
+                for t in blunt_mult_vectors(pair_sum, m_max, slots):
+                    extra = sum((m - 1) ** 2 for m in t)
+                    square = sum(m * m for m in t)
+                    assert extra == 2 * pair_sum - sum(m - 1 for m in t)
+                    assert square == 2 * pair_sum + sum(t)
+                    blunt.append((t, extra, square))
+                windows = (
+                    (0, 2 * pair_sum),
+                    (pair_sum, pair_sum + pair_sum // 2),
+                    (pair_sum + pair_sum // 3, 2 * pair_sum),
+                    (pair_sum + 2, pair_sum + 5),
+                )
+                for lo, hi in windows:
+                    for cap in (2 * pair_sum + pair_sum // 2, 3 * pair_sum, 4 * pair_sum):
+                        got = set(_mult_vectors(pair_sum, m_max, slots, (lo, hi), cap))
+                        wanted = {
+                            t for t, extra, square in blunt if lo <= extra <= hi and square <= cap
+                        }
+                        assert got == wanted
+
+
 SOUNDNESS_CAPS = dict(adjoint_cap=8, point_cap=12)
 
 
