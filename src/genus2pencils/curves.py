@@ -6,35 +6,33 @@ a degree cap, constrained to the requested self-intersection and
 canonical degree.  Permuting the exceptional coordinates fixes all three
 numbers, so the depth-first walk visits only non-increasing tails, one
 representative per orbit, with exact integer window pruning.
-enum_classes expands each representative into its distinct arrangements,
-a large orbit by halves (each arrangement of the first half of the
-positions joined to each of the second), sorts each head's tails once and
-builds the classes in bulk.
 
-The section search, the pairing identity and the catalog's reconstruction
-check work on block orbits instead: the exceptional indices split into
+Every query works on block orbits: the exceptional indices split into
 blocks on which every weight class (the fibre, a constraint target) has
-one coordinate, each representative is dealt into one
-non-increasing tail per block, and a weight class pairs to the same value
-with every class of such an orbit.  Each orbit is paired once; only the
-orbits a caller reads are expanded into classes.
+one coordinate, each representative is dealt into one non-increasing
+tail per block, and a weight class pairs to the same value with every
+class of such an orbit.  enum_classes names no weight class, so its one
+block holds every position.  Each orbit is paired once, and only the
+orbits a caller reads are expanded: each block tail into its distinct
+arrangements (a large one by halves), joined block after block and put
+in position order by one permutation, then sorted once per head and
+built in bulk.
 
-A node budget guards against runaway caps: it counts the walk's nodes plus
-every class (for enum_classes) or block orbit emitted, and expanding
-orbits into more classes than the budget raises as well.  enum_classes
-charges each representative for all its classes before expanding it, so
-a runaway orbit raises before its classes are built.  Block-orbit
-lists are cached for recent queries and clear_caches drops them; class
-lists are built afresh on every call.
+One budget rule covers every query: the walk counts its nodes plus the
+orbits it emits, and expanding orbits into more classes than the budget
+raises before any class is built.  The orbit lists of the section
+search, the identity and the reconstruction check are cached for recent
+queries and clear_caches drops them; enum_classes walks afresh, as no
+caller repeats a query, and class lists are built anew on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import product, repeat
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, compress, repeat
 from math import factorial, isqrt, prod
-from operator import add, index as _as_int, mul, sub
+from operator import add, eq, index as _as_int, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .lattice import (
@@ -43,6 +41,7 @@ from .lattice import (
     ForeignClassError,
     LatticeError,
     Surface,
+    pairings,
 )
 
 __all__ = [
@@ -104,8 +103,8 @@ class _Budget:
     def __init__(self, n: int) -> None:
         self.left = _budget_size(n)
 
-    def spend(self, count: int = 1) -> None:
-        self.left -= count
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceededError("budget exceeded")
 
@@ -184,9 +183,15 @@ def _arrangements(tail: tuple[int, ...]) -> list[tuple[int, ...]]:
 
     out: list[tuple[int, ...]] = []
     for taken in _picks(counts, len(tail) // 2):
-        rights = arranged(tuple(map(sub, counts, taken)))
-        for left in arranged(taken):
-            out += map(add, repeat(left), rights)
+        out += _joined(arranged(taken), arranged(tuple(map(sub, counts, taken))))
+    return out
+
+
+def _joined(lefts: list[tuple[int, ...]], rights: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Each left tuple followed by each right one, lefts outermost."""
+    out: list[tuple[int, ...]] = []
+    for left in lefts:
+        out += map(add, repeat(left), rights)
     return out
 
 
@@ -219,34 +224,6 @@ def _walk(surface: Surface, query: ClassQuery, budget: _Budget):
                 yield head, rep
 
 
-def _in_order(groups: dict[tuple[int, ...], list]):
-    """(head, rows) in enumeration order, heads ascending, each head's rows
-    sorted descending in place with no key.  A row is a tail, or a (tail,
-    tag) pair; tails are distinct within a head, so tags never compare."""
-    for head in sorted(groups):
-        rows = groups[head]
-        rows.sort(reverse=True)
-        yield head, rows
-
-
-def enum_classes(
-    surface: Surface, query: ClassQuery, budget: int = DEFAULT_BUDGET
-) -> tuple[DivisorClass, ...]:
-    """Every class with the queried numerical data and reference degree
-    between 0 and the cap, in ascending (degree part, multiplicities) order.
-    Each representative charges the budget for all its classes before any
-    is built."""
-    nodes = _Budget(budget)
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for head, rep in _walk(surface, query, nodes):
-        nodes.spend(_arrangement_count(rep))
-        groups.setdefault(head, []).extend(_arrangements(rep))
-    coords: list[tuple[int, ...]] = []
-    for head, tails in _in_order(groups):
-        coords += map(add, repeat(head), tails)
-    return DivisorClass._derived_all(surface, coords)
-
-
 class _Orbit(NamedTuple):
     """Classes sharing a head and, block by block, a multiset of exceptional
     coordinates: one non-increasing tail per block, and the class count."""
@@ -263,10 +240,12 @@ def _blocks(surface: Surface, weights: tuple[DivisorClass, ...]) -> tuple[tuple[
         if w.surface != surface:
             raise ForeignClassError("foreign class: operands live on different surfaces")
     base = surface.base_rank
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i in range(surface.blowups):
-        groups.setdefault(tuple(w.coords[base + i] for w in weights), []).append(i)
-    return tuple(map(tuple, groups.values()))
+    positions = range(surface.blowups)
+    # a position's key is its coordinate in every weight class
+    keys = tuple(zip(*(w.coords[base:] for w in weights))) if weights else ((),) * len(positions)
+    return tuple(
+        tuple(compress(positions, map(eq, keys, repeat(key)))) for key in dict.fromkeys(keys)
+    )
 
 
 def _picks(counts: tuple[int, ...], size: int, i: int = 0):
@@ -283,18 +262,18 @@ def _picks(counts: tuple[int, ...], size: int, i: int = 0):
             yield (t,) + rest
 
 
-def _deals(values: tuple[int, ...], counts: tuple[int, ...], sizes: tuple[int, ...]):
-    """Every way to deal the multiset (values[j] taken counts[j] times,
-    values descending) into blocks of the given sizes, as one
-    non-increasing tail per block."""
-    if not sizes:
-        yield ()
+def _deals(tail: tuple[int, ...], sizes: tuple[int, ...]):
+    """Every way to deal a non-increasing tuple into blocks of the given
+    sizes, which sum to its length, as one non-increasing tail per block;
+    the last block takes what is left."""
+    if len(sizes) < 2:
+        yield (tail,) if sizes else ()
         return
+    values, counts = _multiset(tail)
     for taken in _picks(counts, sizes[0]):
-        tail = _spread(values, taken)
-        left = tuple(map(sub, counts, taken))
-        for rest in _deals(values, left, sizes[1:]):
-            yield (tail,) + rest
+        first = _spread(values, taken)
+        for rest in _deals(_spread(values, tuple(map(sub, counts, taken))), sizes[1:]):
+            yield (first,) + rest
 
 
 def _spread(values: tuple[int, ...], counts: tuple[int, ...]) -> tuple[int, ...]:
@@ -312,10 +291,7 @@ def _arrangement_count(tail: tuple[int, ...]) -> int:
     return factorial(len(tail)) // prod(map(factorial, map(tail.count, set(tail))))
 
 
-# An orbit list is small (283 orbits stand for the 808,380 (-1)-classes of
-# P^2 blown up in 12 points at cap 6), so many queries can be kept.
-@lru_cache(maxsize=64)
-def _orbits_cached(
+def _orbits(
     surface: Surface, query: ClassQuery, blocks: tuple[tuple[int, ...], ...], budget_size: int
 ) -> tuple[_Orbit, ...]:
     """Every block orbit of the query's classes, the zero class left out,
@@ -324,10 +300,26 @@ def _orbits_cached(
     sizes = tuple(map(len, blocks))
     orbits = []
     for head, rep in _walk(surface, query, budget):
-        for tails in _deals(*_multiset(rep), sizes):
+        for tails in _deals(rep, sizes):
             budget.spend()
             orbits.append(_Orbit(head, tails, prod(map(_arrangement_count, tails))))
     return tuple(orbits)
+
+
+# An orbit list is small (283 orbits stand for the 808,380 (-1)-classes of
+# P^2 blown up in 12 points at cap 6), so many queries can be kept.
+_orbits_cached = lru_cache(maxsize=64)(_orbits)
+
+
+def enum_classes(
+    surface: Surface, query: ClassQuery, budget: int = DEFAULT_BUDGET
+) -> tuple[DivisorClass, ...]:
+    """Every class with the queried numerical data and reference degree
+    between 0 and the cap, in ascending (degree part, multiplicities) order:
+    the orbits over one block of every exceptional position, expanded."""
+    budget = _budget_size(budget)
+    blocks = _blocks(surface, ())
+    return _expand(surface, blocks, _orbits(surface, query, blocks, budget), budget)
 
 
 def clear_caches() -> None:
@@ -352,12 +344,13 @@ def _orbit_degrees(
     )
 
 
-def _place(n: int, blocks: tuple[tuple[int, ...], ...], parts) -> tuple[int, ...]:
-    tail = [0] * n
-    for block, part in zip(blocks, parts):
-        for i, v in zip(block, part):
-            tail[i] = v
-    return tuple(tail)
+def _placer(blocks: tuple[tuple[int, ...], ...]) -> itemgetter | None:
+    """An itemgetter putting a tail written block after block into position
+    order, or None when the blocks already hold the positions in order."""
+    order = tuple(chain.from_iterable(blocks))
+    if order == tuple(range(len(order))):
+        return None
+    return itemgetter(*sorted(range(len(order)), key=order.__getitem__))
 
 
 def _first(surface: Surface, blocks, orbits) -> DivisorClass | None:
@@ -368,28 +361,32 @@ def _first(surface: Surface, blocks, orbits) -> DivisorClass | None:
     if not orbits:
         return None
     head = min(o.head for o in orbits)
-    tail = max(_place(surface.blowups, blocks, o.tails) for o in orbits if o.head == head)
+    tails = [sum(o.tails, ()) for o in orbits if o.head == head]
+    place = _placer(blocks)
+    tail = max(tails if place is None else map(place, tails))
     return DivisorClass._derived(surface, head + tail)
 
 
-def _expand(surface: Surface, blocks, orbits, budget: int) -> list[tuple[DivisorClass, int]]:
-    """(class, index of its orbit) for every class of the given orbits, in
-    enumeration order: heads ascending, tails descending within a head.
-    More classes than the budget raise before any is built."""
+def _expand(surface: Surface, blocks, orbits, budget: int) -> tuple[DivisorClass, ...]:
+    """Every class of the given orbits, in enumeration order: heads
+    ascending, tails descending within a head.  An orbit's block
+    arrangements are joined block after block and one permutation puts
+    them in position order; each head's tails are sorted once, and the
+    classes built in bulk.  More classes than the budget raise before any
+    is built."""
     if sum(o.size for o in orbits) > budget:
         raise BudgetExceededError("budget exceeded")
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for index, o in enumerate(orbits):
-        rows = groups.setdefault(o.head, [])
-        for parts in product(*map(_arrangements, o.tails)):
-            rows.append((_place(surface.blowups, blocks, parts), index))
+    place = _placer(blocks)
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for o in orbits:
+        tails = reduce(_joined, map(_arrangements, o.tails)) if o.tails else [()]
+        groups.setdefault(o.head, []).extend(tails if place is None else map(place, tails))
     coords: list[tuple[int, ...]] = []
-    indices: list[int] = []
-    for head, rows in _in_order(groups):
-        for tail, index in rows:
-            coords.append(head + tail)
-            indices.append(index)
-    return list(zip(DivisorClass._derived_all(surface, coords), indices))
+    for head in sorted(groups):
+        tails = groups[head]
+        tails.sort(reverse=True)
+        coords += map(add, repeat(head), tails)
+    return DivisorClass._derived_all(surface, coords)
 
 
 def _classes_meeting(
@@ -400,7 +397,7 @@ def _classes_meeting(
     blocks = _blocks(surface, (d,))
     orbits = _orbits_cached(surface, query, blocks, DEFAULT_BUDGET)
     keep = tuple(o for o, v in zip(orbits, _orbit_degrees(d, blocks, orbits)) if v == degree)
-    return tuple(c for c, _ in _expand(surface, blocks, keep, DEFAULT_BUDGET))
+    return _expand(surface, blocks, keep, DEFAULT_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -408,10 +405,11 @@ class IdentityReport:
     """F*C and pencil*C over an enumeration, given F = pencil - shift*K.
 
     ``holds`` records that decomposition (a failing one raises instead).
-    ``count`` is the number of enumerated classes.  ``classes``, their
-    degree tuples and ``witnesses`` (the classes attaining the minimum) are
-    expanded, in enumeration order, only when read; more classes than the
-    budget raise BudgetExceededError then.
+    ``count`` is the number of enumerated classes.  ``classes`` and
+    ``witnesses`` (the classes attaining the minimum) are expanded, in
+    enumeration order, only when read, and the degree tuples are paired
+    over ``classes`` then; more classes than the budget raise
+    BudgetExceededError.
     """
 
     holds: bool
@@ -421,29 +419,26 @@ class IdentityReport:
     count: int
     _blocks: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
     _orbits: tuple[_Orbit, ...] = field(default=(), repr=False, compare=False)
-    _degrees: tuple[tuple[int, int], ...] = field(default=(), repr=False, compare=False)
+    _fibre_degrees: tuple[int, ...] = field(default=(), repr=False, compare=False)
     _budget: int = field(default=DEFAULT_BUDGET, repr=False, compare=False)
 
     @cached_property
-    def _expanded(self) -> list[tuple[DivisorClass, int]]:
+    def classes(self) -> tuple[DivisorClass, ...]:
         return _expand(self.pencil.surface, self._blocks, self._orbits, self._budget)
 
     @cached_property
-    def classes(self) -> tuple[DivisorClass, ...]:
-        return tuple(c for c, _ in self._expanded)
-
-    @cached_property
     def fibre_degrees(self) -> tuple[int, ...]:
-        return tuple(self._degrees[i][0] for _, i in self._expanded)
+        fibre = self.pencil + (-self.shift) * self.pencil.surface.canonical()
+        return pairings(fibre, self.classes)
 
     @cached_property
     def pencil_degrees(self) -> tuple[int, ...]:
-        return tuple(self._degrees[i][1] for _, i in self._expanded)
+        return pairings(self.pencil, self.classes)
 
     @cached_property
     def witnesses(self) -> tuple[DivisorClass, ...]:
-        lowest = tuple(o for o, (fd, _) in zip(self._orbits, self._degrees) if fd == self.minimum)
-        return tuple(c for c, _ in _expand(self.pencil.surface, self._blocks, lowest, self._budget))
+        lowest = tuple(o for o, fd in zip(self._orbits, self._fibre_degrees) if fd == self.minimum)
+        return _expand(self.pencil.surface, self._blocks, lowest, self._budget)
 
 
 def _check_decomposition(fib: Fibration, pencil: DivisorClass, shift: int) -> int:
@@ -473,8 +468,8 @@ def fibre_intersection_identity(
     LatticeError); by bilinearity it pins F*C = P*C - shift*(K*C) for every
     class, and every enumerated class has K*C = query.k_deg.  So F is
     paired once per block orbit of F (K is constant on the exceptional
-    coordinates, so P is constant on these blocks too) and P*C is read off
-    as F*C + shift*k_deg.
+    coordinates, so P is constant on these blocks too), which gives the
+    count, the minimum and the orbits of its witnesses.
     """
     shift = _check_decomposition(fib, pencil, shift)
     budget = _budget_size(budget)
@@ -482,10 +477,9 @@ def fibre_intersection_identity(
     blocks = _blocks(fib.surface, (f,))
     orbits = _orbits_cached(fib.surface, query, blocks, budget)
     fds = _orbit_degrees(f, blocks, orbits)
-    degrees = tuple((fd, fd + shift * query.k_deg) for fd in fds)
     count = sum(o.size for o in orbits)
     return IdentityReport(
-        True, shift, pencil, min(fds, default=None), count, blocks, orbits, degrees, budget
+        True, shift, pencil, min(fds, default=None), count, blocks, orbits, fds, budget
     )
 
 
@@ -511,12 +505,17 @@ def minus_one_section_exists(
 
     F*C is computed once per block orbit of F; each witness is the first
     qualifying class in enumeration order.  When a pencil is supplied,
-    ``shift`` must be an integer (else LatticeError) and the decomposition
-    F = pencil - shift*K is checked; then F*C = pencil*C + shift
-    on classes with K*C = -1, and shift is certified as a lower bound over
-    the enumerated range when pencil*C >= 0 on every enumerated class, that
-    is when the minimum is at least shift.
+    ``shift`` must be an integer and the decomposition F = pencil - shift*K
+    is checked before the walk (either failure is a LatticeError, as is a
+    shift without a pencil); then F*C = pencil*C + shift on classes with
+    K*C = -1, and shift is certified as a lower bound over the enumerated
+    range when pencil*C >= 0 on every enumerated class, that is when the
+    minimum is at least shift.
     """
+    if pencil is not None:
+        shift = _check_decomposition(fib, pencil, shift)
+    elif shift is not None:
+        raise LatticeError("a shift needs a pencil to certify against")
     surface = fib.surface
     blocks = _blocks(surface, (fib.fibre_class,))
     orbits = _orbits_cached(surface, ClassQuery(-1, -1, cap), blocks, _budget_size(budget))
@@ -526,14 +525,12 @@ def minus_one_section_exists(
     minimum_witness = _first(surface, blocks, [o for o, d in zip(orbits, degrees) if d == minimum])
     certified = None
     note = ""
-    if pencil is not None:
-        shift = _check_decomposition(fib, pencil, shift)
-        # F*C = pencil*C + shift on (-1)-classes, so the bound needs
-        # pencil*C >= 0 on every enumerated one
-        if minimum is None or minimum >= shift:
-            certified = shift
-            note = (
-                f"F*C = pencil*C + {shift} and pencil*C >= 0 on every enumerated "
-                f"(-1)-class, so the enumerated classes pair at least {shift}"
-            )
+    # F*C = pencil*C + shift on (-1)-classes, so the bound needs
+    # pencil*C >= 0 on every enumerated one
+    if pencil is not None and (minimum is None or minimum >= shift):
+        certified = shift
+        note = (
+            f"F*C = pencil*C + {shift} and pencil*C >= 0 on every enumerated "
+            f"(-1)-class, so the enumerated classes pair at least {shift}"
+        )
     return SectionSearch(witness is not None, witness, minimum, minimum_witness, certified, note)

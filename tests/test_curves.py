@@ -149,16 +149,22 @@ def test_budget_exhaustion():
 
 
 def test_smallest_budget_counts_walk_nodes_and_classes():
-    # each smallest budget was measured while the budget was still charged
-    # class by class; charging a representative's classes at once keeps it
+    # one rule for every query: the walk's nodes plus its orbits, and the
+    # class count, must each fit the budget; here the class count binds
+    # (walk plus orbits: 91, 375, 138 and 163)
     for s, query, smallest in (
-        (plane_blowup(8), ClassQuery(-1, -1, 3), 235),
-        (plane_blowup(12), ClassQuery(-1, -1, 4), 43_081),
-        (hirzebruch_blowup(1, 9), ClassQuery(-2, 0, 3), 460),
+        (plane_blowup(8), ClassQuery(-1, -1, 3), 148),
+        (plane_blowup(12), ClassQuery(-1, -1, 4), 42_714),
+        (hirzebruch_blowup(1, 9), ClassQuery(-2, 0, 3), 327),
     ):
-        assert enum_classes(s, query, smallest)
+        assert len(enum_classes(s, query, smallest)) == smallest
         with pytest.raises(BudgetExceededError, match="budget exceeded"):
             enum_classes(s, query, smallest - 1)
+    fib = _b1_fibration()
+    query = ClassQuery(-1, -1, 3)
+    assert len(fibre_intersection_identity(fib, fib.named("P"), 2, query, 2_948).classes) == 2_948
+    with pytest.raises(BudgetExceededError, match="budget exceeded"):
+        fibre_intersection_identity(fib, fib.named("P"), 2, query, 2_947).classes
 
 
 class _Index:
@@ -274,6 +280,23 @@ def test_shift_must_be_an_integer(bad):
     # an __index__ shift is taken as the int it stands for
     assert fibre_intersection_identity(fib, p, _Index(2), ClassQuery(-1, -1, 2)).shift == 2
     assert minus_one_section_exists(fib, 2, p, _Index(2)).certified_bound == 2
+
+
+@pytest.mark.parametrize("shift", (2, "x"))
+def test_section_search_refuses_a_shift_without_a_pencil(shift):
+    with pytest.raises(LatticeError, match="a shift needs a pencil"):
+        minus_one_section_exists(_b1_fibration(), 3, None, shift)
+
+
+def test_section_search_checks_the_decomposition_before_the_walk():
+    # a budget of 5 is far too small for the cap-3 walk, so the walk would
+    # raise BudgetExceededError if it ran before the check
+    fib = _b1_fibration()
+    with pytest.raises(BudgetExceededError):
+        minus_one_section_exists(fib, 3, budget=5)
+    with pytest.raises(LatticeError, match="identity inapplicable") as raised:
+        minus_one_section_exists(fib, 3, fib.named("P"), 3, budget=5)
+    assert not isinstance(raised.value, BudgetExceededError)
 
 
 def test_section_search_with_witness():
@@ -435,6 +458,28 @@ def test_interleaved_blocks_are_split_by_position():
     f = plane_curve(s, 4, (2, 1, 2, 1, 2, 1))
     assert _blocks(s, (f,)) == ((0, 2, 4), (1, 3, 5))
     assert _blocks(s, (s.canonical(),)) == ((0, 1, 2, 3, 4, 5),)
+    assert _blocks(s, ()) == ((0, 1, 2, 3, 4, 5),)
+    assert _blocks(plane_blowup(0), ()) == ()
+
+
+def test_interleaved_blocks_expand_in_enumeration_order():
+    # the blocks (0, 2, 4) and (1, 3, 5) are joined block after block and
+    # must be put back in position order before the classes are sorted;
+    # the whole enumeration is closed under permutations, so only the
+    # subsets (witnesses, classes of one degree) show a misplaced column
+    s = plane_blowup(6)
+    f = plane_curve(s, 4, (2, 1, 2, 1, 2, 1))
+    p = f + 2 * s.canonical()
+    query = ClassQuery(-1, -1, 3)
+    report = fibre_intersection_identity(Fibration(s, f), p, 2, query)
+    want = enum_classes(s, query)
+    assert len(want) > 1
+    assert report.classes == want
+    degrees = pairings(f, want)
+    assert report.witnesses == tuple(c for c, d in zip(want, degrees) if d == report.minimum)
+    for degree in set(degrees):
+        meeting = tuple(c for c, d in zip(want, degrees) if d == degree)
+        assert _classes_meeting(s, f, degree, query) == meeting
 
 
 def test_orbit_sizes_count_the_enumeration():
