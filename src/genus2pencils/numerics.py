@@ -4,10 +4,12 @@ A pencil of genus-g curves on a relatively minimal ruled model is pinned
 numerically by its degree over the ruling, a normalized height (stored
 doubled so odd degrees stay integral), and the multiplicities of its
 base points.  The searches below enumerate every solution of the degree,
-genus and nonnegativity equations inside stated caps, exactly.  Both
-share one cell walk and one pruning bound, the completion floor of
-``_floor_cuts``; pruning is optional and is checked against the unpruned
-walk in tests.
+genus and nonnegativity equations up to an adjoint-degree cap, exactly.
+The base-point count needs no cap of its own: every row has pencil square
+4g + 4 - ksq - n, so its n base points number at most 4g + 4 - ksq.  Both
+searches share one cell walk and one pruning bound, the completion floor
+of ``_floor_cuts``; pruning is optional and is checked against the
+unpruned walk in tests.
 """
 
 from __future__ import annotations
@@ -198,47 +200,40 @@ def _floor_cuts(need: int, pair_left: int, m: int) -> bool:
 
 
 def _mult_vectors(
-    pair_sum: int,
-    m_max: int,
-    slots: int,
-    extra_window: tuple[int, int] | None,
-    square_budget: int | None,
+    pair_sum: int, m_max: int, slots: int, extra_window: tuple[int, int] | None
 ) -> Iterator[tuple[int, ...]]:
     """Non-increasing tuples with entries in [2, m_max] and
     sum of m(m-1)/2 equal to pair_sum, at most ``slots`` entries.
 
-    Once the pair sum P is fixed, (m-1)^2 = 2 tri(m) - (m-1) and
-    m^2 = 2 tri(m) + m give sum (m-1)^2 = 2P - d and sum m^2 = 2P + S,
-    with d = sum (m-1) and S = sum m.  So ``extra_window``, bounds on the
-    total sum of (m-1)^2, is the window 2P - hi <= d <= 2P - lo, and
-    ``square_budget``, a cap on the total sum of m^2, is S <= budget - 2P.
-    Both filter exactly: the tuples yielded are those inside them, every
-    tuple when they are None.  ``_walk`` keeps its own exact filter, so the
-    unpruned walk, given no hints, checks the pruned one.
+    Once the pair sum P is fixed, (m-1)^2 = 2 tri(m) - (m-1) gives
+    sum (m-1)^2 = 2P - d with d = sum (m-1).  So ``extra_window``, bounds
+    on the total sum of (m-1)^2, is the window 2P - hi <= d <= 2P - lo.
+    It filters exactly: the tuples yielded are those inside it, every
+    tuple when it is None.  ``_walk`` keeps its own exact filter, so the
+    unpruned walk, given no window, checks the pruned one.
 
     The walk picks, from m_max down, how many entries equal each value,
-    carrying d and S.  Below 4 it is closed-form: the count c of 3s fixes
-    that of 2s as s - 3c, every constraint (slots, the d window, the S cap)
-    is linear in c, and the valid c form an interval emitted directly.  The
-    nodes sit on one explicit stack, so the tuples come one at a time from
-    a single generator: no generator is nested per entry, and no list of
-    them is held (an unpruned cell at genus 4 holds megabytes of tuples).
+    carrying d.  Below 4 it is closed-form: the count c of 3s fixes that
+    of 2s as s - 3c, both constraints (slots, the d window) are linear in
+    c, and the valid c form an interval emitted directly.  The nodes sit
+    on one explicit stack, so the tuples come one at a time from a single
+    generator: no generator is nested per entry, and no list of them is
+    held (an unpruned cell at genus 4 holds megabytes of tuples).
     """
     if pair_sum < 0 or (pair_sum and m_max < 2):
         return
     if extra_window is None:
-        # every tuple has 0 <= d <= P and S <= 2P, so nothing is cut
+        # every tuple has 0 <= d <= P, so nothing is cut
         d_lo, d_hi = 0, pair_sum
     else:
         d_lo, d_hi = 2 * pair_sum - extra_window[1], 2 * pair_sum - extra_window[0]
-    s_cap = 2 * pair_sum if square_budget is None else square_budget - 2 * pair_sum
-    stack = [(pair_sum, m_max, slots, 0, 0, ())]
+    stack = [(pair_sum, m_max, slots, 0, ())]
     while stack:
-        s, m, left, d, total, prefix = stack.pop()
+        s, m, left, d, prefix = stack.pop()
         if m <= 3 or s == 0:
-            # c threes and s - 3c twos: d grows by s - c, S by 2s - 3c
+            # c threes and s - 3c twos: d grows by s - c
             top = min(s // 3 if m == 3 else 0, d + s - d_lo)
-            low = max(0, -((left - s) // 2), d + s - d_hi, -((s_cap - total - 2 * s) // 3))
+            low = max(0, -((left - s) // 2), d + s - d_hi)
             for c in range(top, low - 1, -1):
                 yield prefix + (3,) * c + (2,) * (s - 3 * c)
             continue
@@ -251,45 +246,46 @@ def _mult_vectors(
         # the completion floor written in d: the rest adds at least 2s/m to d
         if _floor_cuts(2 * s + d - d_hi, s, m):
             continue
-        # at least ceil(s / tri(m)) more entries, each adding at least 2 to S
-        if total + 2 * -(-s // tm) > s_cap:
-            continue
         # pushed by rising count, so the largest count is walked first
         for c in range(min(s // tm, left) + 1):
-            stack.append((s - c * tm, m - 1, left - c, d + c * (m - 1), total + c * m, prefix + (m,) * c))
+            stack.append((s - c * tm, m - 1, left - c, d + c * (m - 1), prefix + (m,) * c))
 
 
-def _caps(
-    genus: int, ksq_lo: int, ksq_hi: int, adjoint_cap: int | None, point_cap: int | None
-) -> tuple[int, int]:
+def _caps(genus, ksq_lo, ksq_hi, adjoint_cap) -> tuple[int, int, int, int, int]:
+    """The search arguments as ints, the adjoint-degree cap, and the point
+    bound 4g + 4: every row of both searches has pencil square
+    4g + 4 - ksq - n, with n its number of base points, so a nonnegative
+    pencil square is n <= 4g + 4 - ksq."""
+    try:
+        genus, ksq_lo, ksq_hi = index(genus), index(ksq_lo), index(ksq_hi)
+        a_cap = 2 * genus + 6 if adjoint_cap is None else index(adjoint_cap)
+    except TypeError:
+        raise ValueError("genus, window bounds and adjoint_cap must be integers") from None
     if genus < 2:
         raise ValueError("genus must be at least 2")
     if not 1 <= ksq_lo <= ksq_hi:
         raise ValueError("the adjoint-square window must satisfy 1 <= lo <= hi")
-    return (
-        adjoint_cap if adjoint_cap is not None else 2 * genus + 6,
-        point_cap if point_cap is not None else 4 * genus + 4,
-    )
+    if a_cap < 1:
+        raise ValueError("adjoint_cap must be at least 1")
+    return genus, ksq_lo, ksq_hi, a_cap, 4 * genus + 4
 
 
-def _walk(row_type, cells, ksq_lo: int, ksq_hi: int, a_cap: int, n_cap: int, prune: bool):
+def _walk(row_type, cells, ksq_lo: int, ksq_hi: int, a_cap: int, points: int, prune: bool):
     """Rows of every cell (degree, second field, base, pair sum, largest
-    multiplicity, square cap): the multiplicity vectors of the pair sum
-    whose adjoint square base - sum (m-1)^2 lies in the window and whose
-    pencil square cap - sum m^2 is nonnegative, sorted.  With the pair sum
-    P fixed these read base - 2P + sum (m-1) and cap - 2P - sum m (see
-    ``_mult_vectors``); the filter is applied in both modes, so the
-    unpruned walk, given no hints, checks the pruned one.  A row at the
-    adjoint-degree cap warns, since the next degree may hold more rows."""
+    multiplicity): the multiplicity vectors of the pair sum whose adjoint
+    square base - sum (m-1)^2 lies in the window and whose pencil square
+    points - ksq - n is nonnegative, sorted.  With the pair sum P fixed the
+    adjoint square reads base - 2P + sum (m-1) (see ``_mult_vectors``), and
+    no row has more than points - ksq_lo base points; the filter is applied
+    in both modes, so the unpruned walk, given no window, checks the pruned
+    one.  A row at the adjoint-degree cap warns, since the next degree may
+    hold more rows."""
     found = []
-    for a, second, base, pair_sum, m_max, square_cap in cells:
-        if not 0 <= pair_sum <= n_cap * _tri(m_max):
-            continue
-        hints = ((max(0, base - ksq_hi), base - ksq_lo), square_cap) if prune else (None, None)
-        for ms in _mult_vectors(pair_sum, m_max, n_cap, *hints):
-            total = sum(ms)
-            ksq = base - 2 * pair_sum + total - len(ms)
-            if ksq_lo <= ksq <= ksq_hi and total <= square_cap - 2 * pair_sum:
+    for a, second, base, pair_sum, m_max in cells:
+        window = (max(0, base - ksq_hi), base - ksq_lo) if prune else None
+        for ms in _mult_vectors(pair_sum, m_max, points - ksq_lo, window):
+            ksq = base - 2 * pair_sum + sum(ms) - len(ms)
+            if ksq_lo <= ksq <= ksq_hi and len(ms) <= points - ksq:
                 found.append(row_type(a, second, ms, ksq))
     if any(row.adjoint_degree == a_cap for row in found):
         warnings.warn(
@@ -301,25 +297,21 @@ def _walk(row_type, cells, ksq_lo: int, ksq_hi: int, a_cap: int, n_cap: int, pru
 
 
 def search_general(
-    genus: int,
-    ksq_lo: int,
-    ksq_hi: int,
-    *,
-    prune: bool = True,
-    adjoint_cap: int | None = None,
-    point_cap: int | None = None,
+    genus: int, ksq_lo: int, ksq_hi: int, *, prune: bool = True, adjoint_cap: int | None = None
 ) -> tuple[NumericType, ...]:
     """Every pencil numeric with the given genus and adjoint square in
-    [ksq_lo, ksq_hi], within the caps, ordered by (degree, offset, count).
+    [ksq_lo, ksq_hi] and adjoint degree at most ``adjoint_cap`` (default
+    2*genus + 6), ordered by (degree, offset, count).
 
-    The rows are exhaustive only within the caps, adjoint degree at most
-    ``adjoint_cap`` (default 2*genus + 6) and at most ``point_cap`` base
-    points (default 4*genus + 4); the defaults are limits, not a proof
-    that no type lies beyond them (genus 3 with adjoint square at most 8
-    has 19 rows at the defaults and 25 at twice the caps).  A row at the
-    degree cap triggers a warning; no warning is a heuristic, not a proof.
+    The base-point count needs no cap: the pencil square is
+    4*genus + 4 - ksq - n, so n <= 4*genus + 4 - ksq_lo is proved.  The
+    degree cap is a limit, not a proof that no type lies beyond it (genus 3
+    with adjoint square at most 8 has 19 rows at the default and 25 at
+    twice the adjoint cap).  A row at the degree cap triggers a warning; no
+    warning is a heuristic, not a proof.
     """
-    a_cap, n_cap = _caps(genus, ksq_lo, ksq_hi, adjoint_cap, point_cap)
+    genus, ksq_lo, ksq_hi, a_cap, points = _caps(genus, ksq_lo, ksq_hi, adjoint_cap)
+    slots = points - ksq_lo
 
     def cells():
         for a in range(1, a_cap + 1):
@@ -327,41 +319,37 @@ def search_general(
             for t in count(0, 2 - a % 2):
                 base = a * (2 * a + t)
                 pair_sum = (a + 1) * (2 * (a + 1) + t) // 2 - genus
-                if pair_sum > n_cap * _tri(m_max):
+                if pair_sum > slots * _tri(m_max):
                     break
                 # at m_max the floor rises with t (slope a/(a+2) for even a,
                 # 1 for odd a), so the first cut offset ends the degree
                 if prune and _floor_cuts(base - ksq_hi, pair_sum, m_max):
                     break
-                yield a, t, base, pair_sum, m_max, (a + 2) * (2 * (a + 2) + t)
+                yield a, t, base, pair_sum, m_max
 
-    return _walk(NumericType, cells(), ksq_lo, ksq_hi, a_cap, n_cap, prune)
+    return _walk(NumericType, cells(), ksq_lo, ksq_hi, a_cap, points, prune)
 
 
 def search_special(
-    genus: int,
-    ksq_lo: int,
-    ksq_hi: int,
-    *,
-    prune: bool = True,
-    adjoint_cap: int | None = None,
-    point_cap: int | None = None,
+    genus: int, ksq_lo: int, ksq_hi: int, *, prune: bool = True, adjoint_cap: int | None = None
 ) -> tuple[SpecialType, ...]:
-    """Every special pencil numeric in the window, within the same caps and
-    with the same ceiling warning as ``search_general``; empty in the
+    """Every special pencil numeric in the window, within the same degree
+    cap, point bound and ceiling warning as ``search_general``; empty in the
     windows the package certifies (the nonnegativity of the pencil square
     kills every candidate there), but the walk itself is fully general."""
-    a_cap, n_cap = _caps(genus, ksq_lo, ksq_hi, adjoint_cap, point_cap)
+    genus, ksq_lo, ksq_hi, a_cap, points = _caps(genus, ksq_lo, ksq_hi, adjoint_cap)
 
     def cells():
         for a in range(3, a_cap + 1):
             for m0 in range(2, (a + 1) // 2 + 1):
                 base = (a + m0 - 1) ** 2 - (m0 - 1) ** 2
                 pair_sum = a * (a + 1) // 2 + m0 * (a + 1) - genus
+                # the walk's root makes this cut too, but only after starting
+                # a generator; most special cells of a window end here
                 if not (prune and _floor_cuts(base - ksq_hi, pair_sum, m0)):
-                    yield a, m0, base, pair_sum, m0, (a + 2) * (a + 2 + 2 * m0)
+                    yield a, m0, base, pair_sum, m0
 
-    return _walk(SpecialType, cells(), ksq_lo, ksq_hi, a_cap, n_cap, prune)
+    return _walk(SpecialType, cells(), ksq_lo, ksq_hi, a_cap, points, prune)
 
 
 class MinimalAmbientVerdict(NamedTuple):

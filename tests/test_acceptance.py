@@ -233,11 +233,11 @@ def test_criterion_09_oracle_equivalence():
     assert search_special(2, 1, 3) == naive_search_special(2, 1, 3, 10, 12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        caps = dict(adjoint_cap=8, point_cap=12)
+        caps = dict(adjoint_cap=8)
         assert (
             search_general(3, 1, 7, **caps)
             == search_general(3, 1, 7, prune=False, **caps)
-            == naive_search_general(3, 1, 7, 8, 12)
+            == naive_search_general(3, 1, 7, 8, 15)
         )
 
     cases = (

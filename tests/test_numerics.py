@@ -71,21 +71,18 @@ def test_search_equals_oracle_genus_two():
 
 
 def test_search_equals_oracle_genus_three():
-    kwargs = dict(adjoint_cap=8, point_cap=12)
-    naive = naive_search_general(3, 1, 4, **kwargs)
-    assert search_general(3, 1, 4, **kwargs) == naive
-    assert search_general(3, 1, 4, prune=False, **kwargs) == naive
+    naive = naive_search_general(3, 1, 4, adjoint_cap=8, point_cap=15)
+    assert search_general(3, 1, 4, adjoint_cap=8) == naive
+    assert search_general(3, 1, 4, prune=False, adjoint_cap=8) == naive
     assert naive  # the window is not vacuous
 
 
 def test_special_search_equals_oracle():
     for genus in (2, 8):
-        naive = naive_search_special(genus, 1, 10, adjoint_cap=9, point_cap=14)
-        got = search_special(genus, 1, 10, adjoint_cap=9, point_cap=14)
-        unpruned = search_special(genus, 1, 10, prune=False, adjoint_cap=9, point_cap=14)
-        assert got == naive
-        assert unpruned == naive
-    assert naive_search_special(8, 1, 10, adjoint_cap=9, point_cap=14)
+        naive = naive_search_special(genus, 1, 10, adjoint_cap=9, point_cap=4 * genus + 3)
+        assert search_special(genus, 1, 10, adjoint_cap=9) == naive
+        assert search_special(genus, 1, 10, prune=False, adjoint_cap=9) == naive
+    assert naive
 
 
 def test_mult_vector_generator_equals_blunt():
@@ -95,7 +92,7 @@ def test_mult_vector_generator_equals_blunt():
         for m_max in (2, 3, 4):
             for slots in (3, 6, 10):
                 blunt = sorted(blunt_mult_vectors(pair_sum, m_max, slots))
-                got = sorted(_mult_vectors(pair_sum, m_max, slots, None, None))
+                got = sorted(_mult_vectors(pair_sum, m_max, slots, None))
                 assert got == blunt
 
 
@@ -104,8 +101,8 @@ def test_mult_vectors_of_a_negative_pair_sum_are_empty():
     for pair_sum in (-1, -3, -10):
         for m_max in range(0, 7):
             for slots in (0, 5):
-                for window, budget in ((None, None), ((0, 30), 100)):
-                    assert list(_mult_vectors(pair_sum, m_max, slots, window, budget)) == []
+                for window in (None, (0, 30)):
+                    assert list(_mult_vectors(pair_sum, m_max, slots, window)) == []
 
 
 def test_mult_vector_window_never_drops_in_window_tuples():
@@ -115,7 +112,7 @@ def test_mult_vector_window_never_drops_in_window_tuples():
         for m_max in (3, 4):
             blunt = set(blunt_mult_vectors(pair_sum, m_max, 10))
             for lo, hi in ((0, 8), (4, 12), (9, 30)):
-                got = set(_mult_vectors(pair_sum, m_max, 10, (lo, hi), None))
+                got = set(_mult_vectors(pair_sum, m_max, 10, (lo, hi)))
                 wanted = {
                     t for t in blunt if lo <= sum((m - 1) ** 2 for m in t) <= hi
                 }
@@ -131,10 +128,9 @@ def test_mult_vector_hints_filter_exactly():
                 blunt = []
                 for t in blunt_mult_vectors(pair_sum, m_max, slots):
                     extra = sum((m - 1) ** 2 for m in t)
-                    square = sum(m * m for m in t)
                     assert extra == 2 * pair_sum - sum(m - 1 for m in t)
-                    assert square == 2 * pair_sum + sum(t)
-                    blunt.append((t, extra, square))
+                    assert sum(m * m for m in t) == 2 * pair_sum + sum(t)
+                    blunt.append((t, extra))
                 windows = (
                     (0, 2 * pair_sum),
                     (pair_sum, pair_sum + pair_sum // 2),
@@ -142,15 +138,8 @@ def test_mult_vector_hints_filter_exactly():
                     (pair_sum + 2, pair_sum + 5),
                 )
                 for lo, hi in windows:
-                    for cap in (2 * pair_sum + pair_sum // 2, 3 * pair_sum, 4 * pair_sum):
-                        got = set(_mult_vectors(pair_sum, m_max, slots, (lo, hi), cap))
-                        wanted = {
-                            t for t, extra, square in blunt if lo <= extra <= hi and square <= cap
-                        }
-                        assert got == wanted
-
-
-SOUNDNESS_CAPS = dict(adjoint_cap=8, point_cap=12)
+                    got = set(_mult_vectors(pair_sum, m_max, slots, (lo, hi)))
+                    assert got == {t for t, extra in blunt if lo <= extra <= hi}
 
 
 def _windows(genus):
@@ -161,36 +150,34 @@ def _windows(genus):
 @pytest.mark.filterwarnings("ignore:search reached the adjoint-degree ceiling")
 @pytest.mark.parametrize("genus", (2, 3, 4))
 def test_every_window_equals_the_oracle_pruned_and_unpruned(genus):
+    # the oracles take the whole proved point range of each window
     for lo, hi in _windows(genus):
-        general = naive_search_general(genus, lo, hi, **SOUNDNESS_CAPS)
-        special = naive_search_special(genus, lo, hi, **SOUNDNESS_CAPS)
+        caps = dict(adjoint_cap=8, point_cap=4 * genus + 4 - lo)
+        general = naive_search_general(genus, lo, hi, **caps)
+        special = naive_search_special(genus, lo, hi, **caps)
         for prune in (True, False):
-            assert search_general(genus, lo, hi, prune=prune, **SOUNDNESS_CAPS) == general
-            assert search_special(genus, lo, hi, prune=prune, **SOUNDNESS_CAPS) == special
+            assert search_general(genus, lo, hi, prune=prune, adjoint_cap=8) == general
+            assert search_special(genus, lo, hi, prune=prune, adjoint_cap=8) == special
 
 
-@pytest.mark.parametrize("genus", (2, 3, 4))
-def test_square_budget_alone_keeps_every_nonnegative_pencil_square(genus):
-    # the budget does not depend on the window, so every cell of both
-    # walks within the caps is checked once
-    slots = SOUNDNESS_CAPS["point_cap"]
-    cells = []
-    for a in range(1, SOUNDNESS_CAPS["adjoint_cap"] + 1):
-        m_max = (a + 2) // 2
-        # offsets up to 40 run past the pair-sum cap at every degree here
-        for t in range(0, 40, 2 - a % 2):
-            pair_sum = (a + 1) * (2 * (a + 1) + t) // 2 - genus
-            cells.append((pair_sum, m_max, (a + 2) * (2 * (a + 2) + t)))
-        for m0 in range(2, (a + 1) // 2 + 1):
-            pair_sum = a * (a + 1) // 2 + m0 * (a + 1) - genus
-            cells.append((pair_sum, m0, (a + 2) * (a + 2 + 2 * m0)))
-    cells = [c for c in cells if 0 <= c[0] <= slots * c[1] * (c[1] - 1) // 2]
-    assert len(cells) > 20
-    for pair_sum, m_max, square_cap in cells:
-        blunt = set(blunt_mult_vectors(pair_sum, m_max, slots))
-        got = set(_mult_vectors(pair_sum, m_max, slots, None, square_cap))
-        wanted = {ms for ms in blunt if sum(m * m for m in ms) <= square_cap}
-        assert wanted <= got <= blunt
+@pytest.mark.filterwarnings("ignore:search reached the adjoint-degree ceiling")
+@pytest.mark.parametrize("genus", (2, 3, 4, 5, 6))
+def test_every_row_meets_the_pencil_square_identity(genus):
+    # the identities behind the point bound, on every row of every window
+    # 1..4g+3 at the default adjoint cap; e = m - 1
+    general = search_general(genus, 1, 4 * genus + 3)
+    special = search_special(genus, 1, 4 * genus + 3)
+    assert general and (special or genus == 2)  # genus 2 has no special row
+    for row in general + special:
+        ksq, ms = row.adjoint_square, row.multiplicities
+        assert row.pencil_square == 4 * genus + 4 - ksq - len(ms)
+        a, es = row.adjoint_degree, [m - 1 for m in ms]
+        if isinstance(row, NumericType):
+            t = row.twice_offset
+            assert sum(es) == 4 * a + 2 + t - 2 * genus + ksq
+            assert sum(e * e for e in es) == a * (2 * a + t) - ksq
+        else:
+            assert sum(es) == 3 * a + 2 * row.extra_multiplicity - 2 * genus + ksq
 
 
 def test_numeric_type_validation():
@@ -266,6 +253,25 @@ def test_search_window_validation():
         search_general(2, 3, 1)
 
 
+@pytest.mark.parametrize("search", (search_general, search_special))
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    (
+        # a float, a string or None is refused, not truncated or compared
+        ((2, 1, 3.5), {}, "must be integers"),
+        ((2.0, 1, 3), {}, "must be integers"),
+        (("2", 1, 3), {}, "must be integers"),
+        ((2, None, 3), {}, "must be integers"),
+        ((2, 1, 3), {"adjoint_cap": 8.0}, "must be integers"),
+        ((2, 1, 3), {"adjoint_cap": 0}, "adjoint_cap must be at least 1"),
+        ((2, 1, 3), {"adjoint_cap": -4}, "adjoint_cap must be at least 1"),
+    ),
+)
+def test_search_argument_validation(search, args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        search(*args, **kwargs)
+
+
 def _cuts(genus, a, t, prefix, m, ksq_hi):
     """The general walk's floor at cell (a, t) after a multiplicity prefix,
     completed by entries at most m: does it rule out ksq <= ksq_hi?"""
@@ -298,14 +304,14 @@ def test_prefix_bound_below_actual_on_all_rows():
 
 def test_odd_bound_equality_case():
     # adjoint degree 3, genus 8: eight double points meet the floor exactly
-    rows = naive_search_general(8, 10, 10, adjoint_cap=3, point_cap=12)
+    rows = naive_search_general(8, 10, 10, adjoint_cap=3, point_cap=26)
     row = NumericType(3, 0, (2,) * 8, 10)
     assert row in rows
     assert row.genus == 8
     assert _cuts(8, 3, 0, (), 2, 9)
     assert not _cuts(8, 3, 0, (), 2, 10)
     with pytest.warns(UserWarning, match="adjoint-degree ceiling"):
-        assert row in search_general(8, 10, 10, adjoint_cap=3, point_cap=12)
+        assert row in search_general(8, 10, 10, adjoint_cap=3)
 
 
 def test_exclusion_ruled_indices_match_a_fraction_scan():
