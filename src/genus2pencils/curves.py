@@ -13,10 +13,13 @@ one coordinate, each representative is dealt into one non-increasing
 tail per block, and a weight class pairs to the same value with every
 class of such an orbit.  enum_classes names no weight class, so its one
 block holds every position.  Each orbit is paired once, and only the
-orbits a caller reads are expanded: each block tail into its distinct
-arrangements (a large one by halves), joined block after block and put
-in position order by one permutation, then sorted once per head and
-built in bulk.
+orbits a caller reads are expanded.  Each row is written once, head
+first: the first block's arrangements (a large one by halves) carry the
+orbit's head, the other blocks' arrangements are joined on block after
+block, and one permutation puts the whole row, head included, in
+position order.  Each head's rows are sorted once and become the
+classes' coordinates as they stand, so an enumerated class costs one
+coordinate tuple and one slotted object.
 
 One budget rule covers every query: the walk counts its nodes plus the
 orbits it emits, and expanding orbits into more classes than the budget
@@ -137,17 +140,19 @@ def _sorted_tails(square_sum: int, linear_sum: int, slots: int, top: int, budget
             yield (v,) + rest
 
 
-def _descending(tail: tuple[int, ...]):
-    """Distinct permutations of a non-increasing tuple, in descending
-    lexicographic order (repeated previous-permutation steps)."""
-    t = list(tail)
+def _descending(tail: tuple[int, ...], prefix: tuple[int, ...] = ()):
+    """prefix + each distinct permutation of a non-increasing tuple, in
+    descending lexicographic order (repeated previous-permutation steps on
+    the positions after the prefix); each row is one new tuple."""
+    t = list(prefix + tail)
+    start = len(prefix)
     last = len(t) - 1
     while True:
         yield tuple(t)
         i = last - 1
-        while i >= 0 and t[i] <= t[i + 1]:
+        while i >= start and t[i] <= t[i + 1]:
             i -= 1
-        if i < 0:
+        if i < start:
             return
         j = last
         while t[j] >= t[i]:
@@ -160,30 +165,32 @@ def _descending(tail: tuple[int, ...]):
 _SPLIT_AT = 64
 
 
-def _arrangements(tail: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Distinct permutations of a non-increasing tuple, as a list.
+def _arrangements(tail: tuple[int, ...], prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """prefix + each distinct permutation of a non-increasing tuple, as a
+    list of rows written once, prefix first.
 
     Fewer than _SPLIT_AT are stepped through directly, in descending
     lexicographic order.  A larger multiset is split over the two halves of
     the positions, once for each way to deal it into them, and every
-    arrangement of the first half is joined to every arrangement of the
-    second; each distinct half is permuted once.  The order is then
-    descending within one split, not across splits.
+    arrangement of the first half, prefix included, is joined to every
+    arrangement of the second; each distinct (prefix, half) is permuted
+    once.  The order is then descending within one split, not across
+    splits.
     """
     if _arrangement_count(tail) < _SPLIT_AT:
-        return list(_descending(tail))
+        return list(_descending(tail, prefix))
     values, counts = _multiset(tail)
-    permuted: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    permuted: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
 
-    def arranged(taken):
-        half = _spread(values, taken)
-        if half not in permuted:
-            permuted[half] = list(_descending(half))
-        return permuted[half]
+    def arranged(head, taken):
+        key = head, _spread(values, taken)
+        if key not in permuted:
+            permuted[key] = list(_descending(key[1], head))
+        return permuted[key]
 
     out: list[tuple[int, ...]] = []
     for taken in _picks(counts, len(tail) // 2):
-        out += _joined(arranged(taken), arranged(tuple(map(sub, counts, taken))))
+        out += _joined(arranged(prefix, taken), arranged((), tuple(map(sub, counts, taken))))
     return out
 
 
@@ -344,10 +351,11 @@ def _orbit_degrees(
     )
 
 
-def _placer(blocks: tuple[tuple[int, ...], ...]) -> itemgetter | None:
-    """An itemgetter putting a tail written block after block into position
-    order, or None when the blocks already hold the positions in order."""
-    order = tuple(chain.from_iterable(blocks))
+def _placer(base: int, blocks: tuple[tuple[int, ...], ...]) -> itemgetter | None:
+    """One itemgetter putting a whole row, the base-rank head followed by
+    the exceptional coordinates written block after block, into position
+    order; None when the blocks already hold the positions in order."""
+    order = tuple(range(base)) + tuple(base + i for i in chain.from_iterable(blocks))
     if order == tuple(range(len(order))):
         return None
     return itemgetter(*sorted(range(len(order)), key=order.__getitem__))
@@ -357,36 +365,36 @@ def _first(surface: Surface, blocks, orbits) -> DivisorClass | None:
     """The class of the given orbits that comes first in enumeration order:
     the least head, then the largest tail.  An orbit's largest tail fills
     each position, in index order, with the largest value left in its block,
-    which is its block tails placed as they stand."""
+    which is its head and block tails written as one row and placed by the
+    permutation _expand uses."""
     if not orbits:
         return None
     head = min(o.head for o in orbits)
-    tails = [sum(o.tails, ()) for o in orbits if o.head == head]
-    place = _placer(blocks)
-    tail = max(tails if place is None else map(place, tails))
-    return DivisorClass._derived(surface, head + tail)
+    rows = [sum(o.tails, head) for o in orbits if o.head == head]
+    place = _placer(surface.base_rank, blocks)
+    return DivisorClass._derived(surface, max(rows if place is None else map(place, rows)))
 
 
 def _expand(surface: Surface, blocks, orbits, budget: int) -> tuple[DivisorClass, ...]:
     """Every class of the given orbits, in enumeration order: heads
-    ascending, tails descending within a head.  An orbit's block
-    arrangements are joined block after block and one permutation puts
-    them in position order; each head's tails are sorted once, and the
-    classes built in bulk.  More classes than the budget raise before any
-    is built."""
+    ascending, tails descending within a head.  Each row is written once,
+    head first: the first block's arrangements carry the orbit's head, the
+    other blocks' arrangements are joined to them block after block, and
+    one permutation puts the whole row in position order.  A head's rows
+    all share it, so each head's list is sorted once, descending, as whole
+    rows, and the rows become the classes' coordinates in bulk.  More
+    classes than the budget raise before any is built."""
     if sum(o.size for o in orbits) > budget:
         raise BudgetExceededError("budget exceeded")
-    place = _placer(blocks)
+    place = _placer(surface.base_rank, blocks)
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for o in orbits:
-        tails = reduce(_joined, map(_arrangements, o.tails)) if o.tails else [()]
-        groups.setdefault(o.head, []).extend(tails if place is None else map(place, tails))
-    coords: list[tuple[int, ...]] = []
-    for head in sorted(groups):
-        tails = groups[head]
-        tails.sort(reverse=True)
-        coords += map(add, repeat(head), tails)
-    return DivisorClass._derived_all(surface, coords)
+        first, *rest = o.tails or ((),)
+        rows = reduce(_joined, map(_arrangements, rest), _arrangements(first, o.head))
+        groups.setdefault(o.head, []).extend(rows if place is None else map(place, rows))
+    for rows in groups.values():
+        rows.sort(reverse=True)
+    return DivisorClass._derived_all(surface, chain.from_iterable(map(groups.get, sorted(groups))))
 
 
 def _classes_meeting(

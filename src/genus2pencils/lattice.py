@@ -11,7 +11,9 @@ Coordinates are validated once, when a class enters the library through
 DivisorClass(surface, coords) or Surface.divisor.  Classes the library
 derives from validated ones (sums, differences, integer multiples,
 blow-up and blow-down images, quadratic transforms) and the classes its
-own integer walks build are made without validating again.
+own integer walks build are made without validating again.  A class is a
+slotted frozen dataclass: two fields and no per-instance dict, so a large
+enumeration costs one small object and one coordinate tuple per class.
 
 Every surface a blow-up or a contraction reaches comes from one shared
 constructor, so equal surfaces reached that way are one object, and the
@@ -214,7 +216,13 @@ class DivisorClass:
 
     The constructor checks that the surface is a Surface, coerces every
     coordinate to an int and checks the count against the surface's rank.
+    The two fields are slots; an instance has no __dict__.
     """
+
+    # slots named in the body, not dataclass(slots=True): that option builds
+    # a second class, whose frozen __setattr__ then raises TypeError, not
+    # FrozenInstanceError, for a new attribute name (Python 3.10 and 3.11)
+    __slots__ = ("surface", "coords")
 
     surface: Surface
     coords: tuple[int, ...]
@@ -246,12 +254,19 @@ class DivisorClass:
         cls, surface: Surface, rows: Iterable[tuple[int, ...]]
     ) -> tuple["DivisorClass", ...]:
         """_derived for every row, in order: the objects are made and both
-        fields set by C-level loops, with no Python call per class."""
+        slots set by C-level loops, with no Python call per class, and each
+        row becomes the class's coordinates as it stands, not copied."""
         rows = tuple(rows)
         made = tuple(map(_new_object, repeat(cls, len(rows))))
         deque(map(_set_field, made, repeat("surface"), repeat(surface)), 0)
         deque(map(_set_field, made, repeat("coords"), rows), 0)
         return made
+
+    def __reduce__(self):
+        # the default reduction would restore the slots by setattr, which
+        # a frozen class refuses: pickle and copy rebuild through the
+        # validating constructor instead
+        return DivisorClass, (self.surface, self.coords)
 
     def _require_same(self, other: "DivisorClass") -> None:
         if self.surface is not other.surface and self.surface != other.surface:
@@ -317,18 +332,26 @@ class DivisorClass:
 
 def pairings(d: DivisorClass, classes: Sequence[DivisorClass]) -> tuple[int, ...]:
     """(d * c for c in classes), with d's dual vector computed once; every
-    class must live on d's surface."""
-    surface = d.surface
-    dual = surface.dual(d.coords)
+    class must live on d's surface, and anything that is not a class is a
+    LatticeError naming it."""
+    try:
+        surface = d.surface
+        dual = surface.dual(d.coords)
+    except AttributeError:
+        raise LatticeError(f"pairings need a divisor class, not {d!r}") from None
     out = []
     # equal surfaces are compared once per change of object, not per class
     checked = surface
-    for c in classes:
-        if c.surface is not checked:
-            if c.surface != surface:
-                raise ForeignClassError("foreign class: operands live on different surfaces")
-            checked = c.surface
-        out.append(sum(map(mul, dual, c.coords)))
+    try:
+        for c in classes:
+            if c.surface is not checked:
+                if c.surface != surface:
+                    raise ForeignClassError("foreign class: operands live on different surfaces")
+                checked = c.surface
+            out.append(sum(map(mul, dual, c.coords)))
+    except AttributeError:
+        # c is the item that had no surface or no coordinates
+        raise LatticeError(f"pairings need divisor classes, not {c!r}") from None
     return tuple(out)
 
 

@@ -3,6 +3,10 @@ identities built on it."""
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import box_classes, flat_classes
 
+import genus2pencils
 from genus2pencils import catalog
 from genus2pencils.curves import (
     DEFAULT_BUDGET,
@@ -38,6 +43,7 @@ from genus2pencils.lattice import (
     pairings,
     plane_blowup,
     plane_curve,
+    ruled_curve,
 )
 
 
@@ -480,6 +486,61 @@ def test_interleaved_blocks_expand_in_enumeration_order():
     for degree in set(degrees):
         meeting = tuple(c for c, d in zip(want, degrees) if d == degree)
         assert _classes_meeting(s, f, degree, query) == meeting
+
+
+def test_ruled_interleaved_blocks_expand_in_enumeration_order():
+    # the head has two coordinates, so the one permutation that puts a
+    # row in position order must keep D0 and G in front and put the
+    # blocks (0, 2, 4, 6) and (1, 3, 5, 7) back in place behind them
+    s = hirzebruch_blowup(1, 8)
+    f = ruled_curve(s, 2, 6, (2, 1) * 4)
+    fib = Fibration(s, f, genus=0).validate()
+    assert _blocks(s, (f,)) == ((0, 2, 4, 6), (1, 3, 5, 7))
+    p = f + s.canonical()
+    for query in (ClassQuery(-1, -1, 3), ClassQuery(-2, 0, 2), ClassQuery(0, -2, 2)):
+        want = enum_classes(s, query)
+        degrees = pairings(f, want)
+        assert len(set(degrees)) > 1
+        report = fibre_intersection_identity(fib, p, 1, query)
+        assert report.classes == want
+        assert report.witnesses == tuple(c for c, d in zip(want, degrees) if d == report.minimum)
+        for degree in set(degrees):
+            meeting = tuple(c for c, d in zip(want, degrees) if d == degree)
+            assert _classes_meeting(s, f, degree, query) == meeting
+    found = minus_one_section_exists(fib, 3)
+    want = enum_classes(s, ClassQuery(-1, -1, 3))
+    degrees = pairings(f, want)
+    assert found.witness == next(c for c, d in zip(want, degrees) if d == 1)
+    assert found.minimum_witness == want[degrees.index(min(degrees))]
+
+
+_MEMORY_PROBE = """
+import json, tracemalloc
+from genus2pencils.curves import ClassQuery, enum_classes
+from genus2pencils.lattice import plane_blowup
+s = plane_blowup(12)
+tracemalloc.start()
+classes = enum_classes(s, ClassQuery(-1, -1, 4))
+print(json.dumps([len(classes), tracemalloc.get_traced_memory()[0]]))
+"""
+
+
+def test_enumerated_classes_cost_one_row_and_one_small_object():
+    # a class is a slotted object over its coordinate row, about 200 bytes
+    # on P^2 blown up in 12 points.  Measured in a fresh interpreter, as a
+    # benchmark worker runs: there the first bulk build of a class with an
+    # instance dict gives every class a whole dict (about 480 bytes each),
+    # and a second row per class would also pass 300
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genus2pencils.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMORY_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, retained = json.loads(proc.stdout)
+    assert count == 42_714
+    assert retained / count <= 300
 
 
 def test_orbit_sizes_count_the_enumeration():

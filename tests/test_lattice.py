@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from genus2pencils.lattice import (
@@ -20,6 +24,7 @@ from genus2pencils.lattice import (
     elementary_transform,
     hirzebruch_blowup,
     is_minus_one_class,
+    pairings,
     picard_number,
     plane_blowup,
     plane_curve,
@@ -150,6 +155,43 @@ def test_divisor_class_needs_a_surface():
         DivisorClass("plane", (1,))
     with pytest.raises(LatticeError, match="not on None"):
         DivisorClass(None, ())
+
+
+def test_divisor_classes_are_slotted_and_frozen():
+    s = plane_blowup(3)
+    c = s.divisor(1, -1, 0, 0)
+    ruled = ruled_curve(hirzebruch_blowup(2, 2), 1, 2, (1,))
+    derived = c + s.exceptional(2)
+    for x in (c, ruled, derived):
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.coords = (0,) * x.surface.rank
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.degree = 1
+        # equality and hash are those of the (surface, coords) pair
+        assert hash(x) == hash((x.surface, x.coords))
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(y) is DivisorClass
+            assert y == x and hash(y) == hash(x)
+            assert y.surface == x.surface and y.coords == x.coords
+    assert c == DivisorClass(plane_blowup(3), (1, -1, 0, 0))
+    assert c != DivisorClass(plane_blowup(3), (1, 0, -1, 0))
+    assert c != DivisorClass(plane_blowup(4), (1, -1, 0, 0, 0))
+    assert len({c, DivisorClass(plane_blowup(3), (1, -1, 0, 0)), ruled}) == 2
+
+
+def test_pairings_name_what_is_not_a_class():
+    s = plane_blowup(2)
+    line = s.line
+    assert pairings(line, [line, s.exceptional(1)]) == (1, 0)
+    with pytest.raises(LatticeError, match="need divisor classes, not 1$"):
+        pairings(line, [1, 2])
+    with pytest.raises(LatticeError, match=r"need a divisor class, not \(1, 0, 0\)$"):
+        pairings((1, 0, 0), [line])
+    with pytest.raises(LatticeError, match="need divisor classes, not Surface"):
+        pairings(line, [line, s])
+    with pytest.raises(ForeignClassError):
+        pairings(line, [line, plane_blowup(3).line])
 
 
 def test_minus_one_class_detection():
