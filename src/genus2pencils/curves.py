@@ -4,8 +4,10 @@ Classes are enumerated by their pairing with a fixed nef reference class
 (the line, or minimal-section-plus-ruling shapes on the ruled kind) up to
 a degree cap, constrained to the requested self-intersection and
 canonical degree.  Permuting the exceptional coordinates fixes all three
-numbers, so the depth-first walk visits only non-increasing tails, one
-representative per orbit, with exact integer window pruning.
+numbers, so only non-increasing tails are listed, one representative per
+orbit.  A tail fixes sum t_i^2 and sum t_i, so with m = t + 1 it is a
+multiset of the package's one multiset walk, ``numerics._multisets``,
+whose cuts are the only pruning.
 
 Every query works on block orbits: the exceptional indices split into
 blocks on which every weight class (the fibre, a constraint target) has
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, repeat
-from math import factorial, isqrt, prod
+from math import factorial, prod
 from operator import add, eq, index as _as_int, itemgetter, mul, sub
 from typing import NamedTuple
 
@@ -46,6 +48,7 @@ from .lattice import (
     Surface,
     pairings,
 )
+from .numerics import _multisets
 
 __all__ = [
     "BudgetExceededError",
@@ -86,10 +89,23 @@ class ClassQuery:
 
 
 def reference_class(surface: Surface) -> DivisorClass:
-    """The nef class measuring enumeration degree: L, or D0 + (index+1)*G."""
+    """The nef class measuring enumeration degree: L, or D0 + (index+1)*G.
+    Anything but a Surface is a LatticeError."""
+    _expect(surface, Surface, "surface")
     if surface.kind == "plane":
         return surface.line
     return surface.minimal_section + (surface.index + 1) * surface.ruling
+
+
+def _expect(value, kind: type, name: str) -> None:
+    """A LatticeError naming the argument when it is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise LatticeError(f"{name} must be a {kind.__name__}, not {value!r}")
+
+
+def _check_fibration(fib: Fibration) -> None:
+    _expect(fib, Fibration, "fib")
+    _expect(fib.fibre_class, DivisorClass, "the fibre class of fib")
 
 
 def _budget_size(n: int) -> int:
@@ -110,34 +126,6 @@ class _Budget:
         self.left -= 1
         if self.left < 0:
             raise BudgetExceededError("budget exceeded")
-
-
-def _sorted_tails(square_sum: int, linear_sum: int, slots: int, top: int, budget: _Budget):
-    """Non-increasing integer tuples t of the given length, every entry at
-    most top, with sum(t_i^2) = square_sum and sum(t_i) = linear_sum.
-
-    These are the representatives of the orbits of the permutations of the
-    exceptional coordinates, which fix C*C, K*C and the reference degree.
-    """
-    budget.spend()
-    if slots == 0:
-        if square_sum == 0 and linear_sum == 0:
-            yield ()
-        return
-    if square_sum < 0:
-        return
-    # Cauchy-Schwarz window, the square/linear parity match, and no entry
-    # may exceed the one before it
-    if linear_sum * linear_sum > slots * square_sum:
-        return
-    if (square_sum - linear_sum) % 2:
-        return
-    if linear_sum > slots * top:
-        return
-    bound = isqrt(square_sum)
-    for v in range(min(top, bound), -bound - 1, -1):
-        for rest in _sorted_tails(square_sum - v * v, linear_sum - v, slots - 1, v, budget):
-            yield (v,) + rest
 
 
 def _descending(tail: tuple[int, ...], prefix: tuple[int, ...] = ()):
@@ -222,13 +210,25 @@ def _heads(surface: Surface, query: ClassQuery):
 
 def _walk(surface: Surface, query: ClassQuery, budget: _Budget):
     """(head, representative tail) for every orbit of the permutations of
-    the exceptional coordinates, the zero class left out."""
+    the exceptional coordinates, the zero class left out, tails in
+    descending order within a head.
+
+    A tail t has sum t_i^2 = S and sum t_i = L, so m = t + 1 has sum
+    m(m-1)/2 = (S + L)/2 and sum (m-1) = L: the multisets of numerics'
+    walk, which leaves out the zeros (m = 1); an odd S - L has no tail.
+    The zeros go back between the positive and the negative entries.
+    """
+    n = surface.blowups
     for head, square_sum, linear_sum in _heads(surface, query):
-        top = isqrt(max(square_sum, 0))
+        if (square_sum - linear_sum) % 2:
+            continue
         nonzero = any(head)
-        for rep in _sorted_tails(square_sum, linear_sum, surface.blowups, top, budget):
-            if nonzero or any(rep):
-                yield head, rep
+        pair_sum = (square_sum + linear_sum) // 2
+        for ms in _multisets(pair_sum, None, None, n, linear_sum, linear_sum, budget.spend):
+            if nonzero or ms:
+                xs = tuple(m - 1 for m in ms)
+                k = sum(x > 0 for x in xs)
+                yield head, xs[:k] + (0,) * (n - len(xs)) + xs[k:]
 
 
 class _Orbit(NamedTuple):
@@ -323,7 +323,10 @@ def enum_classes(
 ) -> tuple[DivisorClass, ...]:
     """Every class with the queried numerical data and reference degree
     between 0 and the cap, in ascending (degree part, multiplicities) order:
-    the orbits over one block of every exceptional position, expanded."""
+    the orbits over one block of every exceptional position, expanded.  A
+    surface or query of another type is a LatticeError naming it."""
+    _expect(surface, Surface, "surface")
+    _expect(query, ClassQuery, "query")
     budget = _budget_size(budget)
     blocks = _blocks(surface, ())
     return _expand(surface, blocks, _orbits(surface, query, blocks, budget), budget)
@@ -450,8 +453,10 @@ class IdentityReport:
 
 
 def _check_decomposition(fib: Fibration, pencil: DivisorClass, shift: int) -> int:
-    """The shift as an int, once F = pencil - shift*K is checked; a shift
-    that is not an integer is a LatticeError."""
+    """The shift as an int, once F = pencil - shift*K is checked; a pencil
+    that is not a class or a shift that is not an integer is a
+    LatticeError."""
+    _expect(pencil, DivisorClass, "pencil")
     try:
         shift = _as_int(shift)
     except TypeError:
@@ -477,8 +482,12 @@ def fibre_intersection_identity(
     class, and every enumerated class has K*C = query.k_deg.  So F is
     paired once per block orbit of F (K is constant on the exceptional
     coordinates, so P is constant on these blocks too), which gives the
-    count, the minimum and the orbits of its witnesses.
+    count, the minimum and the orbits of its witnesses.  A fibration,
+    fibre class, pencil or query of another type is a LatticeError naming
+    it, raised before any walk.
     """
+    _check_fibration(fib)
+    _expect(query, ClassQuery, "query")
     shift = _check_decomposition(fib, pencil, shift)
     budget = _budget_size(budget)
     f = fib.fibre_class
@@ -518,8 +527,10 @@ def minus_one_section_exists(
     shift without a pencil); then F*C = pencil*C + shift on classes with
     K*C = -1, and shift is certified as a lower bound over the enumerated
     range when pencil*C >= 0 on every enumerated class, that is when the
-    minimum is at least shift.
+    minimum is at least shift.  A fibration, fibre class or pencil of
+    another type is a LatticeError naming it, raised before any walk.
     """
+    _check_fibration(fib)
     if pencil is not None:
         shift = _check_decomposition(fib, pencil, shift)
     elif shift is not None:

@@ -6,10 +6,16 @@ doubled so odd degrees stay integral), and the multiplicities of its
 base points.  The searches below enumerate every solution of the degree,
 genus and nonnegativity equations up to an adjoint-degree cap, exactly.
 The base-point count needs no cap of its own: every row has pencil square
-4g + 4 - ksq - n, so its n base points number at most 4g + 4 - ksq.  Both
-searches share one cell walk and one pruning bound, the completion floor
-of ``_floor_cuts``; pruning is optional and is checked against the
-unpruned walk in tests.
+4g + 4 - ksq - n, so its n base points number at most 4g + 4 - ksq.
+
+Both searches walk cells and list the multiplicity vectors of each cell
+with ``_multisets``, the one multiset walk of the package: the class
+enumeration of ``curves`` lists its exceptional tails with it too.  It
+walks multiplicity counts with one set of cuts (entry clamp, range,
+chord, lower hull) and a closed-form tail, and the cell skips of both
+searches call the same chord bound, ``_chord_cuts``.  Pruning by the
+adjoint-square window is optional and is checked against the unpruned
+walk in tests.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import count, product
+from math import isqrt
 from operator import index
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "NumericType",
@@ -186,69 +193,128 @@ class SpecialType:
         )
 
 
-def _floor_cuts(need: int, pair_left: int, m: int) -> bool:
-    """The completion floor, the one pruning bound of both searches.
+def _chord_cuts(pairs: int, slope: int, e_lo: int, e_hi: int) -> bool:
+    """The chord, the upper-hull bound of the multiset walk.
 
-    ``need`` is how much more the sum of (m-1)^2 must grow to bring the
-    adjoint square down into the window, and ``pair_left`` the sum of
-    m(m-1)/2 still to place with entries at most m.  Each entry adds
-    (m-1)^2 = 2(m-1)/m * m(m-1)/2, so the completions add at most
-    2(m-1)/m * pair_left (equality iff every entry is m); True when that
-    falls short of ``need``.
+    Take n values x in [b, v] with sum s of p(x) = x(x+1)/2 and sum D.  p
+    is convex, so it lies under its chord from b to v,
+    p(x) <= p(b) + (x - b)(v + b + 1)/2, and summed over the values,
+    2(s - n p(b)) <= (v + b + 1)(D - n b).  Given pairs = s - n p(b),
+    slope = v + b + 1 and D - n b in [e_lo, e_hi], True when no D there
+    meets it.  With b = 0 and m = v + 1 it is the completion floor: every
+    entry at most m adds at most 2(m-1)/m to the sum of (m-1)^2 per unit
+    of the pair sum m(m-1)/2.  At the top of the range, D = n v, it is the
+    pair cap s <= n p(v).
     """
-    return m * need > 2 * (m - 1) * pair_left
+    return 2 * pairs > slope * (e_hi if slope >= 0 else e_lo)
 
 
-def _mult_vectors(
-    pair_sum: int, m_max: int, slots: int, extra_window: tuple[int, int] | None
+def _multisets(
+    pair_sum: int,
+    lo: int | None,
+    hi: int | None,
+    slots: int,
+    d_lo: int,
+    d_hi: int,
+    spend: Callable[[], None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Non-increasing tuples with entries in [2, m_max] and
-    sum of m(m-1)/2 equal to pair_sum, at most ``slots`` entries.
+    """Non-increasing tuples of integers m != 1 in [lo, hi] (lo <= 2; None
+    bounds nothing), at most ``slots`` of them, with sum of m(m-1)/2 equal
+    to pair_sum and sum of (m-1) in [d_lo, d_hi]; padded with 1s to
+    ``slots`` entries, they come in descending lexicographic order.
 
-    Once the pair sum P is fixed, (m-1)^2 = 2 tri(m) - (m-1) gives
-    sum (m-1)^2 = 2P - d with d = sum (m-1).  So ``extra_window``, bounds
-    on the total sum of (m-1)^2, is the window 2P - hi <= d <= 2P - lo.
-    It filters exactly: the tuples yielded are those inside it, every
-    tuple when it is None.  ``_walk`` keeps its own exact filter, so the
-    unpruned walk, given no window, checks the pruned one.
+    m = 1 adds nothing to either sum, so it stands for an absent entry: in
+    x = m - 1, with p(x) = x(x+1)/2, the walk places exactly ``slots``
+    values, x = 0 among them.  It picks, from the largest value down, how
+    many entries equal each value, largest count first, carrying the pair
+    sum s left to place and the sum of x so far.  At every node, with n
+    values left in [b, v] summing to D:
 
-    The walk picks, from m_max down, how many entries equal each value,
-    carrying d.  Below 4 it is closed-form: the count c of 3s fixes that
-    of 2s as s - 3c, both constraints (slots, the d window) are linear in
-    c, and the valid c form an interval emitted directly.  The nodes sit
-    on one explicit stack, so the tuples come one at a time from a single
-    generator: no generator is nested per entry, and no list of them is
-    held (an unpruned cell at genus 4 holds megabytes of tuples).
+    - entry clamp: p(x) <= s, so x lies in [-r-1, r] with r(r+1)/2 <= s;
+    - range: D lies in [n b, n v];
+    - chord: ``_chord_cuts``, which covers the pair cap s <= n p(v);
+    - lower hull: p(x) >= x and p(x) >= -x - 1 put D in [-s - n, s], and
+      Cauchy-Schwarz, with sum x^2 = 2s - D, gives D(D + n) <= 2ns.
+
+    Over the last three values b, b+1, b+2 it is closed-form: with
+    e = D - n b and rr = s - n p(b), their counts are rr - (b+1)e,
+    (2b+3)e - 2rr and n + rr - (b+2)e, each linear in e, so the valid e
+    form an interval that is emitted directly.  The nodes sit on one
+    explicit stack, so the tuples come one at a time from one generator
+    and no list of them is held (an unpruned cell at genus 4 holds
+    megabytes of tuples).  ``spend`` is called once per node.
     """
-    if pair_sum < 0 or (pair_sum and m_max < 2):
+    if pair_sum < 0:
         return
-    if extra_window is None:
-        # every tuple has 0 <= d <= P, so nothing is cut
-        d_lo, d_hi = 0, pair_sum
-    else:
-        d_lo, d_hi = 2 * pair_sum - extra_window[1], 2 * pair_sum - extra_window[0]
-    stack = [(pair_sum, m_max, slots, 0, ())]
+    floor = -pair_sum - 1 if lo is None else lo - 1 if lo < 1 else 0
+    stack = [(pair_sum, pair_sum if hi is None else hi - 1, slots, 0, ())]
     while stack:
-        s, m, left, d, prefix = stack.pop()
-        if m <= 3 or s == 0:
-            # c threes and s - 3c twos: d grows by s - c
-            top = min(s // 3 if m == 3 else 0, d + s - d_lo)
-            low = max(0, -((left - s) // 2), d + s - d_hi)
-            for c in range(top, low - 1, -1):
-                yield prefix + (3,) * c + (2,) * (s - 3 * c)
+        s, v, left, d, prefix = stack.pop()
+        if spend is not None:
+            spend()
+        # a floor of -1 or more is above -r-1 whatever r is, and p is 0 on
+        # -1 and 0
+        if floor < -1 or v * (v + 1) > 2 * s:
+            r = (isqrt(8 * s + 1) - 1) >> 1
+            if v > r:
+                v = r
+            b = floor if floor > -r - 1 else -r - 1
+            rr = s - ((left * b * (b + 1)) >> 1)
+        else:
+            b = floor
+            rr = s
+        # D - left*b, in [0, left*(v - b)]
+        nb = left * b
+        e_lo = d_lo - d - nb
+        e_hi = d_hi - d - nb
+        if e_lo < 0:
+            e_lo = 0
+        if e_hi > left * (v - b):
+            e_hi = left * (v - b)
+        if _chord_cuts(rr, v + b + 1, e_lo, e_hi):
             continue
-        tm = _tri(m)
-        if s > left * tm:
+        if e_lo > e_hi or s < e_lo + nb or e_hi + nb < -s - left:
             continue
-        # each unit of pair sum adds at most 1 to d
-        if d + s < d_lo:
+        dl = e_lo + nb
+        dh = e_hi + nb
+        if 2 * dl + left > 0 and dl * (dl + left) > 2 * left * s:
             continue
-        # the completion floor written in d: the rest adds at least 2s/m to d
-        if _floor_cuts(2 * s + d - d_hi, s, m):
+        if 2 * dh + left < 0 and dh * (dh + left) > 2 * left * s:
             continue
-        # pushed by rising count, so the largest count is walked first
-        for c in range(min(s // tm, left) + 1):
-            stack.append((s - c * tm, m - 1, left - c, d + c * (m - 1), prefix + (m,) * c))
+        if v - b > 2:
+            pv = (v * (v + 1)) >> 1
+            top = left if pv == 0 or s // pv > left else s // pv
+            unit = (v + 1,) if v else ()
+            # pushed by rising count, so the largest count is walked first
+            for c in range(top + 1):
+                stack.append((s - c * pv, v - 1, left - c, d + c * v, prefix + unit * c))
+            continue
+        # each count beta - alpha*e is nonnegative; a value above v has
+        # count zero as well
+        bounds = [(b + 1, rr), (-2 * b - 3, -2 * rr), (b + 2, left + rr)]
+        if v < b + 2:
+            bounds.append((-b - 1, -rr))
+            if v < b + 1:
+                bounds.append((2 * b + 3, 2 * rr))
+        for alpha, beta in bounds:
+            if alpha > 0:
+                if beta // alpha < e_hi:
+                    e_hi = beta // alpha
+            elif alpha < 0:
+                if -(beta // -alpha) > e_lo:
+                    e_lo = -(beta // -alpha)
+            elif beta < 0:
+                e_hi = e_lo - 1
+        units = [(b + 3,), (b + 2,), (b + 1,)]
+        if -2 <= b <= 0:
+            units[2 + b] = ()  # m = 1, an absent entry
+        u2, u1, u0 = units
+        # descending lexicographic: the count of b+2 falls as e rises
+        # exactly when b >= 0
+        for e in range(e_lo, e_hi + 1) if b >= 0 else range(e_hi, e_lo - 1, -1):
+            yield prefix + u2 * (rr - (b + 1) * e) + u1 * ((2 * b + 3) * e - 2 * rr) + u0 * (
+                left + rr - (b + 2) * e
+            )
 
 
 def _caps(genus, ksq_lo, ksq_hi, adjoint_cap) -> tuple[int, int, int, int, int]:
@@ -274,16 +340,21 @@ def _walk(row_type, cells, ksq_lo: int, ksq_hi: int, a_cap: int, points: int, pr
     """Rows of every cell (degree, second field, base, pair sum, largest
     multiplicity): the multiplicity vectors of the pair sum whose adjoint
     square base - sum (m-1)^2 lies in the window and whose pencil square
-    points - ksq - n is nonnegative, sorted.  With the pair sum P fixed the
-    adjoint square reads base - 2P + sum (m-1) (see ``_mult_vectors``), and
-    no row has more than points - ksq_lo base points; the filter is applied
-    in both modes, so the unpruned walk, given no window, checks the pruned
-    one.  A row at the adjoint-degree cap warns, since the next degree may
-    hold more rows."""
+    points - ksq - n is nonnegative, sorted.  With the pair sum P fixed,
+    (m-1)^2 = 2 m(m-1)/2 - (m-1) gives sum (m-1)^2 = 2P - d with
+    d = sum (m-1), so the window is 2P - base + lo <= d <= 2P - base + hi;
+    the unpruned walk passes 0 <= d <= P instead, which holds for every
+    vector.  No row has more than points - ksq_lo base points.  The filter
+    is applied in both modes, so the unpruned walk checks the pruned one.
+    A row at the adjoint-degree cap warns, since the next degree may hold
+    more rows."""
     found = []
     for a, second, base, pair_sum, m_max in cells:
-        window = (max(0, base - ksq_hi), base - ksq_lo) if prune else None
-        for ms in _mult_vectors(pair_sum, m_max, points - ksq_lo, window):
+        if prune:
+            d_lo, d_hi = 2 * pair_sum - base + ksq_lo, 2 * pair_sum - base + ksq_hi
+        else:
+            d_lo, d_hi = 0, pair_sum
+        for ms in _multisets(pair_sum, 2, m_max, points - ksq_lo, d_lo, d_hi):
             ksq = base - 2 * pair_sum + sum(ms) - len(ms)
             if ksq_lo <= ksq <= ksq_hi and len(ms) <= points - ksq:
                 found.append(row_type(a, second, ms, ksq))
@@ -319,11 +390,14 @@ def search_general(
             for t in count(0, 2 - a % 2):
                 base = a * (2 * a + t)
                 pair_sum = (a + 1) * (2 * (a + 1) + t) // 2 - genus
-                if pair_sum > slots * _tri(m_max):
-                    break
-                # at m_max the floor rises with t (slope a/(a+2) for even a,
-                # 1 for odd a), so the first cut offset ends the degree
-                if prune and _floor_cuts(base - ksq_hi, pair_sum, m_max):
+                # the walk's root chord, the window capped at the top of the
+                # range, where the chord is the pair cap (unpruned, the pair
+                # cap alone): it rises with t (slope a/(a+2) for even a, 1
+                # for odd a), so the first cut offset ends the degree
+                d_hi = slots * (m_max - 1)
+                if prune and d_hi > 2 * pair_sum - base + ksq_hi:
+                    d_hi = 2 * pair_sum - base + ksq_hi
+                if _chord_cuts(pair_sum, m_max, 0, d_hi):
                     break
                 yield a, t, base, pair_sum, m_max
 
@@ -346,7 +420,7 @@ def search_special(
                 pair_sum = a * (a + 1) // 2 + m0 * (a + 1) - genus
                 # the walk's root makes this cut too, but only after starting
                 # a generator; most special cells of a window end here
-                if not (prune and _floor_cuts(base - ksq_hi, pair_sum, m0)):
+                if not (prune and _chord_cuts(pair_sum, m0, 0, 2 * pair_sum - base + ksq_hi)):
                     yield a, m0, base, pair_sum, m0
 
     return _walk(SpecialType, cells(), ksq_lo, ksq_hi, a_cap, points, prune)
@@ -379,8 +453,12 @@ def exclude_p2_and_hirzebruch(genus: int, ksq: int) -> MinimalAmbientVerdict:
     A plane model of degree b needs genus (b-1)(b-2)/2 and adjoint square
     (b-3)^2 simultaneously; a ruled model needs the adjoint square to hit
     2c(genus-c-1)/(c+1) for some admissible c.  Both conditions are scanned
-    over their full finite ranges.
+    over their full finite ranges.  Both arguments must be integers.
     """
+    try:
+        genus, ksq = index(genus), index(ksq)
+    except TypeError:
+        raise ValueError("genus and adjoint square must be integers") from None
     if genus < 2:
         raise ValueError("genus must be at least 2")
     planes = tuple(

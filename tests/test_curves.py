@@ -95,6 +95,33 @@ def test_sorted_walk_matches_flat_walk_on_ruled_surfaces():
                 assert list(enum_classes(s, q)) == flat_classes(s, q)
 
 
+def test_walk_nodes_stay_within_the_entry_walk(monkeypatch):
+    # deterministic: every query kind at caps 2 and 3 on P^2 and F0-F2
+    # blown up in 8 points; the entry-by-entry tail walk before the shared
+    # walk visited 1,737 nodes here
+    from genus2pencils import curves
+
+    nodes = 0
+    walk = curves._multisets
+
+    def counted(*args):
+        *args, budget_spend = args
+
+        def spend():
+            nonlocal nodes
+            nodes += 1
+            budget_spend()
+
+        return walk(*args, spend)
+
+    monkeypatch.setattr(curves, "_multisets", counted)
+    for s in (plane_blowup(8), *(hirzebruch_blowup(d, 8) for d in (0, 1, 2))):
+        for query in QUERY_KINDS:
+            for cap in (2, 3):
+                enum_classes(s, ClassQuery(*query, cap))
+    assert 0 < nodes <= 1_737
+
+
 def test_cap_five_sections_fit_the_default_budget():
     # the count was checked once against oracles.flat_classes, which takes
     # about twice the time and memory to rerun
@@ -157,7 +184,7 @@ def test_budget_exhaustion():
 def test_smallest_budget_counts_walk_nodes_and_classes():
     # one rule for every query: the walk's nodes plus its orbits, and the
     # class count, must each fit the budget; here the class count binds
-    # (walk plus orbits: 91, 375, 138 and 163)
+    # (walk plus orbits: 12, 36, 12 and 20)
     for s, query, smallest in (
         (plane_blowup(8), ClassQuery(-1, -1, 3), 148),
         (plane_blowup(12), ClassQuery(-1, -1, 4), 42_714),
@@ -292,6 +319,32 @@ def test_shift_must_be_an_integer(bad):
 def test_section_search_refuses_a_shift_without_a_pencil(shift):
     with pytest.raises(LatticeError, match="a shift needs a pencil"):
         minus_one_section_exists(_b1_fibration(), 3, None, shift)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    (
+        (lambda fib: fibre_intersection_identity(fib, (1, 0, 0), 2, ClassQuery(-1, -1, 2)), "pencil"),
+        (lambda fib: minus_one_section_exists(fib, 2, "P", 2), "pencil"),
+        (
+            lambda fib: minus_one_section_exists(Fibration(plane_blowup(3), (1, 0, 0, 0)), 2),
+            "the fibre class of fib",
+        ),
+        (lambda fib: minus_one_section_exists("B1", 2), "fib"),
+        (lambda fib: fibre_intersection_identity("B1", fib.named("P"), 2, ClassQuery(-1, -1, 2)), "fib"),
+        (lambda fib: enum_classes("plane", ClassQuery(-1, -1, 2)), "surface"),
+        (lambda fib: reference_class("plane"), "surface"),
+        (lambda fib: enum_classes(plane_blowup(3), (-1, -1, 2)), "query"),
+        (lambda fib: fibre_intersection_identity(fib, fib.named("P"), 2, (-1, -1, 2)), "query"),
+    ),
+)
+def test_entry_points_name_an_argument_of_the_wrong_type(call, name):
+    # a LatticeError, not an AttributeError from deep inside, raised before
+    # any walk or orbit-cache lookup
+    clear_caches()
+    with pytest.raises(LatticeError, match=f"^{name} must be a "):
+        call(_b1_fibration())
+    assert _orbits_cached.cache_info().currsize == 0
 
 
 def test_section_search_checks_the_decomposition_before_the_walk():

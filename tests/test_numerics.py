@@ -7,17 +7,19 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    _flat_tails,
     blunt_mult_vectors,
     naive_obstruction_minima,
     naive_search_general,
     naive_search_special,
 )
 
+from genus2pencils import numerics
 from genus2pencils.numerics import (
     NumericType,
     SpecialType,
-    _floor_cuts,
-    _mult_vectors,
+    _chord_cuts,
+    _multisets,
     apply_exclusion,
     exclude_p2_and_hirzebruch,
     search_general,
@@ -85,9 +87,18 @@ def test_special_search_equals_oracle():
     assert naive
 
 
-def test_mult_vector_generator_equals_blunt():
-    from genus2pencils.numerics import _mult_vectors
+def _mult_vectors(pair_sum, m_max, slots, extra_window=None):
+    """The multiplicity vectors of a pair sum P with entries in [2, m_max]
+    and at most ``slots`` entries, from the shared walk: sum (m-1)^2 is
+    2P - sum (m-1), so bounds on it are bounds on sum (m-1), and with no
+    window 0 <= sum (m-1) <= P holds for every vector."""
+    if extra_window is None:
+        return _multisets(pair_sum, 2, m_max, slots, 0, pair_sum)
+    lo, hi = extra_window
+    return _multisets(pair_sum, 2, m_max, slots, 2 * pair_sum - hi, 2 * pair_sum - lo)
 
+
+def test_mult_vector_generator_equals_blunt():
     for pair_sum in range(0, 16):
         for m_max in (2, 3, 4):
             for slots in (3, 6, 10):
@@ -106,8 +117,6 @@ def test_mult_vectors_of_a_negative_pair_sum_are_empty():
 
 
 def test_mult_vector_window_never_drops_in_window_tuples():
-    from genus2pencils.numerics import _mult_vectors
-
     for pair_sum in (6, 9, 12):
         for m_max in (3, 4):
             blunt = set(blunt_mult_vectors(pair_sum, m_max, 10))
@@ -121,7 +130,7 @@ def test_mult_vector_window_never_drops_in_window_tuples():
 
 def test_mult_vector_hints_filter_exactly():
     # m_max up to 7 runs above the largest value that fits the small pair
-    # sums, and slots from 1 make the slot limit meet the tail of 3s and 2s
+    # sums, and slots from 1 make the slot limit meet the closed-form tail
     for pair_sum in range(0, 41):
         for m_max in range(2, 8):
             for slots in range(1, 13):
@@ -138,8 +147,110 @@ def test_mult_vector_hints_filter_exactly():
                     (pair_sum + 2, pair_sum + 5),
                 )
                 for lo, hi in windows:
-                    got = set(_mult_vectors(pair_sum, m_max, slots, (lo, hi)))
-                    assert got == {t for t, extra in blunt if lo <= extra <= hi}
+                    got = list(_mult_vectors(pair_sum, m_max, slots, (lo, hi)))
+                    assert len(got) == len(set(got))
+                    assert set(got) == {t for t, extra in blunt if lo <= extra <= hi}
+
+
+def _padded(ms, slots):
+    """A tuple of the shared walk as the class walk reads it: t = m - 1,
+    with its zeros put back between the positive and the negative entries."""
+    ts = [m - 1 for m in ms]
+    k = sum(t > 0 for t in ts)
+    return tuple(ts[:k] + [0] * (slots - len(ts)) + ts[k:])
+
+
+def _sorted_flat_tails(square_sum, linear_sum, slots):
+    """The non-increasing tuples of the flat oracle walk, in its order."""
+    return [
+        t for t in _flat_tails(square_sum, linear_sum, slots) if all(map(int.__ge__, t, t[1:]))
+    ]
+
+
+def test_shared_walk_lists_the_sorted_flat_tails_in_order():
+    # t = m - 1 turns sum t^2 = S, sum t = L into pair sum (S + L)/2 and
+    # sum (m-1) = L, negative entries included; an odd S - L has no tail
+    count = 0
+    for square_sum in range(0, 21):
+        for linear_sum in range(-16, 9):
+            for slots in range(0, 7):
+                want = _sorted_flat_tails(square_sum, linear_sum, slots)
+                if (square_sum - linear_sum) % 2:
+                    assert want == []
+                    continue
+                pair_sum = (square_sum + linear_sum) // 2
+                walk = _multisets(pair_sum, None, None, slots, linear_sum, linear_sum)
+                assert [_padded(ms, slots) for ms in walk] == want
+                count += len(want)
+    assert count == 991
+
+
+@pytest.mark.parametrize(
+    "square_sum, linear_sum, slots",
+    (
+        # pair sum 0: only -1, 0 fit (bottom b = -1, where p(-1) = p(0) = 0)
+        (3, -3, 5),
+        (0, 0, 4),
+        (5, -5, 5),
+        # pair sum 1: values -2..1 (bottom b = -2)
+        (4, -2, 6),
+        (2, 0, 3),
+        (6, -4, 6),
+        # pair sum 3 and 4: values -3..2, walked down to the closed form on -3..-1
+        (9, -3, 6),
+        (10, -2, 8),
+    ),
+)
+def test_shared_walk_at_the_degenerate_bottoms(square_sum, linear_sum, slots):
+    pair_sum = (square_sum + linear_sum) // 2
+    walk = list(_multisets(pair_sum, None, None, slots, linear_sum, linear_sum))
+    want = _sorted_flat_tails(square_sum, linear_sum, slots)
+    assert want
+    assert [_padded(ms, slots) for ms in walk] == want
+    assert all(1 not in ms for ms in walk)
+
+
+def test_shared_walk_equals_the_blunt_vectors_under_the_exact_window():
+    # every d window over every vector of the blunt oracle
+    for pair_sum in range(0, 25):
+        for m_max in range(2, 7):
+            for slots in range(0, 10):
+                blunt = list(blunt_mult_vectors(pair_sum, m_max, slots))
+                for d_lo in range(0, pair_sum + 1, 3):
+                    for d_hi in (d_lo, d_lo + 2, pair_sum):
+                        got = list(_multisets(pair_sum, 2, m_max, slots, d_lo, d_hi))
+                        want = [t for t in blunt if d_lo <= sum(t) - len(t) <= d_hi]
+                        assert sorted(got, reverse=True) == got
+                        assert sorted(got) == sorted(want)
+
+
+def test_chord_is_the_completion_floor_at_bottom_zero():
+    # with b = 0 the chord is m * need > 2(m-1) * pair_left, need = 2P - d_hi
+    for pair_sum in range(0, 30):
+        for m in range(1, 8):
+            for need in range(-5, 40):
+                floor = m * need > 2 * (m - 1) * pair_sum
+                assert _chord_cuts(pair_sum, m, 0, 2 * pair_sum - need) == floor
+
+
+@pytest.mark.filterwarnings("ignore:search reached the adjoint-degree ceiling")
+def test_walk_nodes_on_the_pruned_windows_stay_within_the_old_count_walk(monkeypatch):
+    # deterministic: every pruned window of both kinds for g = 2..5; the
+    # multiplicity walk of the searches before the shared walk visited
+    # 47,021 nodes here
+    nodes = 0
+
+    def spend():
+        nonlocal nodes
+        nodes += 1
+
+    walk = numerics._multisets
+    monkeypatch.setattr(numerics, "_multisets", lambda *args: walk(*args, spend))
+    for genus in range(2, 6):
+        for lo, hi in _windows(genus):
+            search_general(genus, lo, hi)
+            search_special(genus, lo, hi)
+    assert 0 < nodes <= 47_021
 
 
 def _windows(genus):
@@ -278,7 +389,7 @@ def _cuts(genus, a, t, prefix, m, ksq_hi):
     base = a * (2 * a + t) - sum((x - 1) ** 2 for x in prefix)
     pair_total = (a + 1) * (2 * (a + 1) + t) // 2 - genus
     pair_left = pair_total - sum(x * (x - 1) // 2 for x in prefix)
-    return _floor_cuts(base - ksq_hi, pair_left, m)
+    return _chord_cuts(pair_left, m, 0, 2 * pair_left - base + ksq_hi)
 
 
 def test_prefix_lower_bound_spot_values():
@@ -334,6 +445,27 @@ def test_exclude_p2_and_hirzebruch():
     assert open_case.plane_degrees == (6,)
     assert open_case.ruled_possible
     assert open_case.ruled_indices == (3,)
+
+
+@pytest.mark.parametrize("args", ((2, 1.5), (2, "1"), (2.0, 1), ("2", 1), (2, None), (None, 1)))
+def test_exclusion_takes_integers_only(args):
+    # a float, a string or None is refused, not stored in the verdict
+    with pytest.raises(ValueError, match="must be integers"):
+        exclude_p2_and_hirzebruch(*args)
+
+
+def test_exclusion_stores_integer_arguments_as_ints():
+    verdict = exclude_p2_and_hirzebruch(_Index(10), _Index(9))
+    assert verdict == exclude_p2_and_hirzebruch(10, 9)
+    assert type(verdict.genus) is int and type(verdict.adjoint_square) is int
+
+
+class _Index:
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __index__(self) -> int:
+        return self.n
 
 
 def test_obstruction_certificate():
