@@ -1,13 +1,13 @@
 """Exhaustive enumeration of curve classes by numerical data.
 
 Classes are enumerated by their pairing with a fixed nef reference class
-(the line, or minimal-section-plus-ruling shapes on the ruled kind) up to
-a degree cap, constrained to the requested self-intersection and
-canonical degree.  Permuting the exceptional coordinates fixes all three
-numbers, so only non-increasing tails are listed, one representative per
-orbit.  A tail fixes sum t_i^2 and sum t_i, so with m = t + 1 it is a
-multiset of the package's one multiset walk, ``numerics._multisets``,
-whose cuts are the only pruning.
+(the line L, or D0 + (index+1)G on the ruled kind, which pairs x + y with
+x D0 + y G + ...) up to a degree cap, constrained to the requested
+self-intersection and canonical degree.  Permuting the exceptional
+coordinates fixes all three numbers, so only non-increasing tails are
+listed, one representative per orbit.  A tail fixes sum t_i^2 and
+sum t_i, so with m = t + 1 it is a multiset of the package's one
+multiset walk, ``numerics._multisets``, whose cuts are the only pruning.
 
 Every query works on block orbits: the exceptional indices split into
 blocks on which every weight class (the fibre, a constraint target) has
@@ -33,7 +33,6 @@ caller repeats a query, and class lists are built anew on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, repeat
 from math import factorial, prod
@@ -46,6 +45,7 @@ from .lattice import (
     ForeignClassError,
     LatticeError,
     Surface,
+    _frozen,
     pairings,
 )
 from .numerics import _multisets
@@ -55,7 +55,6 @@ __all__ = [
     "ClassQuery",
     "enum_classes",
     "clear_caches",
-    "reference_class",
     "minus_one_section_exists",
     "SectionSearch",
     "fibre_intersection_identity",
@@ -69,32 +68,32 @@ class BudgetExceededError(LatticeError):
     """The enumeration visited more states than the configured budget."""
 
 
-@dataclass(frozen=True)
-class ClassQuery:
-    """Target numerical data: C*C, K*C, and a cap on the reference degree.
-    Each field is coerced to an int; anything else is a LatticeError."""
-
+class _QueryFields(NamedTuple):
     self_int: int
     k_deg: int
     degree_cap: int = 3
 
-    def __post_init__(self) -> None:
+
+class ClassQuery(_QueryFields):
+    """Target numerical data: C*C, K*C, and a cap on the reference degree.
+    Each field is coerced to an int; anything else is a LatticeError.  A
+    query is a tuple of its three fields; pickle, copy and ``_replace``
+    validate again through the constructor."""
+
+    __slots__ = ()
+
+    def __new__(cls, self_int: int, k_deg: int, degree_cap: int = 3):
         try:
-            for name in ("self_int", "k_deg", "degree_cap"):
-                object.__setattr__(self, name, _as_int(getattr(self, name)))
+            fields = (_as_int(self_int), _as_int(k_deg), _as_int(degree_cap))
         except TypeError:
             raise LatticeError("query fields must be integers") from None
-        if self.degree_cap < 1:
+        if fields[2] < 1:
             raise LatticeError("degree cap must be at least 1")
+        return tuple.__new__(cls, fields)
 
-
-def reference_class(surface: Surface) -> DivisorClass:
-    """The nef class measuring enumeration degree: L, or D0 + (index+1)*G.
-    Anything but a Surface is a LatticeError."""
-    _expect(surface, Surface, "surface")
-    if surface.kind == "plane":
-        return surface.line
-    return surface.minimal_section + (surface.index + 1) * surface.ruling
+    @classmethod
+    def _make(cls, iterable) -> "ClassQuery":
+        return cls(*iterable)
 
 
 def _expect(value, kind: type, name: str) -> None:
@@ -411,7 +410,6 @@ def _classes_meeting(
     return _expand(surface, blocks, keep, DEFAULT_BUDGET)
 
 
-@dataclass(frozen=True)
 class IdentityReport:
     """F*C and pencil*C over an enumeration, given F = pencil - shift*K.
 
@@ -420,18 +418,45 @@ class IdentityReport:
     ``witnesses`` (the classes attaining the minimum) are expanded, in
     enumeration order, only when read, and the degree tuples are paired
     over ``classes`` then; more classes than the budget raise
-    BudgetExceededError.
+    BudgetExceededError.  A report is frozen; its repr, equality and hash
+    are those of the five public fields.
     """
 
-    holds: bool
-    shift: int
-    pencil: DivisorClass
-    minimum: int | None
-    count: int
-    _blocks: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
-    _orbits: tuple[_Orbit, ...] = field(default=(), repr=False, compare=False)
-    _fibre_degrees: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    _budget: int = field(default=DEFAULT_BUDGET, repr=False, compare=False)
+    def __init__(
+        self,
+        holds: bool,
+        shift: int,
+        pencil: DivisorClass,
+        minimum: int | None,
+        count: int,
+        _blocks: tuple[tuple[int, ...], ...] = (),
+        _orbits: tuple[_Orbit, ...] = (),
+        _fibre_degrees: tuple[int, ...] = (),
+        _budget: int = DEFAULT_BUDGET,
+    ) -> None:
+        vars(self).update(
+            holds=holds, shift=shift, pencil=pencil, minimum=minimum, count=count,
+            _blocks=_blocks, _orbits=_orbits, _fibre_degrees=_fibre_degrees, _budget=_budget,
+        )
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _public(self) -> tuple:
+        return self.holds, self.shift, self.pencil, self.minimum, self.count
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._public() == other._public()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._public())
+
+    def __repr__(self) -> str:
+        return (
+            f"IdentityReport(holds={self.holds!r}, shift={self.shift!r}, "
+            f"pencil={self.pencil!r}, minimum={self.minimum!r}, count={self.count!r})"
+        )
 
     @cached_property
     def classes(self) -> tuple[DivisorClass, ...]:

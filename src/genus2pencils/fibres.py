@@ -12,7 +12,6 @@ from one matrix, built by ``_gram``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 from typing import NamedTuple, Sequence
 
@@ -53,8 +52,7 @@ def _gram(classes: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
     return tuple(pairings(c, classes) for c in classes)
 
 
-@dataclass(frozen=True)
-class FibreComponent:
+class FibreComponent(NamedTuple):
     name: str
     divisor: DivisorClass
     multiplicity: int
@@ -62,8 +60,7 @@ class FibreComponent:
     declared_genus: int | None = None
 
 
-@dataclass(frozen=True)
-class FibreDecomposition:
+class FibreDecomposition(NamedTuple):
     name: str
     components: tuple[FibreComponent, ...]
 

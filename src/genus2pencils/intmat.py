@@ -3,16 +3,15 @@
 Matrices are sequences of equal-length integer rows.  Results stay
 integral wherever the mathematics guarantees it: Bareiss elimination for
 determinants, and one Hermite-form elimination for kernels and ranks.
-The semidefiniteness test, the only one with rational intermediates
-(fractions.Fraction), has no caller in the library: fibre validation
-gets semidefiniteness from its other checks.  It stays as the tests'
-reference for that argument, and because the benchmark's tracer wraps
-it by name.  Floating point never appears.
+The semidefiniteness test scales each Schur complement by its positive
+pivot, so it stays integral too.  It has no caller in the library: fibre
+validation gets semidefiniteness from its other checks.  It stays as the
+tests' reference for that argument, and because the benchmark's tracer
+wraps it by name.  Floating point never appears.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -128,11 +127,13 @@ def rational_rank(rows: Matrix) -> int:
 
 def is_negative_semidefinite(gram: Matrix) -> bool:
     """Exact test for x^T G x <= 0 on a symmetric integer Gram matrix."""
-    g = [[Fraction(-x) for x in r] for r in gram]
+    g = [[-x for x in r] for r in gram]
     n = len(g)
     if any(len(r) != n for r in g):
         raise ValueError("semidefiniteness needs a square matrix")
-    # positive-semidefinite test on -G by recursive Schur complements
+    # positive-semidefinite test on -G by recursive Schur complements, each
+    # scaled by its pivot d > 0: d*S is an integer matrix with the same
+    # signature as S
     while g:
         d = g[0][0]
         if d < 0:
@@ -143,8 +144,6 @@ def is_negative_semidefinite(gram: Matrix) -> bool:
                 return False
             g = [row[1:] for row in g[1:]]
             continue
-        nxt = []
-        for i in range(1, len(g)):
-            nxt.append([g[i][j] - g[i][0] * g[0][j] / d for j in range(1, len(g))])
-        g = nxt
+        top = g[0]
+        g = [[d * row[j] - row[0] * top[j] for j in range(1, len(g))] for row in g[1:]]
     return True

@@ -12,8 +12,10 @@ DivisorClass(surface, coords) or Surface.divisor.  Classes the library
 derives from validated ones (sums, differences, integer multiples,
 blow-up and blow-down images, quadratic transforms) and the classes its
 own integer walks build are made without validating again.  A class is a
-slotted frozen dataclass: two fields and no per-instance dict, so a large
+slotted frozen object: two fields and no per-instance dict, so a large
 enumeration costs one small object and one coordinate tuple per class.
+Surfaces and classes are plain classes, not dataclasses, so importing
+the package builds none; equality and hash are those of the field tuple.
 
 Every surface a blow-up or a contraction reaches comes from one shared
 constructor, so equal surfaces reached that way are one object, and the
@@ -26,7 +28,6 @@ reduction pipeline contracts raw rows.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, index as _as_int, mul, neg, sub
@@ -79,31 +80,58 @@ class RulingChoiceError(LatticeError):
     """An index-0 elementary transformation needs an explicit ruling."""
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value) -> None:
+    """__setattr__ and __delattr__ of the frozen classes: both raise
+    dataclasses.FrozenInstanceError, an AttributeError, as a frozen
+    dataclass does."""
+    from dataclasses import FrozenInstanceError  # loaded on this error path only
+
+    verb = "assign to" if value else "delete"
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
 class Surface:
     """A marked rational surface: ambient kind, Hirzebruch index, blow-up count.
 
     ``index`` is 0 for the plane kind.  Equality is structural, so classes
     built on independently constructed but identical surfaces interoperate.
     The canonical class and its dual vector are computed once per object.
+    A surface is frozen; pickle and copy rebuild it from its three fields,
+    without the cached classes.
     """
 
-    kind: str
-    index: int
-    blowups: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("plane", "hirzebruch"):
-            raise LatticeError(f"unknown surface kind {self.kind!r}")
+    def __init__(self, kind: str, index: int, blowups: int) -> None:
+        if kind not in ("plane", "hirzebruch"):
+            raise LatticeError(f"unknown surface kind {kind!r}")
         try:
-            object.__setattr__(self, "index", _as_int(self.index))
-            object.__setattr__(self, "blowups", _as_int(self.blowups))
+            index, blowups = _as_int(index), _as_int(blowups)
         except TypeError:
             raise LatticeError("index and blow-up count must be integers") from None
-        if self.kind == "plane" and self.index != 0:
+        if kind == "plane" and index != 0:
             raise LatticeError("plane surfaces carry no Hirzebruch index")
-        if self.index < 0 or self.blowups < 0:
+        if index < 0 or blowups < 0:
             raise LatticeError("index and blow-up count must be nonnegative")
+        _set_field(self, "kind", kind)
+        _set_field(self, "index", index)
+        _set_field(self, "blowups", blowups)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.index, self.blowups) == (other.kind, other.index, other.blowups)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.index, self.blowups))
+
+    def __repr__(self) -> str:
+        return f"Surface(kind={self.kind!r}, index={self.index!r}, blowups={self.blowups!r})"
+
+    def __reduce__(self):
+        # the cached canonical class points back at its surface, so it is
+        # not part of the state: the copy recomputes it on first use
+        return Surface, (self.kind, self.index, self.blowups)
 
     @property
     def base_rank(self) -> int:
@@ -210,35 +238,40 @@ def hirzebruch_blowup(index: int, n: int) -> Surface:
     return Surface("hirzebruch", index, n)
 
 
-@dataclass(frozen=True)
 class DivisorClass:
     """An element of the divisor-class lattice, stored by basis coordinates.
 
     The constructor checks that the surface is a Surface, coerces every
     coordinate to an int and checks the count against the surface's rank.
-    The two fields are slots; an instance has no __dict__.
+    The two fields are slots; an instance has no __dict__ and is frozen.
+    Equality and hash are those of the (surface, coords) pair.
     """
 
-    # slots named in the body, not dataclass(slots=True): that option builds
-    # a second class, whose frozen __setattr__ then raises TypeError, not
-    # FrozenInstanceError, for a new attribute name (Python 3.10 and 3.11)
     __slots__ = ("surface", "coords")
 
-    surface: Surface
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.surface, Surface):
-            raise LatticeError(f"a class lives on a Surface, not on {self.surface!r}")
+    def __init__(self, surface: Surface, coords: Sequence[int]) -> None:
+        if not isinstance(surface, Surface):
+            raise LatticeError(f"a class lives on a Surface, not on {surface!r}")
         try:
-            coords = tuple(map(_as_int, self.coords))
+            coords = tuple(map(_as_int, coords))
         except TypeError:
             raise LatticeError("coordinates must be integers") from None
-        if len(coords) != self.surface.rank:
+        if len(coords) != surface.rank:
             raise LatticeError(
-                f"coordinate length {len(coords)} does not match lattice rank {self.surface.rank}"
+                f"coordinate length {len(coords)} does not match lattice rank {surface.rank}"
             )
-        object.__setattr__(self, "coords", coords)
+        _set_field(self, "surface", surface)
+        _set_field(self, "coords", coords)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.surface, self.coords) == (other.surface, other.coords)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.coords))
 
     @classmethod
     def _derived(cls, surface: Surface, coords: tuple[int, ...]) -> "DivisorClass":
@@ -580,14 +613,13 @@ def elementary_transform(
     )
 
 
-@dataclass(frozen=True)
-class Fibration:
+class Fibration(NamedTuple):
     """A pencil datum: surface, fibre class, genus, and named extras.
 
     ``fibres`` holds fibre decompositions (owned by the fibres module) and
     ``named_classes`` the curve dictionary; both travel with the datum but
     only validate() checks the lattice facts, so deliberately corrupted
-    copies can be built for negative tests via dataclasses.replace.
+    copies can be built for negative tests with ``_replace``.
     """
 
     surface: Surface

@@ -25,7 +25,7 @@ output.  The built-in catalog models are files in this format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fibres import FibreComponent, FibreDecomposition, validate_fibre
 from .lattice import DivisorClass, Fibration, Surface, hirzebruch_blowup, plane_blowup
@@ -46,8 +46,7 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(NamedTuple):
     surface: Surface
     classes: tuple[tuple[str, DivisorClass], ...]
     fibres: tuple[FibreDecomposition, ...] = ()

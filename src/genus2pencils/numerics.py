@@ -21,7 +21,6 @@ walk in tests.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import count, product
 from math import isqrt
 from operator import index
@@ -44,21 +43,32 @@ def _tri(m: int) -> int:
     return m * (m - 1) // 2
 
 
-def _coerce_fields(row) -> None:
-    """Store every field of a row as exact ints, the multiplicities as a
-    tuple of them; a non-integer (a float, a string) is a ValueError, not
-    silently truncated."""
+_new_tuple = tuple.__new__
+
+
+def _coerced(names: tuple[str, ...], degree, second, multiplicities, square) -> tuple:
+    """A row's fields as exact ints, the multiplicities as a tuple of them;
+    a non-integer (a float, a string) is a ValueError naming the first such
+    field, not silently truncated."""
     try:
-        for name in row.__dataclass_fields__:
-            value = getattr(row, name)
-            value = tuple(map(index, value)) if name == "multiplicities" else index(value)
-            object.__setattr__(row, name, value)
+        return index(degree), index(second), tuple(map(index, multiplicities)), index(square)
     except TypeError:
-        raise ValueError(f"numeric type field {name} must hold integers") from None
+        for name, value in zip(names, (degree, second, multiplicities, square)):
+            try:
+                tuple(map(index, value)) if name == "multiplicities" else index(value)
+            except TypeError:
+                raise ValueError(f"numeric type field {name} must hold integers") from None
+        raise
 
 
-@dataclass(frozen=True)
-class NumericType:
+class _NumericFields(NamedTuple):
+    adjoint_degree: int
+    twice_offset: int
+    multiplicities: tuple[int, ...]
+    adjoint_square: int
+
+
+class NumericType(_NumericFields):
     """Numerical data of a pencil on a ruled model, independent of the index.
 
     ``adjoint_degree`` is the pairing of (K + pencil) with a ruling fibre;
@@ -68,17 +78,16 @@ class NumericType:
     base-point multiplicities, non-increasing and each at least 2, no
     entry above half the pencil degree.  ``adjoint_square`` is the
     self-intersection of K + pencil and is validated against the defining
-    equation on construction.
+    equation on construction.  A row is a tuple of its four fields; pickle,
+    copy and ``_replace`` validate again through the constructor.
     """
 
-    adjoint_degree: int
-    twice_offset: int
-    multiplicities: tuple[int, ...]
-    adjoint_square: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _coerce_fields(self)
-        a, t, ms = self.adjoint_degree, self.twice_offset, self.multiplicities
+    def __new__(cls, adjoint_degree: int, twice_offset: int, multiplicities, adjoint_square: int):
+        a, t, ms, ksq = _coerced(
+            cls._fields, adjoint_degree, twice_offset, multiplicities, adjoint_square
+        )
         if a < 1:
             raise ValueError("adjoint degree must be positive")
         if t < 0:
@@ -93,8 +102,13 @@ class NumericType:
             raise ValueError(
                 f"largest multiplicity {ms[0]} exceeds half the pencil degree {a + 2}"
             )
-        if self.adjoint_square != a * (2 * a + t) - sum((m - 1) ** 2 for m in ms):
+        if ksq != a * (2 * a + t) - sum((m - 1) ** 2 for m in ms):
             raise ValueError("stored adjoint square disagrees with the defining equation")
+        return _new_tuple(cls, (a, t, ms, ksq))
+
+    @classmethod
+    def _make(cls, iterable) -> "NumericType":
+        return cls(*iterable)
 
     @property
     def pencil_degree(self) -> int:
@@ -140,20 +154,25 @@ class NumericType:
         )
 
 
-@dataclass(frozen=True)
-class SpecialType:
-    """Pencil data on the index-1 model with one distinguished base point
-    of multiplicity below the generic floor, recorded via its plane
-    presentation of degree adjoint_degree + 2 + extra_multiplicity."""
-
+class _SpecialFields(NamedTuple):
     adjoint_degree: int
     extra_multiplicity: int
     multiplicities: tuple[int, ...]
     adjoint_square: int
 
-    def __post_init__(self) -> None:
-        _coerce_fields(self)
-        a, m0, ms = self.adjoint_degree, self.extra_multiplicity, self.multiplicities
+
+class SpecialType(_SpecialFields):
+    """Pencil data on the index-1 model with one distinguished base point
+    of multiplicity below the generic floor, recorded via its plane
+    presentation of degree adjoint_degree + 2 + extra_multiplicity.  A
+    tuple of its four fields, validated like NumericType."""
+
+    __slots__ = ()
+
+    def __new__(cls, adjoint_degree: int, extra_multiplicity: int, multiplicities, adjoint_square: int):
+        a, m0, ms, ksq = _coerced(
+            cls._fields, adjoint_degree, extra_multiplicity, multiplicities, adjoint_square
+        )
         if a < 3:
             raise ValueError("special data needs adjoint degree at least 3")
         if m0 < 2 or 2 * m0 >= a + 2:
@@ -163,8 +182,13 @@ class SpecialType:
         if any(ms[i] < ms[i + 1] for i in range(len(ms) - 1)):
             raise ValueError("multiplicities must be non-increasing")
         expected = (a + m0 - 1) ** 2 - (m0 - 1) ** 2 - sum((m - 1) ** 2 for m in ms)
-        if self.adjoint_square != expected:
+        if ksq != expected:
             raise ValueError("stored adjoint square disagrees with the defining equation")
+        return _new_tuple(cls, (a, m0, ms, ksq))
+
+    @classmethod
+    def _make(cls, iterable) -> "SpecialType":
+        return cls(*iterable)
 
     @property
     def plane_degree(self) -> int:

@@ -7,7 +7,6 @@ condition that stops being exercised) fails loudly here.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -181,7 +180,7 @@ def test_misfiled_block_class_breaks_orthogonality():
 def test_corrupted_fibre_class_fails_validation():
     entry = catalog.get("B2")
     wrong = entry.fibration.fibre_class + entry.fibration.surface.exceptional(1)
-    broken = replace(entry.fibration, fibre_class=wrong)
+    broken = entry.fibration._replace(fibre_class=wrong)
     with pytest.raises(Exception, match="self-intersection"):
         broken.validate()
 

@@ -32,13 +32,13 @@ from genus2pencils.curves import (
     enum_classes,
     fibre_intersection_identity,
     minus_one_section_exists,
-    reference_class,
 )
 from genus2pencils.lattice import (
     DivisorClass,
     Fibration,
     ForeignClassError,
     LatticeError,
+    cremona,
     hirzebruch_blowup,
     pairings,
     plane_blowup,
@@ -93,6 +93,56 @@ def test_sorted_walk_matches_flat_walk_on_ruled_surfaces():
             for cap in (1, 2, 3, 4):
                 q = ClassQuery(*query, cap)
                 assert list(enum_classes(s, q)) == flat_classes(s, q)
+
+
+# On P^2 blown up in n <= 8 general points the classes orthogonal to K form
+# the root lattice of E_n: E3 = A2 + A1, E4 = A4, E5 = D5, then E6, E7, E8,
+# with 0, 2, 8, 20, 40, 72, 126, 240 roots for n = 1..8.  The (-2)-classes
+# with K*C = 0 are exactly the roots.  A root of degree 0 is +-(Ei - Ej),
+# n(n-1) of them, and C -> -C pairs the others by the sign of their degree,
+# so enum_classes, which lists degrees 0..cap, finds n(n-1) + (roots -
+# n(n-1))/2: for n = 8, 56 + 92 = 148.  Every root has degree at most 3.
+# The (-1)-classes with K*C = -1 are the exceptional curves of the del
+# Pezzo surface of degree 9 - n: 1, 3, 6, 10, 16, 27 (the lines of the
+# cubic surface), 56 and 240 (for n = 8, C -> C + K maps them onto the
+# roots), all of degree 0..6.  Cap 6 therefore lists both sets whole.
+DEL_PEZZO_MINUS_ONE = (1, 3, 6, 10, 16, 27, 56, 240)
+DEL_PEZZO_MINUS_TWO = (0, 2, 7, 16, 30, 51, 84, 148)
+
+
+def _weyl_orbit(surface, seeds) -> set:
+    """Every class reached from the seeds by the reflections in the simple
+    roots E_i - E_{i+1} (swapping two coordinates) and L - E1 - E2 - E3
+    (lattice.cremona); the surface has at least three points."""
+    n = surface.blowups
+    seen, todo = set(seeds), list(seeds)
+    while todo:
+        c = todo.pop()
+        images = list(cremona(surface, 1, 2, 3, (c,)))
+        for i in range(1, n):
+            x = list(c.coords)
+            x[i], x[i + 1] = x[i + 1], x[i]
+            images.append(DivisorClass(surface, x))
+        for d in images:
+            if d not in seen:
+                seen.add(d)
+                todo.append(d)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_del_pezzo_counts_are_the_root_system_counts(n):
+    s = plane_blowup(n)
+    lines = enum_classes(s, ClassQuery(-1, -1, 6))
+    roots = enum_classes(s, ClassQuery(-2, 0, 6))
+    assert (len(lines), len(roots)) == (DEL_PEZZO_MINUS_ONE[n - 1], DEL_PEZZO_MINUS_TWO[n - 1])
+    assert sum(c.coords[0] == 0 for c in roots) == n * (n - 1)
+    if n >= 3:
+        # one Weyl orbit of E1; the roots are the orbit of the simple roots
+        assert set(lines) == _weyl_orbit(s, [s.exceptional(1)])
+        simple = [s.exceptional(i) - s.exceptional(i + 1) for i in range(1, n)]
+        simple.append(s.divisor(1, -1, -1, -1, *(0,) * (n - 3)))
+        assert set(roots) == {r for r in _weyl_orbit(s, simple) if r.coords[0] >= 0}
 
 
 def test_walk_nodes_stay_within_the_entry_walk(monkeypatch):
@@ -260,15 +310,6 @@ def test_arrangements_of_long_tails():
         assert all(sorted(a, reverse=True) == list(tail) for a in got)
 
 
-def test_reference_class():
-    assert reference_class(plane_blowup(2)).coords == (1, 0, 0)
-    h = hirzebruch_blowup(2, 1)
-    ref = reference_class(h)
-    assert ref.coords == (1, 3, 0)
-    assert ref * h.minimal_section == 1
-    assert ref * h.ruling == 1
-
-
 def _b1_fibration() -> Fibration:
     s = plane_blowup(11)
     f = plane_curve(s, 7, (3,) + (2,) * 10)
@@ -333,7 +374,6 @@ def test_section_search_refuses_a_shift_without_a_pencil(shift):
         (lambda fib: minus_one_section_exists("B1", 2), "fib"),
         (lambda fib: fibre_intersection_identity("B1", fib.named("P"), 2, ClassQuery(-1, -1, 2)), "fib"),
         (lambda fib: enum_classes("plane", ClassQuery(-1, -1, 2)), "surface"),
-        (lambda fib: reference_class("plane"), "surface"),
         (lambda fib: enum_classes(plane_blowup(3), (-1, -1, 2)), "query"),
         (lambda fib: fibre_intersection_identity(fib, fib.named("P"), 2, (-1, -1, 2)), "query"),
     ),

@@ -112,7 +112,14 @@ def test_export_table_and_all_agree():
     assert names == ["__version__", *table]
 
 
+# standard-library modules the package does not need: dataclasses pulls in
+# inspect (and through it ast, dis and tokenize), fractions pulls in decimal
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+
+
 def _after_command(argv: list[str]):
+    """(package modules loaded, dataclasses defined, HEAVY modules loaded)
+    after one CLI command in a fresh interpreter."""
     return _child(
         f"""
 import contextlib, io
@@ -122,29 +129,48 @@ with contextlib.redirect_stdout(io.StringIO()):
         main({argv!r})
     except SystemExit:
         pass
-print(json.dumps([loaded(), dataclasses_defined(), "fractions" in sys.modules]))
+print(json.dumps([loaded(), dataclasses_defined(), [m for m in {HEAVY!r} if m in sys.modules]]))
 """
     )
 
 
 def test_search_types_loads_numerics_alone():
-    modules, dataclasses, fractions = _after_command(["search-types"])
+    modules, dataclasses, heavy = _after_command(["search-types"])
     assert modules == ["genus2pencils", "genus2pencils.cli", "genus2pencils.numerics"]
-    assert dataclasses <= 2
-    assert not fractions
+    assert dataclasses == 0
+    assert heavy == []
 
 
 def test_help_loads_no_library_module():
-    modules, dataclasses, _ = _after_command(["--help"])
+    modules, dataclasses, heavy = _after_command(["--help"])
     assert modules == ["genus2pencils", "genus2pencils.cli"]
     assert dataclasses == 0
+    assert heavy == []
 
 
 @pytest.mark.parametrize(
     "argv",
-    (["canonical", "A"], ["verify-example", "Ex4_3"], ["dual-graph", "Ex4_3", "--fibre", "F0"]),
+    (
+        ["canonical", "A"],
+        ["verify-example", "Ex4_3"],
+        ["dual-graph", "Ex4_3", "--fibre", "F0"],
+        ["dual-graph", os.path.join(SRC, "genus2pencils", "models", "Ex4_3.model"), "--fibre", "F0"],
+    ),
 )
 def test_model_commands_create_few_dataclasses(argv):
-    modules, dataclasses, _ = _after_command(argv)
+    # every record type is a tuple or a plain class, so none is a dataclass
+    modules, dataclasses, heavy = _after_command(argv)
     assert "genus2pencils.catalog" in modules
-    assert dataclasses <= 10
+    assert dataclasses == 0
+    assert heavy == []
+
+
+def test_catalog_import_loads_no_dataclasses_or_fractions():
+    modules, heavy = _child(
+        f"""
+from genus2pencils import catalog
+print(json.dumps([loaded(), [m for m in {HEAVY!r} if m in sys.modules]]))
+"""
+    )
+    assert "genus2pencils.catalog" in modules
+    assert heavy == []

@@ -169,3 +169,48 @@ def test_negative_semidefinite_matches_eigenvalues():
             assert not got
         elif top < -1e-8 or abs(top) < 1e-12:
             assert got
+
+
+def _principal_minors_nonnegative(rows) -> bool:
+    """A symmetric matrix is positive semidefinite exactly when every
+    principal minor, not only every leading one, is nonnegative."""
+    n = len(rows)
+    for mask in range(1, 1 << n):
+        keep = [i for i in range(n) if mask >> i & 1]
+        if cofactor_determinant([[rows[i][j] for j in keep] for i in keep]) < 0:
+            return False
+    return True
+
+
+def test_negative_semidefinite_with_zero_pivots_and_large_entries():
+    # a zero first pivot in a zero row; a pivot that turns zero after one
+    # step, in a zero row and in a nonzero row
+    assert is_negative_semidefinite([[0, 0, 0], [0, -2, 1], [0, 1, -2]])
+    assert is_negative_semidefinite([[-1, -1, 0], [-1, -1, 0], [0, 0, -3]])
+    assert not is_negative_semidefinite([[-1, -1, 1], [-1, -1, 0], [1, 0, -3]])
+    # -(B B^T) with entries near 10^24 and rank below n, some rows of B zero
+    # or repeated, so pivots vanish; then one diagonal entry nudged by 1,
+    # which no floating-point eigenvalue resolves
+    rng = random.Random(29)
+    big = 10**12
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        r = rng.randint(1, n - 1)
+        b = []
+        for _ in range(n):
+            pick = rng.random()
+            if pick < 0.2:
+                b.append([0] * r)
+            elif pick < 0.4 and b:
+                b.append(list(rng.choice(b)))
+            else:
+                b.append([rng.randint(-big, big) for _ in range(r)])
+        g = [[-sum(x * y for x, y in zip(bi, bj)) for bj in b] for bi in b]
+        assert is_negative_semidefinite(g)
+        i = rng.randrange(n)
+        g[i][i] += 1
+        expected = _principal_minors_nonnegative([[-x for x in row] for row in g])
+        assert is_negative_semidefinite(g) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}

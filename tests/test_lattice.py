@@ -8,6 +8,7 @@ import pickle
 
 import pytest
 
+from genus2pencils import catalog
 from genus2pencils.lattice import (
     DivisorClass,
     Fibration,
@@ -101,6 +102,27 @@ def test_canonical_class_is_built_once_per_surface():
     h = hirzebruch_blowup(2, 1)
     assert h.canonical() is h.canonical()
     assert h.canonical().coords == (-2, -4, 1)
+
+
+def test_copies_after_the_canonical_class_is_cached():
+    # the cached canonical class points back at its surface; pickle and
+    # copy rebuild the surface from its fields and recompute it on use
+    s = plane_blowup(3)
+    c = s.divisor(1, 0, 0, 0)
+    k = s.canonical()
+    fibrations = [catalog.get(tag).fibration for tag in catalog.tags()]
+    assert len(fibrations) == 8
+    for fib in fibrations:
+        fib.validate()  # caches the surface's canonical class
+    for x in (c, k, s, *fibrations):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+    for y in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert y.surface.canonical() == k and y * y.surface.canonical() == -3
+    for fib in fibrations:
+        for y in (pickle.loads(pickle.dumps(fib)), copy.deepcopy(fib)):
+            assert y.validate() == fib
+            assert y.surface.canonical() == fib.surface.canonical()
 
 
 def test_intersection_numbers_frozen():
