@@ -29,7 +29,7 @@ _EXPORTS = {
         ("lattice", (
             "DivisorClass", "Fibration", "ForeignClassError", "LatticeError",
             "NotContractibleError", "RulingChoiceError", "Surface", "adjoint_square",
-            "arithmetic_genus", "blow_down", "blow_up", "cremona", "elementary_transform",
+            "arithmetic_genus", "blow_down", "cremona", "elementary_transform",
             "hirzebruch_blowup", "is_minus_one_class", "picard_number", "plane_blowup",
             "plane_curve", "ruled_curve",
         )),

@@ -170,6 +170,11 @@ def _normalize_fibre_name(name: str) -> str:
     return name.replace("_", "").replace("-", "").lower()
 
 
+def _dot_id(name: str) -> str:
+    """A quoted DOT ID: backslashes and double quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _load_fibration(source: str) -> tuple[str, Fibration] | int:
     from . import catalog
     from .modelfile import ParseError, parse, to_fibration
@@ -184,6 +189,9 @@ def _load_fibration(source: str) -> tuple[str, Fibration] | int:
             text = handle.read()
     except OSError as exc:
         print(f"cannot read {source!r}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"cannot read {source!r}: not UTF-8 text (byte {exc.start})", file=sys.stderr)
         return 2
     try:
         model = parse(text)
@@ -212,14 +220,15 @@ def _cmd_dual_graph(args: argparse.Namespace) -> int:
     graph = dual_graph(fib, dec)
     if args.dot:
         safe_label = label.replace("/", "_").replace("\\", "_").replace('"', "")
-        print(f'graph "{safe_label}_{dec.name}" {{')
+        print(f"graph {_dot_id(f'{safe_label}_{dec.name}')} {{")
         print("  node [shape=circle];")
-        for name, _, genus in graph.nodes:
+        ids = [_dot_id(name) for name, _, _ in graph.nodes]
+        for node_id, (_, _, genus) in zip(ids, graph.nodes):
             attrs = " [peripheries=2]" if genus >= 1 else ""
-            print(f'  "{name}"{attrs};')
+            print(f"  {node_id}{attrs};")
         for i, j, weight in graph.edges:
             attrs = f' [label="{weight}"]' if weight > 1 else ""
-            print(f'  "{graph.nodes[i][0]}" -- "{graph.nodes[j][0]}"{attrs};')
+            print(f"  {ids[i]} -- {ids[j]}{attrs};")
         print("}")
         return 0
     print(f"fibre {dec.name} of {label} ({len(dec.components)} components)")

@@ -46,6 +46,7 @@ from .lattice import (
     LatticeError,
     Surface,
     _frozen,
+    _integer,
     pairings,
 )
 from .numerics import _multisets
@@ -107,19 +108,11 @@ def _check_fibration(fib: Fibration) -> None:
     _expect(fib.fibre_class, DivisorClass, "the fibre class of fib")
 
 
-def _budget_size(n: int) -> int:
-    """A budget as an int; anything else is a LatticeError."""
-    try:
-        return _as_int(n)
-    except TypeError:
-        raise LatticeError(f"budget must be an integer, not {n!r}") from None
-
-
 class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, n: int) -> None:
-        self.left = _budget_size(n)
+        self.left = _integer(n, "budget")
 
     def spend(self) -> None:
         self.left -= 1
@@ -326,7 +319,7 @@ def enum_classes(
     surface or query of another type is a LatticeError naming it."""
     _expect(surface, Surface, "surface")
     _expect(query, ClassQuery, "query")
-    budget = _budget_size(budget)
+    budget = _integer(budget, "budget")
     blocks = _blocks(surface, ())
     return _expand(surface, blocks, _orbits(surface, query, blocks, budget), budget)
 
@@ -482,10 +475,7 @@ def _check_decomposition(fib: Fibration, pencil: DivisorClass, shift: int) -> in
     that is not a class or a shift that is not an integer is a
     LatticeError."""
     _expect(pencil, DivisorClass, "pencil")
-    try:
-        shift = _as_int(shift)
-    except TypeError:
-        raise LatticeError(f"shift must be an integer, not {shift!r}") from None
+    shift = _integer(shift, "shift")
     if pencil.surface != fib.surface:
         raise LatticeError("identity inapplicable: pencil lives on another surface")
     if fib.fibre_class != pencil + (-shift) * fib.surface.canonical():
@@ -514,7 +504,7 @@ def fibre_intersection_identity(
     _check_fibration(fib)
     _expect(query, ClassQuery, "query")
     shift = _check_decomposition(fib, pencil, shift)
-    budget = _budget_size(budget)
+    budget = _integer(budget, "budget")
     f = fib.fibre_class
     blocks = _blocks(fib.surface, (f,))
     orbits = _orbits_cached(fib.surface, query, blocks, budget)
@@ -562,7 +552,7 @@ def minus_one_section_exists(
         raise LatticeError("a shift needs a pencil to certify against")
     surface = fib.surface
     blocks = _blocks(surface, (fib.fibre_class,))
-    orbits = _orbits_cached(surface, ClassQuery(-1, -1, cap), blocks, _budget_size(budget))
+    orbits = _orbits_cached(surface, ClassQuery(-1, -1, cap), blocks, _integer(budget, "budget"))
     degrees = _orbit_degrees(fib.fibre_class, blocks, orbits)
     witness = _first(surface, blocks, [o for o, d in zip(orbits, degrees) if d == 1])
     minimum = min(degrees, default=None)

@@ -21,6 +21,7 @@ from .lattice import (
     Fibration,
     LatticeError,
     Surface,
+    _integer,
     arithmetic_genus,
     pairings,
 )
@@ -256,7 +257,8 @@ def ade_classify(dec: FibreDecomposition) -> tuple[tuple[tuple[str, ...], str], 
 def shioda_rank(picard_rank: int, component_counts: Sequence[int]) -> int:
     """Mordell-Weil rank forced by the rank bookkeeping: the lattice rank
     minus two (fibre and zero section) minus one per extra fibre component."""
-    extra = sum(c - 1 for c in component_counts)
+    picard_rank = _integer(picard_rank, "picard_rank", FibreError)
+    extra = sum(_integer(c, "a component count", FibreError) - 1 for c in component_counts)
     rank = picard_rank - 2 - extra
     if rank < 0:
         raise FibreError(

@@ -10,16 +10,16 @@ coordinates.
 Coordinates are validated once, when a class enters the library through
 DivisorClass(surface, coords) or Surface.divisor.  Classes the library
 derives from validated ones (sums, differences, integer multiples,
-blow-up and blow-down images, quadratic transforms) and the classes its
-own integer walks build are made without validating again.  A class is a
-slotted frozen object: two fields and no per-instance dict, so a large
+blow-down images, quadratic transforms) and the classes its own integer
+walks build are made without validating again.  A class is a slotted
+frozen object: two fields and no per-instance dict, so a large
 enumeration costs one small object and one coordinate tuple per class.
 Surfaces and classes are plain classes, not dataclasses, so importing
 the package builds none; equality and hash are those of the field tuple.
 
-Every surface a blow-up or a contraction reaches comes from one shared
-constructor, so equal surfaces reached that way are one object, and the
-canonical class and its dual vector are built once per distinct surface.
+Every surface a contraction reaches comes from one shared constructor,
+so equal surfaces reached that way are one object, and the canonical
+class and its dual vector are built once per distinct surface.
 Contraction and the quadratic transform each have one rule, on
 coordinate rows: blow_down and cremona wrap them for classes, and the
 reduction pipeline contracts raw rows.
@@ -53,7 +53,6 @@ __all__ = [
     "ruled_curve",
     "arithmetic_genus",
     "is_minus_one_class",
-    "blow_up",
     "blow_down",
     "contracting_isometry",
     "cremona",
@@ -427,6 +426,14 @@ def is_minus_one_class(c: DivisorClass) -> bool:
     return c * c == -1 and c.surface.canonical() * c == -1
 
 
+def _integer(value, name: str, error: type = LatticeError) -> int:
+    """``value`` as an int; anything else is an ``error`` naming the argument."""
+    try:
+        return _as_int(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, not {value!r}") from None
+
+
 def _require_on(surface: Surface, c: DivisorClass) -> None:
     if c.surface is not surface and c.surface != surface:
         raise ForeignClassError("foreign class: carried class lives on another surface")
@@ -441,18 +448,6 @@ def _basis_exceptional_index(coords: tuple[int, ...], base: int) -> int | None:
     if len(hits) == 1 and coords[hits[0]] == 1:
         return hits[0] - base + 1
     return None
-
-
-def blow_up(
-    surface: Surface, classes: Iterable[DivisorClass] = ()
-) -> tuple[Surface, tuple[DivisorClass, ...]]:
-    """Blow up one more point; carried classes gain a zero coordinate."""
-    bigger = _surface(surface.kind, surface.index, surface.blowups + 1)
-    out = []
-    for c in classes:
-        _require_on(surface, c)
-        out.append(DivisorClass._derived(bigger, c.coords + (0,)))
-    return bigger, tuple(out)
 
 
 def _reflect(
@@ -597,7 +592,11 @@ def elementary_transform(
     Either way the transformed point has multiplicity (section
     coefficient - multiplicity).
     """
+    index = _integer(index, "index")
     s_coef, f_coef = curve
+    s_coef = _integer(s_coef, "the section coefficient of curve")
+    f_coef = _integer(f_coef, "the fibre coefficient of curve")
+    multiplicity = _integer(multiplicity, "multiplicity")
     if index < 0:
         raise LatticeError("index and blow-up count must be nonnegative")
     if not 0 <= multiplicity <= s_coef:

@@ -1,12 +1,19 @@
 """Reduction of a pencil to its minimal ruled model by exact contractions.
 
-The reduction phase repeatedly contracts supplied (-1)-curves meeting the
-fibre exactly once, which preserves the adjoint square while raising the
-canonical self-intersection by one per step.  The greedy phase then
-contracts remaining (-1)-curves, always choosing a smallest pencil
-multiplicity, until the rank-2 minimal model is reached; the endpoint
-data (index, degree over the ruling, fibre coefficient, recorded
-multiplicities) is the numerical type the pencil realizes.
+Both phases run one contraction loop, which differs between them only in
+the curve it picks.  The reduction phase contracts supplied (-1)-curves
+meeting the fibre exactly once.  The greedy phase then contracts the
+remaining (-1)-curves, always choosing a smallest pencil multiplicity,
+until the rank-2 minimal model is reached; the endpoint data (index,
+degree over the ruling, fibre coefficient, recorded multiplicities) is
+the numerical type the pencil realizes.
+
+The loop keeps one invariant for both phases: contracting a (-1)-curve
+of pencil degree m raises K^2 by one and the adjoint square
+(K + pencil)^2 by (m - 1)^2, whatever the input, since K = pi*K' + E and
+pencil = pi*pencil' - mE on the blow-up.  A run that breaks either
+identity raises InvariantError, a fault in the library and never a
+failed claim about the pencil.
 """
 
 from __future__ import annotations
@@ -132,52 +139,68 @@ def _contract(
     return smaller, DivisorClass._derived(smaller, pushed[0]), [c for c in pushed[1:] if c != zero]
 
 
-def reduction(fib: Fibration, effective) -> ReducedPencil:
-    """Contract away every supplied (-1)-curve meeting the fibre once.
+def _squares(surface: Surface, pencil: DivisorClass) -> tuple[int, int]:
+    """K^2 and the adjoint square (K + pencil)^2."""
+    k = surface.canonical()
+    k_sq = k * k
+    return k_sq, k_sq + 2 * (k * pencil) + pencil * pencil
 
-    Candidates are re-scanned after every contraction since images evolve;
-    ties go to the smallest coordinate vector.  The adjoint square is
-    unchanged at every step while the canonical self-intersection rises by
-    one; both identities are checked on the result and a violation raises
-    InvariantError.  The curves are carried as coordinate rows; classes are
-    built only for the trace and the result.
+
+def _contractions(
+    surface: Surface, pencil: DivisorClass, curves: list[tuple[int, ...]], pick
+) -> tuple[Surface, DivisorClass, list[tuple[int, ...]], ContractionTrace]:
+    """Contract the (-1)-curve ``pick`` chooses until it chooses none.
+
+    ``pick(surface, pairs)`` gets the (pencil * C, C) pair of every
+    (-1)-curve of the rows, rescanned after every contraction since
+    images evolve, and returns one pair or None.  Each contraction of
+    pencil degree m raises K^2 by one and the adjoint square (K + pencil)^2
+    by (m - 1)^2, whatever the classes are; both identities are checked
+    over the run and a violation raises InvariantError.
     """
-    fib.validate()
-    surface = fib.surface
-    pencil = fib.fibre_class
-    curves: list[tuple[int, ...]] = []
-    for c in effective:
-        curves.append(_check_carried(surface, c))
     start = surface
-    k_start_sq = surface.canonical() * surface.canonical()
-    adj_start = (surface.canonical() + pencil) * (surface.canonical() + pencil)
+    k_start_sq, adj_start = _squares(surface, pencil)
     steps: list[TraceStep] = []
-    while True:
-        cands = [c for p, c in _minus_one_curves(surface, pencil, curves) if p == 1]
-        if not cands:
-            break
-        e = min(cands)
+    while (chosen := pick(surface, _minus_one_curves(surface, pencil, curves))) is not None:
+        m, e = chosen
         contracted = DivisorClass._derived(surface, e)
         surface, pencil, curves = _contract(surface, pencil, curves, e)
-        steps.append(TraceStep(contracted, 1, surface, pencil))
-    k_end = surface.canonical()
-    adj_end = (k_end + pencil) * (k_end + pencil)
-    if adj_end != adj_start:
+        steps.append(TraceStep(contracted, m, surface, pencil))
+    k_end_sq, adj_end = _squares(surface, pencil)
+    adj_want = adj_start + sum((s.pencil_degree - 1) ** 2 for s in steps)
+    if adj_end != adj_want:
         raise InvariantError(
-            f"invariant broken: adjoint square went from {adj_start} to {adj_end}"
+            f"invariant broken: adjoint square went from {adj_start} to {adj_end}, "
+            f"expected {adj_want}"
         )
-    k_end_sq = k_end * k_end
     if k_end_sq != k_start_sq + len(steps):
         raise InvariantError(
             f"invariant broken: K^2 went from {k_start_sq} to {k_end_sq} "
             f"over {len(steps)} contractions"
         )
-    return ReducedPencil(
-        surface,
-        pencil,
-        DivisorClass._derived_all(surface, curves),
-        ContractionTrace(start, surface, tuple(steps)),
+    return surface, pencil, curves, ContractionTrace(start, surface, tuple(steps))
+
+
+def _pick_reduction(surface: Surface, pairs):
+    # pencil degree one, ties to the smallest coordinates
+    return min((pc for pc in pairs if pc[0] == 1), default=None)
+
+
+def reduction(fib: Fibration, effective) -> ReducedPencil:
+    """Contract away every supplied (-1)-curve meeting the fibre once.
+
+    Ties go to the smallest coordinate vector.  The adjoint square is
+    unchanged at every step while the canonical self-intersection rises by
+    one.  The curves are carried as coordinate rows; classes are built
+    only for the trace and the result.
+    """
+    fib.validate()
+    surface = fib.surface
+    curves = [_check_carried(surface, c) for c in effective]
+    surface, pencil, curves, trace = _contractions(
+        surface, fib.fibre_class, curves, _pick_reduction
     )
+    return ReducedPencil(surface, pencil, DivisorClass._derived_all(surface, curves), trace)
 
 
 class ElementaryTransformRepair(NamedTuple):
@@ -231,6 +254,17 @@ class SharpModelData(NamedTuple):
         return NumericType(self.adjoint_degree, self.twice_offset, self.multiplicities, ksq)
 
 
+def _pick_greedy(surface: Surface, pairs):
+    if surface.rank <= 2:
+        return None
+    if not pairs:
+        raise IncompleteGeometryError(
+            f"incomplete geometry: no (-1)-curve supplied at rank {surface.rank}"
+        )
+    # (pencil degree, coordinates): ties go to the smallest coordinates
+    return min(pairs)
+
+
 def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
     """Contract remaining (-1)-curves, smallest pencil multiplicity first,
     down to the rank-2 model.
@@ -256,26 +290,13 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
             raise ReductionError(
                 f"not a reduction: {DivisorClass._derived(surface, c)} still meets the pencil once"
             )
-    start = surface
-    steps: list[TraceStep] = []
-    mults: list[int] = []
-    violations: list[str] = []
-    while surface.rank > 2:
-        cands = _minus_one_curves(surface, pencil, curves)
-        if not cands:
-            raise IncompleteGeometryError(
-                f"incomplete geometry: no (-1)-curve supplied at rank {surface.rank}"
-            )
-        # (pencil degree, coordinates): ties go to the smallest coordinates
-        m, e = min(cands)
-        contracted = DivisorClass._derived(surface, e)
-        if mults and m < mults[-1]:
-            violations.append(
-                f"contraction multiplicity dropped from {mults[-1]} to {m} at {contracted}"
-            )
-        surface, pencil, curves = _contract(surface, pencil, curves, e)
-        steps.append(TraceStep(contracted, m, surface, pencil))
-        mults.append(m)
+    surface, pencil, _, trace = _contractions(surface, pencil, curves, _pick_greedy)
+    mults = trace.multiplicities
+    violations = [
+        f"contraction multiplicity dropped from {before} to {m} at {step.contracted}"
+        for before, m, step in zip(mults, mults[1:], trace.steps[1:])
+        if m < before
+    ]
     if surface.kind == "plane":
         if surface.rank == 1:
             raise ReductionError("the reduction ended on P^2 itself: no ruled model to read")
@@ -325,7 +346,7 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
         ordered,
         surface,
         pencil,
-        ContractionTrace(start, surface, tuple(steps)),
+        trace,
         tuple(violations),
         repair,
     )

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +238,27 @@ def test_verify_example_broken_invariant_is_an_error(monkeypatch, capsys):
     assert not any(line.startswith("FAIL") for line in lines)
 
 
+@pytest.mark.parametrize("tag", ["B1", "C", "Ex4_4", "Ex4_6"])
+def test_verify_example_greedy_fault_is_an_error(tag, monkeypatch, capsys):
+    # these models have no reduction step, so only the greedy phase sees a
+    # fault inside a contraction; it is a library error, not a failed claim
+    from genus2pencils import sharp
+
+    real = sharp._contract
+
+    def doubling(surface, pencil, curves, e):
+        smaller, pushed, rest = real(surface, pencil, curves, e)
+        return smaller, 2 * pushed, rest
+
+    monkeypatch.setattr(sharp, "_contract", doubling)
+    assert main(["verify-example", tag]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    (error,) = [line for line in lines if line.startswith("ERROR")]
+    assert error.startswith("ERROR pipeline: InvariantError at sharp.py:")
+    assert "adjoint square went from" in error
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
 def test_verify_example_unknown_tag(capsys):
     assert main(["verify-example", "4.9"]) == 2
     assert "unknown example tag" in capsys.readouterr().err
@@ -306,6 +329,33 @@ def test_dual_graph_bad_file(tmp_path, capsys):
     assert main(["dual-graph", str(path), "--fibre", "F0"]) == 2
     err = capsys.readouterr().err
     assert "line 2: unrecognized line 'wat'" in err
+
+
+def test_dual_graph_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.model"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["dual-graph", str(path), "--fibre", "F0"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"cannot read {str(path)!r}: not UTF-8 text (byte 0)"
+
+
+# a quoted DOT ID: no bare double quote, any backslash escapes one character
+DOT_ID = r'"(?:[^"\\]|\\.)*"'
+
+
+def test_dual_graph_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    text = (Path(catalog.__file__).parent / "models" / "Ex4_6.model").read_text(encoding="utf-8")
+    text = re.sub(r"\bTH2\b", 'TH2"x', text).replace("fibre F0:", "fibre F\\0:")
+    path = tmp_path / "quoted.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["dual-graph", str(path), "--fibre", "F\\0", "--dot"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(rf"graph {DOT_ID} {{", lines[0])
+    assert lines[0].endswith('_F\\\\0" {')
+    # the catalog fibre's graph, with the one name escaped
+    assert lines[1:] == DUAL_GRAPH_DOT.replace('"TH2"', '"TH2\\"x"').splitlines()[1:]
+    statement = re.compile(rf"  {DOT_ID}( -- {DOT_ID})?( \[\w+=(\w+|{DOT_ID})\])?;")
+    assert all(statement.fullmatch(line) for line in lines[2:-1])
 
 
 def test_module_entry_point():

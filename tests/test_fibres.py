@@ -302,6 +302,21 @@ def test_shioda_rank_bookkeeping():
         shioda_rank(11, (11,))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((13, [1.5]), "a component count must be an integer, not 1.5"),
+        ((13.0, [2]), "picard_rank must be an integer, not 13.0"),
+        (("13", [2]), "picard_rank must be an integer, not '13'"),
+        ((13, [2, None]), "a component count must be an integer, not None"),
+    ],
+)
+def test_shioda_rank_names_a_number_that_is_not_an_integer(args, message):
+    with pytest.raises(FibreError) as info:
+        shioda_rank(*args)
+    assert str(info.value) == message
+
+
 def small_fibration():
     s = plane_blowup(2)
     f = s.line - s.exceptional(1)

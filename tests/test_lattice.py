@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import re
 
 import pytest
 
@@ -20,7 +21,6 @@ from genus2pencils.lattice import (
     adjoint_square,
     arithmetic_genus,
     blow_down,
-    blow_up,
     cremona,
     elementary_transform,
     hirzebruch_blowup,
@@ -224,16 +224,6 @@ def test_minus_one_class_detection():
     assert not is_minus_one_class(plane_curve(s, 1))
 
 
-def test_blow_up_appends_zero():
-    s = plane_blowup(2)
-    c = plane_curve(s, 3, (2, 1))
-    bigger, (image,) = blow_up(s, (c,))
-    assert bigger.blowups == 3
-    assert image.coords == (3, -2, -1, 0)
-    assert image * image == c * c
-    assert bigger.canonical() * image == s.canonical() * c
-
-
 def test_blow_down_basis_class():
     s = plane_blowup(3)
     c = plane_curve(s, 4, (2, 1, 1))
@@ -283,8 +273,7 @@ def test_contractions_share_their_target_surface():
     assert first is second
     assert first.canonical() is second.canonical()
     assert first._canonical_dual == first.dual(first.canonical().coords)
-    bigger, _ = blow_up(first)
-    assert blow_up(second)[0] is bigger
+    bigger = plane_blowup(5)
     assert blow_down(bigger, bigger.exceptional(1))[0] is first
     h = hirzebruch_blowup(1, 2)
     assert blow_down(h, h.exceptional(1))[0] is blow_down(h, h.exceptional(2))[0]
@@ -335,6 +324,21 @@ def test_elementary_transform_errors():
         elementary_transform(-1, (8, 9), 4)
     with pytest.raises(LatticeError, match="between 0 and the section coefficient"):
         elementary_transform(1, (8, 13), 9)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.0, (8, 13), 4), "index must be an integer, not 1.0"),
+        ((1, (8.5, 13), 4), "the section coefficient of curve must be an integer, not 8.5"),
+        ((1, (8, "13"), 4), "the fibre coefficient of curve must be an integer, not '13'"),
+        ((1, (2, 3), 1.5), "multiplicity must be an integer, not 1.5"),
+        ((1, (2, 3), "x"), "multiplicity must be an integer, not 'x'"),
+    ],
+)
+def test_elementary_transform_names_a_number_that_is_not_an_integer(args, message):
+    with pytest.raises(LatticeError, match=re.escape(message)):
+        elementary_transform(*args)
 
 
 def test_fibration_validation():

@@ -12,12 +12,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genus2pencils import catalog, lattice, sharp
 from genus2pencils.lattice import (
     DivisorClass,
     Fibration,
     ForeignClassError,
+    LatticeError,
     Surface,
     cremona,
     hirzebruch_blowup,
@@ -30,6 +32,7 @@ from genus2pencils.sharp import (
     ContractionTrace,
     ElementaryTransformRepair,
     IncompleteGeometryError,
+    InvariantError,
     PlaneModel,
     ReducedPencil,
     ReductionError,
@@ -317,6 +320,22 @@ def test_reduction_checks_the_canonical_square(monkeypatch):
         reduction(Fibration(s, f), basis_effective(s))
 
 
+def test_greedy_checks_the_adjoint_square(monkeypatch):
+    real = sharp._contract
+
+    def doubling(surface, pencil, curves, e):
+        smaller, pushed, rest = real(surface, pencil, curves, e)
+        return smaller, 2 * pushed, rest
+
+    monkeypatch.setattr(sharp, "_contract", doubling)
+    # the septic pencil has nothing to reduce: the greedy phase alone
+    # contracts, and the doubled pencil breaks (K + pencil)^2
+    s, f = septic_pencil()
+    reduced = ReducedPencil(s, f, basis_effective(s), ContractionTrace(s, s, ()))
+    with pytest.raises(InvariantError, match="adjoint square went from 2 to "):
+        greedy_sharp_minimal(reduced)
+
+
 def test_classify_type_special_branch():
     # synthetic index-1 endpoint below the degree floor: 2*7 - 5 < 2*5
     s = hirzebruch_blowup(1, 0)
@@ -527,6 +546,29 @@ def test_pipeline_matches_the_class_based_reference():
     assert errors["IncompleteGeometryError"] >= 50
     assert errors["ReductionError"] >= 5
     assert "ValueError" not in errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_each_contraction_raises_the_squares_by_the_blow_up_identities(rng):
+    # K = pi*K' + E and P = pi*P' - mE on a blow-up: at every step of
+    # both phases K^2 rises by one and (K + pencil)^2 by (m - 1)^2, read
+    # off the recorded trace alone
+    fib, effective = random_pipeline_input(rng)
+    try:
+        result = sharp_minimal_pipeline(fib, effective)
+    except InvariantError:
+        raise
+    except LatticeError:
+        return  # input the pipeline rejects: no trace to read
+    assert result.model.trace.start == result.reduced.trace.end
+    surface, pencil = result.reduced.trace.start, fib.fibre_class
+    for step in result.reduced.trace.steps + result.model.trace.steps:
+        k, k_after = surface.canonical(), step.surface_after.canonical()
+        assert k_after * k_after == k * k + 1
+        adjoint, adjoint_after = k + pencil, k_after + step.pencil_after
+        assert adjoint_after * adjoint_after == adjoint * adjoint + (step.pencil_degree - 1) ** 2
+        surface, pencil = step.surface_after, step.pencil_after
 
 
 def test_greedy_rejects_foreign_curves_like_the_reference():
