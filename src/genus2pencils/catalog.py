@@ -18,14 +18,12 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .curves import ClassQuery, _classes_meeting, fibre_intersection_identity, minus_one_section_exists
+from .curves import ClassQuery, fibre_intersection_identity, minus_one_section_exists
 from .fibres import (
     ade_classify, complement_lattice, orthogonal_decomposition_check, shioda_rank, validate_fibre,
 )
-from .intmat import hermite_normal_form
-from .lattice import (
-    DivisorClass, Fibration, LatticeError, adjoint_square, cremona, pairings, picard_number,
-)
+from .intmat import hermite_normal_form, rational_rank
+from .lattice import Fibration, LatticeError, adjoint_square, cremona, pairings, picard_number
 from .modelfile import parse, to_fibration
 from .numerics import NumericType
 from .sharp import InvariantError, PlaneModel, canonical_p2_model, sharp_minimal_pipeline
@@ -466,18 +464,21 @@ def verify(tag: str) -> VerifyReport:
 
         def check_unique(name: str = name, query=query, constraints=constraints) -> str:
             stored = fib.named(name)
-
-            def target(other: str) -> DivisorClass:
-                return f if other == "F" else fib.named(other)
-
-            # the first constraint selects whole block orbits, and only
-            # their classes are built; the rest filter those classes one
-            # constraint at a time
-            (first, want), *rest = constraints
-            hits = list(_classes_meeting(surface, target(first), want, ClassQuery(*query, 3)))
-            for other, want in rest:
-                hits = [c for c, v in zip(hits, pairings(target(other), hits)) if v == want]
-            _require(hits == [stored], f"constraint solutions {hits}")
+            # the printed numerics, at a reference degree in [0, 3]
+            got = stored * stored, surface.canonical() * stored
+            degree = sum(stored.coords[: surface.base_rank])
+            _require(
+                got == query and 0 <= degree <= 3,
+                f"{name} has C*C, K*C = {got} at degree {degree}, expected {query} at 0..3",
+            )
+            targets = [f if other == "F" else fib.named(other) for other, _ in constraints]
+            for (other, want), value in zip(constraints, pairings(stored, targets)):
+                _require(value == want, f"{name} pairs {value} with {other}, expected {want}")
+            # the form is nondegenerate, so constraint classes of full rank
+            # fix every pairing of a solution, hence the solution itself:
+            # no other class of the lattice, of any degree, meets them so
+            rank = rational_rank([t.coords for t in targets])
+            _require(rank == surface.rank, f"constraint rank {rank}, expected {surface.rank}")
             return f"{name} is the unique solution of its {len(constraints)} printed constraints"
 
         _run(checks, f"reconstructed-{name}", check_unique)

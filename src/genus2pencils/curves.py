@@ -26,9 +26,9 @@ coordinate tuple and one slotted object.
 One budget rule covers every query: the walk counts its nodes plus the
 orbits it emits, and expanding orbits into more classes than the budget
 raises before any class is built.  The orbit lists of the section
-search, the identity and the reconstruction check are cached for recent
-queries and clear_caches drops them; enum_classes walks afresh, as no
-caller repeats a query, and class lists are built anew on every call.
+search and the identity are cached for recent queries and clear_caches
+drops them; enum_classes walks afresh, as no caller repeats a query, and
+class lists are built anew on every call.
 """
 
 from __future__ import annotations
@@ -390,17 +390,6 @@ def _expand(surface: Surface, blocks, orbits, budget: int) -> tuple[DivisorClass
     for rows in groups.values():
         rows.sort(reverse=True)
     return DivisorClass._derived_all(surface, chain.from_iterable(map(groups.get, sorted(groups))))
-
-
-def _classes_meeting(
-    surface: Surface, d: DivisorClass, degree: int, query: ClassQuery
-) -> tuple[DivisorClass, ...]:
-    """The classes of enum_classes(surface, query) with d*C == degree, in
-    the same order; only the block orbits that pair to degree are expanded."""
-    blocks = _blocks(surface, (d,))
-    orbits = _orbits_cached(surface, query, blocks, DEFAULT_BUDGET)
-    keep = tuple(o for o, v in zip(orbits, _orbit_degrees(d, blocks, orbits)) if v == degree)
-    return _expand(surface, blocks, keep, DEFAULT_BUDGET)
 
 
 class IdentityReport:

@@ -3,6 +3,9 @@
 Matrices are sequences of equal-length integer rows.  Results stay
 integral wherever the mathematics guarantees it: Bareiss elimination for
 determinants, and one Hermite-form elimination for kernels and ranks.
+That elimination carries a unimodular transform only for the callers
+that read one (hermite_with_transform, kernel_basis); the Hermite form
+and the rank skip it.  The catalog's uniqueness certificates are ranks.
 The semidefiniteness test scales each Schur complement by its positive
 pivot, so it stays integral too.  It has no caller in the library: fibre
 validation gets semidefiniteness from its other checks.  It stays as the
@@ -59,55 +62,64 @@ def bareiss_determinant(rows: Matrix) -> int:
     return sign * m[-1][-1]
 
 
-def hermite_with_transform(rows: Matrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite form H of the input A plus a unimodular U with U*A = H.
+def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Row Hermite form of the first ncols columns, in place: every row
+    operation acts on the whole row, so columns past ncols carry a
+    transform along when the caller appends one.
 
-    H keeps the full row count (zero rows sink to the bottom); pivots are
+    The row count is kept (zero rows sink to the bottom); pivots are
     positive and entries above each pivot are reduced into [0, pivot).
     """
-    h = _copy(rows)
-    nrows = len(h)
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    ncols = len(h[0]) if h else 0
+    nrows = len(rows)
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
         while True:
-            live = [i for i in range(row, nrows) if h[i][col] != 0]
+            live = [i for i in range(row, nrows) if rows[i][col] != 0]
             if not live:
                 break
-            pivot = min(live, key=lambda i: abs(h[i][col]))
+            pivot = min(live, key=lambda i: abs(rows[i][col]))
             if pivot != row:
-                h[row], h[pivot] = h[pivot], h[row]
-                u[row], u[pivot] = u[pivot], u[row]
-            if h[row][col] < 0:
-                h[row] = [-x for x in h[row]]
-                u[row] = [-x for x in u[row]]
+                rows[row], rows[pivot] = rows[pivot], rows[row]
+            if rows[row][col] < 0:
+                rows[row] = [-x for x in rows[row]]
             done = True
             for i in range(row + 1, nrows):
-                q = h[i][col] // h[row][col]
+                q = rows[i][col] // rows[row][col]
                 if q:
-                    h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[row])]
-                if h[i][col] != 0:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[row])]
+                if rows[i][col] != 0:
                     done = False
             if done:
                 break
-        if h[row][col] != 0:
+        if rows[row][col] != 0:
             for i in range(row):
-                q = h[i][col] // h[row][col]
+                q = rows[i][col] // rows[row][col]
                 if q:
-                    h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[row])]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[row])]
             row += 1
-    return h, u
+    return rows
+
+
+def hermite_with_transform(rows: Matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite form H of the input A plus a unimodular U with U*A = H.
+
+    H keeps the full row count (zero rows sink to the bottom); pivots are
+    positive and entries above each pivot are reduced into [0, pivot).
+    U is read off the identity block of the eliminated [A | I].
+    """
+    a = _copy(rows)
+    ncols = len(a[0]) if a else 0
+    n = len(a)
+    both = _hermite([r + [int(i == j) for j in range(n)] for i, r in enumerate(a)], ncols)
+    return [r[:ncols] for r in both], [r[ncols:] for r in both]
 
 
 def hermite_normal_form(rows: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Nonzero rows of the row Hermite form."""
-    h, _ = hermite_with_transform(rows)
-    return tuple(tuple(r) for r in h if any(r))
+    """Nonzero rows of the row Hermite form, eliminated without a transform."""
+    a = _copy(rows)
+    return tuple(tuple(r) for r in _hermite(a, len(a[0]) if a else 0) if any(r))
 
 
 def kernel_basis(rows: Matrix) -> tuple[tuple[int, ...], ...]:

@@ -146,27 +146,11 @@ def _squares(surface: Surface, pencil: DivisorClass) -> tuple[int, int]:
     return k_sq, k_sq + 2 * (k * pencil) + pencil * pencil
 
 
-def _contractions(
-    surface: Surface, pencil: DivisorClass, curves: list[tuple[int, ...]], pick
-) -> tuple[Surface, DivisorClass, list[tuple[int, ...]], ContractionTrace]:
-    """Contract the (-1)-curve ``pick`` chooses until it chooses none.
-
-    ``pick(surface, pairs)`` gets the (pencil * C, C) pair of every
-    (-1)-curve of the rows, rescanned after every contraction since
-    images evolve, and returns one pair or None.  Each contraction of
-    pencil degree m raises K^2 by one and the adjoint square (K + pencil)^2
-    by (m - 1)^2, whatever the classes are; both identities are checked
-    over the run and a violation raises InvariantError.
-    """
-    start = surface
-    k_start_sq, adj_start = _squares(surface, pencil)
-    steps: list[TraceStep] = []
-    while (chosen := pick(surface, _minus_one_curves(surface, pencil, curves))) is not None:
-        m, e = chosen
-        contracted = DivisorClass._derived(surface, e)
-        surface, pencil, curves = _contract(surface, pencil, curves, e)
-        steps.append(TraceStep(contracted, m, surface, pencil))
-    k_end_sq, adj_end = _squares(surface, pencil)
+def _check_run(before: tuple[int, int], surface: Surface, pencil: DivisorClass, steps) -> None:
+    """InvariantError unless, from the squares ``before`` the run, K^2 rose
+    by one per step and the adjoint square by (m - 1)^2 per step of
+    pencil degree m."""
+    (k_start_sq, adj_start), (k_end_sq, adj_end) = before, _squares(surface, pencil)
     adj_want = adj_start + sum((s.pencil_degree - 1) ** 2 for s in steps)
     if adj_end != adj_want:
         raise InvariantError(
@@ -178,6 +162,35 @@ def _contractions(
             f"invariant broken: K^2 went from {k_start_sq} to {k_end_sq} "
             f"over {len(steps)} contractions"
         )
+
+
+def _contractions(
+    surface: Surface, pencil: DivisorClass, curves: list[tuple[int, ...]], pick
+) -> tuple[Surface, DivisorClass, list[tuple[int, ...]], ContractionTrace]:
+    """Contract the (-1)-curve ``pick`` chooses until it chooses none.
+
+    ``pick(surface, pairs)`` gets the (pencil * C, C) pair of every
+    (-1)-curve of the rows, rescanned after every contraction since
+    images evolve, and returns one pair or None.  Each contraction of
+    pencil degree m raises K^2 by one and the adjoint square (K + pencil)^2
+    by (m - 1)^2, whatever the classes are; both identities are checked
+    over the run and a violation raises InvariantError.  They are checked
+    too before a pick's IncompleteGeometryError leaves, so a contraction
+    that drops its curve uncontracted is a fault, not a lack of curves.
+    """
+    start = surface
+    before = _squares(surface, pencil)
+    steps: list[TraceStep] = []
+    try:
+        while (chosen := pick(surface, _minus_one_curves(surface, pencil, curves))) is not None:
+            m, e = chosen
+            contracted = DivisorClass._derived(surface, e)
+            surface, pencil, curves = _contract(surface, pencil, curves, e)
+            steps.append(TraceStep(contracted, m, surface, pencil))
+    except IncompleteGeometryError:
+        _check_run(before, surface, pencil, steps)
+        raise
+    _check_run(before, surface, pencil, steps)
     return surface, pencil, curves, ContractionTrace(start, surface, tuple(steps))
 
 

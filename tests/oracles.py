@@ -329,6 +329,19 @@ def rational_rank(rows) -> int:
     return rank
 
 
+# The reconstruction check as it stood before the rank certificate: every
+# class of the queried numerics up to reference degree 3, filtered by each
+# printed constraint.  The catalog's claims leave exactly the stored class.
+
+
+def reconstructed_solutions(fib: Fibration, query, constraints) -> list[DivisorClass]:
+    classes = list(enum_classes(fib.surface, ClassQuery(*query, 3)))
+    for name, want in constraints:
+        target = fib.fibre_class if name == "F" else fib.named(name)
+        classes = [c for c in classes if target * c == want]
+    return classes
+
+
 # The contraction pipeline as it stood before it moved to coordinate rows:
 # every carried curve is a class, each scan pairs K and the pencil with the
 # whole list, and every step calls blow_down.  sharp_minimal_pipeline must

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import os
 
+import oracles
 import pytest
 
 from genus2pencils import catalog
+from genus2pencils.cli import main
 from genus2pencils.fibres import orthogonal_decomposition_check
 
 CHECKS = {
@@ -145,6 +147,100 @@ def test_a_missing_fibre_fails_the_lattice_checks(tmp_path, monkeypatch):
     assert checks["shioda"].detail == "shioda rank 5"
     assert "not a basis: 7 classes on a rank-12 lattice" in checks["blocks"].detail
     assert checks["complement"].detail == "block span is not the full orthogonal complement"
+
+
+RECONSTRUCTED = (("Ex4_3", "E8"), ("Ex4_5", "EH8"))
+
+
+@pytest.mark.parametrize("tag, name", RECONSTRUCTED)
+def test_reconstructed_class_is_the_enumerated_solution(tag, name):
+    # the check enumerates nothing; the class-by-class filter up to
+    # degree 3 finds the stored class and no other
+    fib = catalog.get(tag).fibration
+    ((stored, query, constraints),) = catalog.get(tag).expected.reconstructed
+    assert stored == name
+    assert oracles.reconstructed_solutions(fib, query, constraints) == [fib.named(name)]
+    rows = [(fib.fibre_class if n == "F" else fib.named(n)).coords for n, _ in constraints]
+    assert oracles.rational_rank(rows) == fib.surface.rank
+
+
+def _reconstruction_failure(monkeypatch, capsys, tag, change):
+    """verify-example's exit code and its lines other than ok, with the
+    tag's one reconstruction claim (name, query, constraints) changed."""
+    claims = catalog._CLAIMS[tag]
+    (claim,) = claims.expected.reconstructed
+    expected = claims.expected._replace(reconstructed=(change(*claim),))
+    monkeypatch.setitem(catalog._CLAIMS, tag, claims._replace(expected=expected))
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    code = main(["verify-example", tag])
+    return code, [line for line in capsys.readouterr().out.splitlines() if not line.startswith("ok ")]
+
+
+@pytest.mark.parametrize("tag, name", RECONSTRUCTED)
+def test_reconstruction_with_a_short_rank_fails(tag, name, monkeypatch, capsys):
+    fib = catalog.get(tag).fibration
+    ((_, _, constraints),) = catalog.get(tag).expected.reconstructed
+    rows = [(fib.fibre_class if n == "F" else fib.named(n)).coords for n, _ in constraints]
+    kept = len(rows)
+    while oracles.rational_rank(rows[:kept]) == fib.surface.rank:
+        kept -= 1
+    rank = oracles.rational_rank(rows[:kept])
+    code, lines = _reconstruction_failure(
+        monkeypatch, capsys, tag, lambda n, q, c: (n, q, c[:kept])
+    )
+    # a short rank fails even when no other class of degree at most 3 fits
+    assert code == 1
+    assert lines == [
+        f"FAIL reconstructed-{name}: constraint rank {rank}, expected {fib.surface.rank}",
+        f"{tag}: 1 of 12 checks failed",
+    ]
+
+
+@pytest.mark.parametrize("tag, name", RECONSTRUCTED)
+def test_reconstruction_with_a_wrong_constraint_value_fails(tag, name, monkeypatch, capsys):
+    def wrong(n, q, c):
+        return n, q, c[:2] + ((c[2][0], c[2][1] + 1),) + c[3:]
+
+    code, lines = _reconstruction_failure(monkeypatch, capsys, tag, wrong)
+    assert code == 1
+    assert lines == [
+        f"FAIL reconstructed-{name}: {name} pairs 1 with TH7, expected 2",
+        f"{tag}: 1 of 12 checks failed",
+    ]
+
+
+@pytest.mark.parametrize("tag, name", RECONSTRUCTED)
+def test_reconstruction_with_wrong_numerics_fails(tag, name, monkeypatch, capsys):
+    swapped = {(-1, -1): (-2, 0), (-2, 0): (-1, -1)}
+    ((_, query, _),) = catalog.get(tag).expected.reconstructed
+    code, lines = _reconstruction_failure(
+        monkeypatch, capsys, tag, lambda n, q, c: (n, swapped[q], c)
+    )
+    assert code == 1
+    assert lines == [
+        f"FAIL reconstructed-{name}: {name} has C*C, K*C = {query} at degree 0, "
+        f"expected {swapped[query]} at 0..3",
+        f"{tag}: 1 of 12 checks failed",
+    ]
+
+
+def test_reconstruction_beyond_degree_three_fails(tmp_path, monkeypatch, capsys):
+    # a (-1)-class of degree 4 has the queried numerics but lies outside
+    # the range the printed claim covers
+    with open(os.path.join(catalog._MODELS, "Ex4_3.model"), encoding="utf-8") as handle:
+        text = handle.read()
+    quartic = "class Q = 4 -2 -2 -2 -1 -1 -1 -1 -1 0 0 0 0\n"
+    text = text.replace("fibre F0:", quartic + "fibre F0:")
+    (tmp_path / "Ex4_3.model").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(catalog, "_MODELS", str(tmp_path))
+    code, lines = _reconstruction_failure(
+        monkeypatch, capsys, "Ex4_3", lambda n, q, c: ("Q", q, c)
+    )
+    assert code == 1
+    assert lines == [
+        "FAIL reconstructed-Q: Q has C*C, K*C = (-1, -1) at degree 4, expected (-1, -1) at 0..3",
+        "Ex4_3: 1 of 12 checks failed",
+    ]
 
 
 def test_normalize_tag_spellings():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from genus2pencils import catalog
+from genus2pencils import catalog, sharp
 from genus2pencils.cli import _format_multiplicities, main
 from genus2pencils.modelfile import from_fibration, serialize
 
@@ -256,6 +256,33 @@ def test_verify_example_greedy_fault_is_an_error(tag, monkeypatch, capsys):
     (error,) = [line for line in lines if line.startswith("ERROR")]
     assert error.startswith("ERROR pipeline: InvariantError at sharp.py:")
     assert "adjoint square went from" in error
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
+_REAL_CONTRACT = sharp._contract
+
+
+def _doubling(surface, pencil, curves, e):
+    # contracts, then doubles the pushed pencil: (K + pencil)^2 jumps
+    smaller, pushed, rest = _REAL_CONTRACT(surface, pencil, curves, e)
+    return smaller, 2 * pushed, rest
+
+
+def _forgetting(surface, pencil, curves, e):
+    # drops the curve without contracting it, so K^2 never rises
+    return surface, pencil, [c for c in curves if c != e]
+
+
+@pytest.mark.parametrize("fake", [_doubling, _forgetting], ids=["doubling", "forgetting"])
+@pytest.mark.parametrize("tag", catalog.tags())
+def test_verify_example_contraction_fault_is_an_error(tag, fake, monkeypatch, capsys):
+    # on every model, also where a forgetting fault leaves the greedy
+    # phase without curves: the run's identities are checked first
+    monkeypatch.setattr(sharp, "_contract", fake)
+    assert main(["verify-example", tag]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    (error,) = [line for line in lines if line.startswith("ERROR")]
+    assert error.startswith("ERROR pipeline: InvariantError at sharp.py:")
     assert not any(line.startswith("FAIL") for line in lines)
 
 

@@ -25,8 +25,9 @@ from genus2pencils.curves import (
     _SPLIT_AT,
     _arrangements,
     _blocks,
-    _classes_meeting,
+    _expand,
     _orbit_degrees,
+    _orbits,
     _orbits_cached,
     clear_caches,
     enum_classes,
@@ -440,8 +441,8 @@ def test_section_certificate_needs_a_nonnegative_pencil():
     assert certified == {"B1": 2, "C": 4, "Ex4_4": 2, "Ex4_6": 4}
 
 
-# Block orbits: the section search, the pairing identity and
-# classes_meeting against the class-by-class references in oracles.
+# Block orbits: the section search, the pairing identity and the orbits
+# of one degree, expanded, against the class-by-class references in oracles.
 
 IDENTITY_FIELDS = (
     "holds", "shift", "pencil", "classes", "fibre_degrees", "pencil_degrees",
@@ -485,6 +486,16 @@ def test_identity_matches_reference_on_catalog():
                 )
 
 
+def _meeting(surface, d, degree, query):
+    """The classes of enum_classes(surface, query) with d*C == degree, in
+    the same order: only the block orbits of d that pair to degree are
+    expanded."""
+    blocks = _blocks(surface, (d,))
+    orbits = _orbits(surface, query, blocks, DEFAULT_BUDGET)
+    keep = tuple(o for o, v in zip(orbits, _orbit_degrees(d, blocks, orbits)) if v == degree)
+    return _expand(surface, blocks, keep, DEFAULT_BUDGET)
+
+
 def test_classes_meeting_matches_filtered_enumeration_on_catalog():
     for tag, fib, _, _ in _catalog_pencils():
         f = fib.fibre_class
@@ -493,17 +504,7 @@ def test_classes_meeting_matches_filtered_enumeration_on_catalog():
         degrees = pairings(f, every)
         for degree in sorted(set(degrees)) + [max(degrees) + 1]:
             want = [c for c, d in zip(every, degrees) if d == degree]
-            assert list(_classes_meeting(fib.surface, f, degree, q)) == want, (tag, degree)
-
-
-def test_reconstruction_expands_only_matching_orbits():
-    for tag, name, total, matching in (("Ex4_3", "E8", 7_074, 160), ("Ex4_5", "EH8", 2_068, 412)):
-        fib = catalog.get(tag).fibration
-        ((stored, query, _),) = catalog.get(tag).expected.reconstructed
-        assert stored == name
-        q = ClassQuery(*query, 3)
-        assert len(enum_classes(fib.surface, q)) == total
-        assert len(_classes_meeting(fib.surface, fib.fibre_class, 2, q)) == matching
+            assert list(_meeting(fib.surface, f, degree, q)) == want, (tag, degree)
 
 
 @st.composite
@@ -549,7 +550,7 @@ def test_orbit_consumers_match_reference(data):
     degrees = pairings(pencil, every)
     for degree in set(degrees[:3]):
         want = [c for c, d in zip(every, degrees) if d == degree]
-        assert list(_classes_meeting(fib.surface, pencil, degree, query)) == want
+        assert list(_meeting(fib.surface, pencil, degree, query)) == want
 
 
 def test_interleaved_blocks_are_split_by_position():
@@ -578,7 +579,7 @@ def test_interleaved_blocks_expand_in_enumeration_order():
     assert report.witnesses == tuple(c for c, d in zip(want, degrees) if d == report.minimum)
     for degree in set(degrees):
         meeting = tuple(c for c, d in zip(want, degrees) if d == degree)
-        assert _classes_meeting(s, f, degree, query) == meeting
+        assert _meeting(s, f, degree, query) == meeting
 
 
 def test_ruled_interleaved_blocks_expand_in_enumeration_order():
@@ -599,7 +600,7 @@ def test_ruled_interleaved_blocks_expand_in_enumeration_order():
         assert report.witnesses == tuple(c for c, d in zip(want, degrees) if d == report.minimum)
         for degree in set(degrees):
             meeting = tuple(c for c, d in zip(want, degrees) if d == degree)
-            assert _classes_meeting(s, f, degree, query) == meeting
+            assert _meeting(s, f, degree, query) == meeting
     found = minus_one_section_exists(fib, 3)
     want = enum_classes(s, ClassQuery(-1, -1, 3))
     degrees = pairings(f, want)

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
@@ -86,6 +87,29 @@ def test_hermite_transform_properties():
             p = next(j for j, v in enumerate(row) if v)
             for above in nonzero_rows[:r]:
                 assert 0 <= above[p] < row[p]
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Matrices of 0 to 6 rows and 0 to 6 columns, some rows a
+    combination of two others, so that the rank falls short."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    bound = draw(st.sampled_from((1, 3, 50)))
+    entries = st.integers(-bound, bound)
+    rows = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([x * a + y * b for a, b in zip(rows[0], rows[-1])])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices())
+def test_hermite_form_without_transform_is_the_transformed_one(rows):
+    # the two share one elimination; only the transform is skipped
+    h, _ = hermite_with_transform(rows)
+    assert hermite_normal_form(rows) == tuple(tuple(r) for r in h if any(r))
+    assert rational_rank(rows) == oracles.rational_rank(rows)
 
 
 def test_hermite_normal_form_drops_zero_rows():

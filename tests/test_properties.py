@@ -20,7 +20,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genus2pencils.curves import ClassQuery, _classes_meeting, enum_classes
+from genus2pencils.curves import (
+    DEFAULT_BUDGET, ClassQuery, _blocks, _expand, _orbit_degrees, _orbits, enum_classes,
+)
 from genus2pencils.fibres import classify_diagram
 from genus2pencils.intmat import is_negative_semidefinite
 from genus2pencils.lattice import (
@@ -354,7 +356,11 @@ def test_enumerated_classes_are_validated_classes(data, degree):
     for c in found:
         _as_validated(c, s)
     d = s.canonical() + s.exceptional(1) if s.blowups else s.canonical()
-    meeting = _classes_meeting(s, d, degree, query)
+    # the block orbits of d that pair to degree, expanded
+    blocks = _blocks(s, (d,))
+    orbits = _orbits(s, query, blocks, DEFAULT_BUDGET)
+    keep = tuple(o for o, v in zip(orbits, _orbit_degrees(d, blocks, orbits)) if v == degree)
+    meeting = _expand(s, blocks, keep, DEFAULT_BUDGET)
     assert meeting == tuple(c for c in found if d * c == degree)
     for c in meeting:
         _as_validated(c, s)
