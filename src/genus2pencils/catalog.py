@@ -20,10 +20,12 @@ from typing import NamedTuple
 
 from .curves import ClassQuery, fibre_intersection_identity, minus_one_section_exists
 from .fibres import (
-    ade_classify, complement_lattice, orthogonal_decomposition_check, shioda_rank, validate_fibre,
+    _gram, ade_classify, orthogonal_decomposition_check, shioda_rank, validate_fibre,
 )
-from .intmat import hermite_normal_form, rational_rank
-from .lattice import Fibration, LatticeError, adjoint_square, cremona, pairings, picard_number
+from .intmat import bareiss_determinant, rational_rank
+from .lattice import (
+    DivisorClass, Fibration, LatticeError, adjoint_square, cremona, pairings, picard_number,
+)
 from .modelfile import parse, to_fibration
 from .numerics import NumericType
 from .sharp import InvariantError, PlaneModel, canonical_p2_model, sharp_minimal_pipeline
@@ -262,6 +264,42 @@ def _require(cond: bool, message: str) -> None:
         raise AssertionError(message)
 
 
+def _complement_certificate(classes: tuple[DivisorClass, ...], rank: int) -> str:
+    """Certify that the classes after F and O, the first two of
+    ``classes``, are a basis of the orthogonal complement M of <F, O> in
+    the rank-``rank`` lattice L; return the check's detail.
+
+    The certificate reads one Gram matrix, the one the blocks check
+    builds for the same classes, and checks four things: there are
+    rank - 2 rest classes, each pairs 0 with F and with O, and both
+    |det Gram(F, O)| and |det Gram(rest)| are 1.  Proof that they suffice:
+
+    1. L is unimodular, as every Surface lattice is by construction.
+       Gram(F, O) is invertible over the integers, so every x in L is
+       y + z with y in <F, O> and z orthogonal to both: L = <F, O> + M,
+       a direct orthogonal sum, and det L = det Gram(F, O) * det M makes
+       M unimodular, of rank rank - 2.
+    2. The rest classes lie in M, and their Gram determinant is nonzero,
+       so the rank - 2 of them are independent and span a full-rank
+       sublattice N of M with det N = [M : N]^2 det M.  Then |det N| = 1
+       forces [M : N] = 1, that is N = M.
+
+    A Gram determinant does not depend on the basis, so the printed
+    discriminant is det M.  Any failing premise fails the check.
+    """
+    gram = _gram(classes)
+    rest = gram[2:]
+    disc = bareiss_determinant([row[2:] for row in rest])
+    _require(
+        len(rest) == rank - 2
+        and all(row[0] == row[1] == 0 for row in rest)
+        and abs(bareiss_determinant([row[:2] for row in gram[:2]])) == 1
+        and abs(disc) == 1,
+        "block span is not the full orthogonal complement",
+    )
+    return f"complement rank {len(rest)}, discriminant {disc}"
+
+
 def verify(tag: str) -> VerifyReport:
     """Recompute every claim an entry makes and compare, check by check."""
     entry = get(tag)
@@ -349,14 +387,9 @@ def verify(tag: str) -> VerifyReport:
         _run(checks, "blocks", check_blocks)
 
         def check_complement() -> str:
-            o = fib.named("O")
-            comp = complement_lattice(surface, (f, o))
-            rest = [fib.named(n) for block in entry.blocks[1:] for n in block]
-            # the complement basis is already in Hermite normal form
-            lhs = tuple(c.coords for c in comp.basis)
-            rhs = hermite_normal_form([list(c.coords) for c in rest])
-            _require(lhs == rhs, "block span is not the full orthogonal complement")
-            return f"complement rank {len(comp.basis)}, discriminant {comp.discriminant}"
+            # F, O and the rest, as the blocks check lists them
+            classes = tuple(fib.named(n) for block in entry.blocks for n in block)
+            return _complement_certificate(classes, surface.rank)
 
         _run(checks, "complement", check_complement)
 

@@ -7,12 +7,20 @@ nonnegative pairwise meetings (which together make the component Gram
 matrix negative semidefinite).  On top of that sit the dual-graph
 builder, a Dynkin-diagram classifier for the (-2)-part, and the
 Mordell-Weil rank certificates.  Every certificate reads its pairings
-from one matrix, built by ``_gram``.
+from one matrix, built by ``_gram``.  That builder is memoized on the
+tuple of classes, so the Gram matrix of a fibre that a model file's
+loading validated is read back, not recomputed, by the later checks on
+the same components, and the blocks and the complement of one model
+share theirs.  An argument that holds something other than divisor
+classes, or a multiplicity or node count that is not an integer, is a
+FibreError naming it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, combinations, product
+from math import prod
 from typing import NamedTuple, Sequence
 
 from .intmat import bareiss_determinant, hermite_normal_form, kernel_basis
@@ -48,8 +56,18 @@ class FibreError(LatticeError):
     """A fibre decomposition failed an identity."""
 
 
-def _gram(classes: Sequence[DivisorClass]) -> tuple[tuple[int, ...], ...]:
-    """The pairing matrix of ``classes``; they must share one surface."""
+@lru_cache(maxsize=64)
+def _gram(classes: tuple[DivisorClass, ...]) -> tuple[tuple[int, ...], ...]:
+    """The pairing matrix of ``classes``, a tuple of divisor classes on one
+    surface.
+
+    Memoized on the tuple: a class is immutable and hashes by its surface
+    and coordinates, so equal tuples have equal matrices.  The memo keeps
+    the last 64, like the orbit cache of curves: the whole catalog asks
+    for 12 (one per fibre and one per model's blocks), 13 x 13 at most.
+    ``_gram.cache_clear()`` drops them.  The callers check that every
+    item is a DivisorClass first, so a key is always hashable.
+    """
     return tuple(pairings(c, classes) for c in classes)
 
 
@@ -59,6 +77,17 @@ class FibreComponent(NamedTuple):
     multiplicity: int
     declared_self_intersection: int | None = None
     declared_genus: int | None = None
+
+
+def _divisor(p: FibreComponent, surface: Surface | None = None) -> DivisorClass:
+    """The class of component ``p``.  A divisor that is not a DivisorClass,
+    or one off ``surface`` when that is given, is a FibreError naming p."""
+    c = p.divisor
+    if not isinstance(c, DivisorClass):
+        raise FibreError(f"component {p.name} has divisor {c!r}, not a divisor class")
+    if surface is not None and c.surface is not surface and c.surface != surface:
+        raise FibreError(f"foreign class: component {p.name} lives on another surface")
+    return c
 
 
 class FibreDecomposition(NamedTuple):
@@ -91,18 +120,20 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
     parts = dec.components
     if not parts:
         raise FibreError(f"fibre {dec.name} has no components")
+    divisors, mults = [], []
     for p in parts:
-        if p.divisor.surface != fib.surface:
-            raise FibreError(f"foreign class: component {p.name} lives on another surface")
-        if p.multiplicity < 1:
-            raise FibreError(f"component {p.name} has multiplicity {p.multiplicity}")
-    total = sum(p.multiplicity * p.divisor for p in parts)
+        divisors.append(_divisor(p, fib.surface))
+        m = _integer(p.multiplicity, f"the multiplicity of component {p.name}", FibreError)
+        if m < 1:
+            raise FibreError(f"component {p.name} has multiplicity {m}")
+        mults.append(m)
+    total = sum(m * c for m, c in zip(mults, divisors))
     if total != f:
         residual = f - total
         raise FibreError(
             f"decomposition does not sum to F: fibre {dec.name} leaves residual {residual}"
         )
-    gram = _gram([p.divisor for p in parts])
+    gram = _gram(tuple(divisors))
     for i, p in enumerate(parts):
         sq = gram[i][i]
         if p.declared_self_intersection is not None and sq != p.declared_self_intersection:
@@ -114,7 +145,7 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
         if p.declared_genus is not None and g != p.declared_genus:
             raise FibreError(f"component {p.name} has genus {g}, declared {p.declared_genus}")
         # F is the weighted sum of the components, so F.C is a weighted row sum
-        meet = sum(q.multiplicity * w for q, w in zip(parts, gram[i]))
+        meet = sum(m * w for m, w in zip(mults, gram[i]))
         if meet != 0:
             raise FibreError(f"component {p.name} meets the fibre class ({meet}), expected 0")
     for i, j in combinations(range(len(parts)), 2):
@@ -132,8 +163,8 @@ class DualGraph(NamedTuple):
     edges: tuple[tuple[int, int, int], ...]
 
 
-def _graph(parts: Sequence[FibreComponent]) -> DualGraph:
-    gram = _gram([p.divisor for p in parts])
+def _graph(parts: Sequence[FibreComponent], surface: Surface | None = None) -> DualGraph:
+    gram = _gram(tuple(_divisor(p, surface) for p in parts))
     nodes = tuple(
         (p.name, gram[i][i], arithmetic_genus(p.divisor)) for i, p in enumerate(parts)
     )
@@ -142,20 +173,28 @@ def _graph(parts: Sequence[FibreComponent]) -> DualGraph:
 
 
 def dual_graph(fib: Fibration, dec: FibreDecomposition) -> DualGraph:
-    for p in dec.components:
-        if p.divisor.surface != fib.surface:
-            raise FibreError(f"foreign class: component {p.name} lives on another surface")
-    return _graph(dec.components)
+    return _graph(dec.components, fib.surface)
 
 
 def classify_diagram(node_count: int, edges: Sequence[tuple[int, int]]) -> str:
     """Label a connected simply-laced diagram: A/D/E, their affine shapes
-    (suffixed with ~), or "unclassified"."""
-    n = node_count
+    (suffixed with ~), or "unclassified".  The nodes are 0 .. node_count - 1;
+    a negative count, or an edge whose ends are not nodes, is a FibreError
+    naming it."""
+    n = _integer(node_count, "node_count", FibreError)
+    if n < 0:
+        raise FibreError(f"node_count must be nonnegative, not {n}")
     if n == 0:
         return "unclassified"
     adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in edges:
+    for edge in edges:
+        try:
+            a, b = edge
+        except (TypeError, ValueError):
+            raise FibreError(f"an edge must be a pair of nodes, not {edge!r}") from None
+        a, b = (_integer(x, "an edge end", FibreError) for x in (a, b))
+        if not (0 <= a < n and 0 <= b < n):
+            raise FibreError(f"edge {edge!r} has an end outside the nodes 0..{n - 1}")
         adj[a].add(b)
         adj[b].add(a)
     degrees = sorted(len(x) for x in adj)
@@ -276,6 +315,13 @@ class DecompositionReport(NamedTuple):
     certificate: str
 
 
+def _block_determinant(gram: Sequence[Sequence[int]], spans: Sequence[range]) -> int:
+    """The determinant of a Gram matrix that is block diagonal on
+    ``spans``, consecutive ranges of its rows and columns: the product of
+    the diagonal blocks' determinants."""
+    return prod(bareiss_determinant([gram[i][r.start:r.stop] for i in r]) for r in spans)
+
+
 def orthogonal_decomposition_check(
     fib: Fibration, blocks: Sequence[Sequence[DivisorClass]]
 ) -> DecompositionReport:
@@ -285,13 +331,19 @@ def orthogonal_decomposition_check(
     it once; blocks must be pairwise orthogonal; the union must be a basis
     (determinant of its Gram matrix equal to plus or minus one).  Passing
     certifies that no room is left for a nontrivial Mordell-Weil group.
+    The determinant is taken only once the blocks are orthogonal, when
+    the Gram matrix is block diagonal, so it is the product of the
+    diagonal blocks' determinants.  A block item that is not a
+    DivisorClass is a FibreError naming its block.
     """
     rank = fib.surface.rank
     messages: list[str] = []
-    blocks = [list(b) for b in blocks]
-    flat = [c for block in blocks for c in block]
+    blocks = [tuple(b) for b in blocks]
+    flat = tuple(c for block in blocks for c in block)
     for b, block in enumerate(blocks):
         for c in block:
+            if not isinstance(c, DivisorClass):
+                raise FibreError(f"blocks must hold divisor classes: block {b + 1} holds {c!r}")
             if c.surface != fib.surface:
                 messages.append(f"foreign class in block {b + 1}: {c}")
     if not messages:
@@ -315,7 +367,8 @@ def orthogonal_decomposition_check(
     if len(flat) != rank:
         messages.append(f"not a basis: {len(flat)} classes on a rank-{rank} lattice")
     elif not messages:
-        det = bareiss_determinant(gram)
+        # the blocks are pairwise orthogonal, so gram is block diagonal
+        det = _block_determinant(gram, spans)
         if abs(det) != 1:
             messages.append(f"not a basis: index {abs(det)}")
     passed = not messages
@@ -342,10 +395,15 @@ def complement_lattice(surface: Surface, sub: Sequence[DivisorClass]) -> Complem
     the integer kernel of the pairing matrix, so it generates the full
     complement, not a finite-index sublattice.  The basis is the nonzero
     rows of the kernel's Hermite normal form, so it is its own Hermite
-    form: two complements are equal exactly when their bases are.
+    form: two complements are equal exactly when their bases are.  An
+    input that is not a DivisorClass is a FibreError.  The catalog's
+    complement check does not run this kernel route: it certifies the
+    same equality by determinants (catalog._complement_certificate).
     """
     sub = list(sub)
     for c in sub:
+        if not isinstance(c, DivisorClass):
+            raise FibreError(f"sub must hold divisor classes, not {c!r}")
         if c.surface != surface:
             raise LatticeError("foreign class: input lives on another surface")
     if len(hermite_normal_form([c.coords for c in sub])) != len(sub):

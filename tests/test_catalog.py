@@ -13,7 +13,8 @@ import pytest
 
 from genus2pencils import catalog
 from genus2pencils.cli import main
-from genus2pencils.fibres import orthogonal_decomposition_check
+from genus2pencils.fibres import _gram, complement_lattice, orthogonal_decomposition_check
+from genus2pencils.intmat import hermite_normal_form
 
 CHECKS = {
     "A": ("fibration", "numeric-type", "pipeline", "section"),
@@ -147,6 +148,64 @@ def test_a_missing_fibre_fails_the_lattice_checks(tmp_path, monkeypatch):
     assert checks["shioda"].detail == "shioda rank 5"
     assert "not a basis: 7 classes on a rank-12 lattice" in checks["blocks"].detail
     assert checks["complement"].detail == "block span is not the full orthogonal complement"
+
+
+EXTREMAL = ("Ex4_3", "Ex4_4", "Ex4_5", "Ex4_6")
+
+
+def _kernel_oracle(fib, rest):
+    """The complement check by the kernel route: (passes, detail).  The
+    saturated complement of <F, O> is in Hermite form, so the rest
+    classes span it exactly when their Hermite form is its basis."""
+    comp = complement_lattice(fib.surface, (fib.fibre_class, fib.named("O")))
+    spans = tuple(c.coords for c in comp.basis) == hermite_normal_form([c.coords for c in rest])
+    return spans, f"complement rank {len(comp.basis)}, discriminant {comp.discriminant}"
+
+
+@pytest.mark.parametrize("tag", EXTREMAL)
+def test_complement_certificate_agrees_with_the_kernel_oracle(tag):
+    entry = catalog.get(tag)
+    fib = entry.fibration
+    rest = [fib.named(n) for block in entry.blocks[1:] for n in block]
+    checks = {c.name: c for c in catalog.verify(tag).checks}
+    assert (checks["complement"].passed, checks["complement"].detail) == _kernel_oracle(fib, rest)
+    assert checks["complement"].passed
+
+
+@pytest.mark.parametrize("tag", EXTREMAL)
+def test_an_index_two_block_span_fails_the_complement_check(tag, monkeypatch):
+    # doubling one rest class leaves a sublattice of index 2 in the
+    # complement: the determinant certificate and the kernel oracle both
+    # reject it
+    entry = catalog.get(tag)
+    fib = entry.fibration
+    doubled = entry.blocks[1][0]
+    named = tuple((n, c + c if n == doubled else c) for n, c in fib.named_classes)
+    broken = fib._replace(named_classes=named)
+    monkeypatch.setitem(catalog._CACHE, tag, entry._replace(fibration=broken))
+    rest = [broken.named(n) for block in entry.blocks[1:] for n in block]
+    assert not _kernel_oracle(broken, rest)[0]
+    checks = {c.name: c for c in catalog.verify(tag).checks}
+    assert (checks["complement"].passed, checks["complement"].error) == (False, None)
+    assert checks["complement"].detail == "block span is not the full orthogonal complement"
+    assert (checks["blocks"].passed, checks["blocks"].error) == (False, None)
+
+
+def test_one_verify_builds_each_gram_matrix_once(monkeypatch):
+    # the fibres check reads back the two matrices the model's loading
+    # built, dual-graphs reads them again, and complement reads the one
+    # of blocks: 2 + 2 + 1 hits
+    _gram.cache_clear()
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    catalog.verify("Ex4_3")
+    info = _gram.cache_info()
+    # the two fibres' component matrices and the blocks' 13 x 13 one
+    assert info.misses == info.currsize == 3
+    assert info.hits == 5
+    # a loaded model's verify builds only the blocks' matrix again
+    _gram.cache_clear()
+    catalog.verify("Ex4_3")
+    assert _gram.cache_info()[:2] == (3, 3)
 
 
 RECONSTRUCTED = (("Ex4_3", "E8"), ("Ex4_5", "EH8"))

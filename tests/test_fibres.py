@@ -96,6 +96,33 @@ def test_validate_fibre_rejects_bad_multiplicity():
         validate_fibre(fib, dec._replace(components=bad))
 
 
+@pytest.mark.parametrize("bad", [1.5, "1", None])
+def test_validate_fibre_names_a_multiplicity_that_is_not_an_integer(bad):
+    fib = sextic_fibration()
+    dec = chain_fibre(fib)
+    parts = tuple(p._replace(multiplicity=bad) if p.name == "TH9" else p for p in dec.components)
+    with pytest.raises(FibreError) as info:
+        validate_fibre(fib, dec._replace(components=parts))
+    assert str(info.value) == f"the multiplicity of component TH9 must be an integer, not {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [validate_fibre, dual_graph, lambda fib, dec: ade_classify(dec)],
+    ids=["validate_fibre", "dual_graph", "ade_classify"],
+)
+def test_a_component_divisor_that_is_not_a_class_is_named(check):
+    fib = sextic_fibration()
+    dec = chain_fibre(fib)
+    coords = dec.component("TH9").divisor.coords
+    parts = tuple(
+        p._replace(divisor=coords) if p.name == "TH9" else p for p in dec.components
+    )
+    with pytest.raises(FibreError) as info:
+        check(fib, dec._replace(components=parts))
+    assert str(info.value) == f"component TH9 has divisor {coords!r}, not a divisor class"
+
+
 def test_validate_fibre_rejects_wrong_sum():
     fib = sextic_fibration()
     dec = chain_fibre(fib)
@@ -248,6 +275,24 @@ def test_classify_diagram_rejections():
     assert classify_diagram(8, [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]) == "unclassified"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, [(0, 5)]), "edge (0, 5) has an end outside the nodes 0..1"),
+        ((3, [(-1, 0)]), "edge (-1, 0) has an end outside the nodes 0..2"),
+        ((-1, []), "node_count must be nonnegative, not -1"),
+        ((2.0, []), "node_count must be an integer, not 2.0"),
+        ((2, [(0, 1.0)]), "an edge end must be an integer, not 1.0"),
+        ((3, [(0, 1, 2)]), "an edge must be a pair of nodes, not (0, 1, 2)"),
+        ((2, [0]), "an edge must be a pair of nodes, not 0"),
+    ],
+)
+def test_classify_diagram_names_a_malformed_argument(args, message):
+    with pytest.raises(FibreError) as info:
+        classify_diagram(*args)
+    assert str(info.value) == message
+
+
 def test_ade_classify_chain_fibre():
     fib = sextic_fibration()
     groups = ade_classify(chain_fibre(fib))
@@ -368,6 +413,14 @@ def test_orthogonal_decomposition_failure_messages():
     assert report.certificate == ""
 
 
+def test_orthogonal_decomposition_names_an_item_that_is_not_a_class():
+    fib = small_fibration()
+    f, o = fib.fibre_class, fib.surface.exceptional(1)
+    with pytest.raises(FibreError) as info:
+        orthogonal_decomposition_check(fib, [[f, o], [(0, 0, 1)]])
+    assert str(info.value) == "blocks must hold divisor classes: block 2 holds (0, 0, 1)"
+
+
 def test_complement_of_the_line():
     s = plane_blowup(2)
     comp = complement_lattice(s, (s.line,))
@@ -391,10 +444,14 @@ def test_complement_edge_cases():
         complement_lattice(s, (plane_blowup(3).exceptional(1),))
     with pytest.raises(LatticeError, match="dependent input classes"):
         complement_lattice(s, (s.line, s.line + s.line))
+    with pytest.raises(FibreError) as info:
+        complement_lattice(s, (s.line, (0, 1, 0)))
+    assert str(info.value) == "sub must hold divisor classes, not (0, 1, 0)"
 
 
 def test_complement_basis_is_its_own_hermite_form():
-    # verify's complement check compares the basis with a Hermite form as is
+    # the kernel oracle of verify's complement check compares the basis
+    # with a Hermite form as is
     rows = tuple(c.coords for c in complement_lattice(plane_blowup(2), ()).basis)
     assert hermite_normal_form(rows) == rows
     fib = sextic_fibration()

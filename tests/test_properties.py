@@ -7,7 +7,8 @@ the Gram matrix against the single pairing, surface checks on mixed
 operands, isometry laws for the quadratic transform, blow-up/blow-down
 inverses, the pushforward pairing rule, elementary-transform inverses,
 diagram label invariance, Zariski's lemma for fibre pairing matrices,
-the adjoint-square ceiling of the numeric search, and that every class
+the determinant of a block-diagonal matrix as the product of its
+blocks', the adjoint-square ceiling of the numeric search, and that every class
 the library derives without validation is one the validating
 constructor would build.
 """
@@ -23,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 from genus2pencils.curves import (
     DEFAULT_BUDGET, ClassQuery, _blocks, _expand, _orbit_degrees, _orbits, enum_classes,
 )
-from genus2pencils.fibres import classify_diagram
-from genus2pencils.intmat import is_negative_semidefinite
+from genus2pencils.fibres import _block_determinant, classify_diagram
+from genus2pencils.intmat import bareiss_determinant, is_negative_semidefinite
 from genus2pencils.lattice import (
     DivisorClass,
     ForeignClassError,
@@ -230,6 +231,30 @@ def test_cycle_label_is_permutation_invariant(n, data):
     relabel = data.draw(st.permutations(range(n)))
     edges = [(relabel[i], relabel[(i + 1) % n]) for i in range(n)]
     assert classify_diagram(n, edges) == f"A{n - 1}~"
+
+
+@st.composite
+def block_diagonal(draw):
+    """(matrix, spans): integer blocks of sizes 1 to 4 on the diagonal of
+    a square matrix, zero elsewhere; spans are the blocks' index ranges."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    n = sum(sizes)
+    m = [[0] * n for _ in range(n)]
+    spans = []
+    for size in sizes:
+        start = spans[-1].stop if spans else 0
+        spans.append(range(start, start + size))
+        for i, j in itertools.product(spans[-1], repeat=2):
+            m[i][j] = draw(st.integers(-5, 5))
+    return m, spans
+
+
+@LIMITS
+@given(block_diagonal())
+def test_block_determinants_multiply_to_the_determinant(drawn):
+    # orthogonal_decomposition_check takes the determinant block by block
+    m, spans = drawn
+    assert _block_determinant(m, spans) == bareiss_determinant(m)
 
 
 @st.composite
