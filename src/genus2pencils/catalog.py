@@ -16,8 +16,8 @@ compares.
 from __future__ import annotations
 
 import os
-from typing import NamedTuple
 
+from ._record import Record
 from .curves import ClassQuery, fibre_intersection_identity, minus_one_section_exists
 from .fibres import (
     _gram, ade_classify, orthogonal_decomposition_check, shioda_rank, validate_fibre,
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-class ExpectedData(NamedTuple):
+class ExpectedData(Record):
     adjoint_square: int
     picard_rank: int
     numeric: NumericType
@@ -59,7 +59,7 @@ class ExpectedData(NamedTuple):
     pencil_query_minimum: int | None = None
 
 
-class CatalogEntry(NamedTuple):
+class CatalogEntry(Record):
     tag: str
     title: str
     fibration: Fibration
@@ -69,7 +69,7 @@ class CatalogEntry(NamedTuple):
     annotation: str = ""
 
 
-class CheckResult(NamedTuple):
+class CheckResult(Record):
     """One check's outcome.  A failed claim has passed False; a check that
     raised anything but AssertionError or LatticeError, or raised the
     InvariantError of a broken library invariant, also carries ``error``,
@@ -83,7 +83,7 @@ class CheckResult(NamedTuple):
     error: str | None = None
 
 
-class VerifyReport(NamedTuple):
+class VerifyReport(Record):
     tag: str
     checks: tuple[CheckResult, ...]
 
@@ -92,7 +92,7 @@ class VerifyReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-class _Claims(NamedTuple):
+class _Claims(Record):
     """What the catalog claims about one model: its title, the record
     verify() recomputes and a printed note.  The orthogonal blocks are
     derived from the model's fibres and its section O, not claimed."""

@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from typing import TYPE_CHECKING
 
 # each command imports the library modules it uses, so search-types loads
-# numerics alone and --help loads none
+# numerics and the record base alone and --help loads none; the guard is a
+# plain constant, so typing is never imported
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .lattice import Fibration
 

@@ -37,8 +37,8 @@ from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, repeat
 from math import factorial, prod
 from operator import add, eq, index as _as_int, itemgetter, mul, sub
-from typing import NamedTuple
 
+from ._record import Record
 from .lattice import (
     DivisorClass,
     Fibration,
@@ -69,7 +69,7 @@ class BudgetExceededError(LatticeError):
     """The enumeration visited more states than the configured budget."""
 
 
-class _QueryFields(NamedTuple):
+class _QueryFields(Record):
     self_int: int
     k_deg: int
     degree_cap: int = 3
@@ -81,8 +81,6 @@ class ClassQuery(_QueryFields):
     query is a tuple of its three fields; pickle, copy and ``_replace``
     validate again through the constructor."""
 
-    __slots__ = ()
-
     def __new__(cls, self_int: int, k_deg: int, degree_cap: int = 3):
         try:
             fields = (_as_int(self_int), _as_int(k_deg), _as_int(degree_cap))
@@ -91,10 +89,6 @@ class ClassQuery(_QueryFields):
         if fields[2] < 1:
             raise LatticeError("degree cap must be at least 1")
         return tuple.__new__(cls, fields)
-
-    @classmethod
-    def _make(cls, iterable) -> "ClassQuery":
-        return cls(*iterable)
 
 
 def _expect(value, kind: type, name: str) -> None:
@@ -223,7 +217,7 @@ def _walk(surface: Surface, query: ClassQuery, budget: _Budget):
                 yield head, xs[:k] + (0,) * (n - len(xs)) + xs[k:]
 
 
-class _Orbit(NamedTuple):
+class _Orbit(Record):
     """Classes sharing a head and, block by block, a multiset of exceptional
     coordinates: one non-increasing tail per block, and the class count."""
 
@@ -504,7 +498,7 @@ def fibre_intersection_identity(
     )
 
 
-class SectionSearch(NamedTuple):
+class SectionSearch(Record):
     """Result of hunting a (-1)-class meeting the fibre exactly once."""
 
     exists: bool

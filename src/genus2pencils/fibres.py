@@ -18,11 +18,12 @@ FibreError naming it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, combinations, product
-from math import prod
-from typing import NamedTuple, Sequence
+from math import isqrt, prod
 
+from ._record import Record
 from .intmat import bareiss_determinant, hermite_normal_form, kernel_basis
 from .lattice import (
     DivisorClass,
@@ -71,7 +72,7 @@ def _gram(classes: tuple[DivisorClass, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(pairings(c, classes) for c in classes)
 
 
-class FibreComponent(NamedTuple):
+class FibreComponent(Record):
     name: str
     divisor: DivisorClass
     multiplicity: int
@@ -90,7 +91,7 @@ def _divisor(p: FibreComponent, surface: Surface | None = None) -> DivisorClass:
     return c
 
 
-class FibreDecomposition(NamedTuple):
+class FibreDecomposition(Record):
     name: str
     components: tuple[FibreComponent, ...]
 
@@ -101,7 +102,7 @@ class FibreDecomposition(NamedTuple):
         raise KeyError(name)
 
 
-class FibreReport(NamedTuple):
+class FibreReport(Record):
     name: str
     component_count: int
     gram: tuple[tuple[int, ...], ...]
@@ -156,7 +157,7 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
     return FibreReport(dec.name, len(parts), gram)
 
 
-class DualGraph(NamedTuple):
+class DualGraph(Record):
     """Weighted dual graph: nodes carry (name, self-intersection, genus)."""
 
     nodes: tuple[tuple[str, int, int], ...]
@@ -306,7 +307,7 @@ def shioda_rank(picard_rank: int, component_counts: Sequence[int]) -> int:
     return rank
 
 
-class DecompositionReport(NamedTuple):
+class DecompositionReport(Record):
     passed: bool
     rank: int
     determinant: int | None
@@ -333,8 +334,11 @@ def orthogonal_decomposition_check(
     certifies that no room is left for a nontrivial Mordell-Weil group.
     The determinant is taken only once the blocks are orthogonal, when
     the Gram matrix is block diagonal, so it is the product of the
-    diagonal blocks' determinants.  A block item that is not a
-    DivisorClass is a FibreError naming its block.
+    diagonal blocks' determinants.  Every Surface lattice is unimodular,
+    so rank-many independent classes span a sublattice of index k exactly
+    when that determinant is plus or minus k squared: a failure names the
+    index, or the dependence when the determinant is 0.  A block item
+    that is not a DivisorClass is a FibreError naming its block.
     """
     rank = fib.surface.rank
     messages: list[str] = []
@@ -369,8 +373,10 @@ def orthogonal_decomposition_check(
     elif not messages:
         # the blocks are pairwise orthogonal, so gram is block diagonal
         det = _block_determinant(gram, spans)
-        if abs(det) != 1:
-            messages.append(f"not a basis: index {abs(det)}")
+        if det == 0:
+            messages.append("not a basis: the classes are linearly dependent")
+        elif abs(det) != 1:
+            messages.append(f"not a basis: index {isqrt(abs(det))}")
     passed = not messages
     return DecompositionReport(
         passed,
@@ -382,7 +388,7 @@ def orthogonal_decomposition_check(
     )
 
 
-class ComplementLattice(NamedTuple):
+class ComplementLattice(Record):
     basis: tuple[DivisorClass, ...]
     gram: tuple[tuple[int, ...], ...]
     discriminant: int

@@ -15,7 +15,7 @@ wraps it by name.  Floating point never appears.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 __all__ = [
     "bareiss_determinant",

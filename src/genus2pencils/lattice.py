@@ -28,10 +28,12 @@ reduction pipeline contracts raw rows.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, index as _as_int, mul, neg, sub
-from typing import Iterable, NamedTuple, Sequence
+
+from ._record import Record
 
 # bound once: DivisorClass._derived and _derived_all build every class the
 # library makes
@@ -570,7 +572,7 @@ def blow_down(
     return smaller, DivisorClass._derived_all(smaller, pushed)
 
 
-class ElementaryTransformResult(NamedTuple):
+class ElementaryTransformResult(Record):
     index: int
     curve: tuple[int, int]
     new_point_multiplicity: int
@@ -612,7 +614,7 @@ def elementary_transform(
     )
 
 
-class Fibration(NamedTuple):
+class Fibration(Record):
     """A pencil datum: surface, fibre class, genus, and named extras.
 
     ``fibres`` holds fibre decompositions (owned by the fibres module) and

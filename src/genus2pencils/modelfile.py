@@ -25,8 +25,7 @@ output.  The built-in catalog models are files in this format.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
+from ._record import Record
 from .fibres import FibreComponent, FibreDecomposition, validate_fibre
 from .lattice import DivisorClass, Fibration, Surface, hirzebruch_blowup, plane_blowup
 
@@ -46,7 +45,7 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-class ModelFile(NamedTuple):
+class ModelFile(Record):
     surface: Surface
     classes: tuple[tuple[str, DivisorClass], ...]
     fibres: tuple[FibreDecomposition, ...] = ()

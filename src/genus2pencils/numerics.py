@@ -21,10 +21,12 @@ walk in tests.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable, Iterator, Sequence
 from itertools import count, product
 from math import isqrt
 from operator import index
-from typing import Callable, Iterator, NamedTuple, Sequence
+
+from ._record import Record
 
 __all__ = [
     "NumericType",
@@ -61,7 +63,7 @@ def _coerced(names: tuple[str, ...], degree, second, multiplicities, square) -> 
         raise
 
 
-class _NumericFields(NamedTuple):
+class _NumericFields(Record):
     adjoint_degree: int
     twice_offset: int
     multiplicities: tuple[int, ...]
@@ -81,8 +83,6 @@ class NumericType(_NumericFields):
     equation on construction.  A row is a tuple of its four fields; pickle,
     copy and ``_replace`` validate again through the constructor.
     """
-
-    __slots__ = ()
 
     def __new__(cls, adjoint_degree: int, twice_offset: int, multiplicities, adjoint_square: int):
         a, t, ms, ksq = _coerced(
@@ -105,10 +105,6 @@ class NumericType(_NumericFields):
         if ksq != a * (2 * a + t) - sum((m - 1) ** 2 for m in ms):
             raise ValueError("stored adjoint square disagrees with the defining equation")
         return _new_tuple(cls, (a, t, ms, ksq))
-
-    @classmethod
-    def _make(cls, iterable) -> "NumericType":
-        return cls(*iterable)
 
     @property
     def pencil_degree(self) -> int:
@@ -154,7 +150,7 @@ class NumericType(_NumericFields):
         )
 
 
-class _SpecialFields(NamedTuple):
+class _SpecialFields(Record):
     adjoint_degree: int
     extra_multiplicity: int
     multiplicities: tuple[int, ...]
@@ -166,8 +162,6 @@ class SpecialType(_SpecialFields):
     of multiplicity below the generic floor, recorded via its plane
     presentation of degree adjoint_degree + 2 + extra_multiplicity.  A
     tuple of its four fields, validated like NumericType."""
-
-    __slots__ = ()
 
     def __new__(cls, adjoint_degree: int, extra_multiplicity: int, multiplicities, adjoint_square: int):
         a, m0, ms, ksq = _coerced(
@@ -185,10 +179,6 @@ class SpecialType(_SpecialFields):
         if ksq != expected:
             raise ValueError("stored adjoint square disagrees with the defining equation")
         return _new_tuple(cls, (a, m0, ms, ksq))
-
-    @classmethod
-    def _make(cls, iterable) -> "SpecialType":
-        return cls(*iterable)
 
     @property
     def plane_degree(self) -> int:
@@ -450,7 +440,7 @@ def search_special(
     return _walk(SpecialType, cells(), ksq_lo, ksq_hi, a_cap, points, prune)
 
 
-class MinimalAmbientVerdict(NamedTuple):
+class MinimalAmbientVerdict(Record):
     """Which relatively minimal rational ambients fit a (genus, adjoint-square) pair."""
 
     genus: int
@@ -498,7 +488,7 @@ def exclude_p2_and_hirzebruch(genus: int, ksq: int) -> MinimalAmbientVerdict:
     return MinimalAmbientVerdict(genus, ksq, planes, ruled)
 
 
-class ExclusionCertificate(NamedTuple):
+class ExclusionCertificate(Record):
     """Finite enumeration witnessing that one candidate type has no geometry.
 
     The candidate would force a curve on a quadric of anticanonical degree

@@ -19,8 +19,8 @@ failed claim about the pencil.
 from __future__ import annotations
 
 from operator import mul
-from typing import NamedTuple
 
+from ._record import Record
 from .lattice import (
     DivisorClass,
     Fibration,
@@ -64,14 +64,14 @@ class IncompleteGeometryError(ReductionError):
     """The supplied curve list ran out before the minimal model was reached."""
 
 
-class TraceStep(NamedTuple):
+class TraceStep(Record):
     contracted: DivisorClass
     pencil_degree: int
     surface_after: Surface
     pencil_after: DivisorClass
 
 
-class ContractionTrace(NamedTuple):
+class ContractionTrace(Record):
     start: Surface
     end: Surface
     steps: tuple[TraceStep, ...]
@@ -81,7 +81,7 @@ class ContractionTrace(NamedTuple):
         return tuple(s.pencil_degree for s in self.steps)
 
 
-class ReducedPencil(NamedTuple):
+class ReducedPencil(Record):
     """Endpoint of the reduction phase: no supplied (-1)-curve meets the
     pencil exactly once any more."""
 
@@ -216,7 +216,7 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     return ReducedPencil(surface, pencil, DivisorClass._derived_all(surface, curves), trace)
 
 
-class ElementaryTransformRepair(NamedTuple):
+class ElementaryTransformRepair(Record):
     """The two one-step elementary transforms lowering an offending
     multiplicity: (new index, new fibre coefficient) off and on the
     minimal section; off-section is unavailable at index 0."""
@@ -225,7 +225,7 @@ class ElementaryTransformRepair(NamedTuple):
     on_section: tuple[int, int]
 
 
-class SharpModelData(NamedTuple):
+class SharpModelData(Record):
     """Endpoint of the greedy contraction on the rank-2 minimal model."""
 
     hirzebruch_index: int
@@ -371,7 +371,7 @@ def classify_type(sharp: SharpModelData) -> str:
     return "general" if sharp.twice_offset >= 0 else "special"
 
 
-class PlaneModel(NamedTuple):
+class PlaneModel(Record):
     degree: int
     multiplicities: tuple[int, ...]
 
@@ -391,7 +391,7 @@ def canonical_p2_model(sharp: SharpModelData) -> PlaneModel:
     return PlaneModel(sharp.fibre_coefficient, tuple(sorted(ms, reverse=True)))
 
 
-class PipelineResult(NamedTuple):
+class PipelineResult(Record):
     reduced: ReducedPencil
     model: SharpModelData
 

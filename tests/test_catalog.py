@@ -189,6 +189,7 @@ def test_an_index_two_block_span_fails_the_complement_check(tag, monkeypatch):
     assert (checks["complement"].passed, checks["complement"].error) == (False, None)
     assert checks["complement"].detail == "block span is not the full orthogonal complement"
     assert (checks["blocks"].passed, checks["blocks"].error) == (False, None)
+    assert checks["blocks"].detail == "not a basis: index 2"
 
 
 def test_one_verify_builds_each_gram_matrix_once(monkeypatch):

@@ -403,9 +403,19 @@ def test_orthogonal_decomposition_failure_messages():
     report = orthogonal_decomposition_check(fib, [[f, o]])
     assert "not a basis: 2 classes on a rank-3 lattice" in report.messages
 
+    # the lattice is unimodular, so the index is the square root of the
+    # determinant: 2E2 spans a sublattice of index 2, determinant 4
     report = orthogonal_decomposition_check(fib, [[f, o], [e2 + e2]])
-    assert "not a basis: index 4" in report.messages
+    assert "not a basis: index 2" in report.messages
     assert report.determinant == 4
+
+    report = orthogonal_decomposition_check(fib, [[f, o], [e2 + e2 + e2]])
+    assert "not a basis: index 3" in report.messages
+    assert report.determinant == 9
+
+    report = orthogonal_decomposition_check(fib, [[f, o], [e2 - e2]])
+    assert "not a basis: the classes are linearly dependent" in report.messages
+    assert report.determinant == 0
 
     alien = plane_blowup(3).exceptional(1)
     report = orthogonal_decomposition_check(fib, [[f, o], [alien]])

@@ -38,12 +38,13 @@ def dataclasses_defined():
 """
 
 
-def _child(code: str):
-    """Run PRELUDE + code in a new interpreter; its last stdout line is JSON."""
+def _child(code: str, *flags: str):
+    """Run PRELUDE + code in a new interpreter started with ``flags``; its
+    last stdout line is JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", PRELUDE + code], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-c", PRELUDE + code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -135,8 +136,11 @@ print(json.dumps([loaded(), dataclasses_defined(), [m for m in {HEAVY!r} if m in
 
 
 def test_search_types_loads_numerics_alone():
+    # numerics and the record base its rows are built on
     modules, dataclasses, heavy = _after_command(["search-types"])
-    assert modules == ["genus2pencils", "genus2pencils.cli", "genus2pencils.numerics"]
+    assert modules == [
+        "genus2pencils", "genus2pencils._record", "genus2pencils.cli", "genus2pencils.numerics",
+    ]
     assert dataclasses == 0
     assert heavy == []
 
@@ -174,3 +178,24 @@ print(json.dumps([loaded(), [m for m in {HEAVY!r} if m in sys.modules]]))
     )
     assert "genus2pencils.catalog" in modules
     assert heavy == []
+
+
+# Without site (python -S) the interpreter starts with almost nothing
+# loaded, so this sees every standard-library module the package pulls in.
+# typing is one: annotations are strings, records need no NamedTuple.
+@pytest.mark.parametrize(
+    "code",
+    (
+        "from genus2pencils import catalog",
+        """
+import contextlib, io
+from genus2pencils.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["search-types"])
+""",
+    ),
+    ids=("catalog", "search-types"),
+)
+def test_without_site_no_typing_or_heavy_module_loads(code):
+    unwanted = ("typing", *HEAVY)
+    assert _child(f"{code}\nprint(json.dumps([m for m in {unwanted!r} if m in sys.modules]))", "-S") == []

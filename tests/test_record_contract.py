@@ -9,12 +9,18 @@ pickle and copy round trips; read-only fields and no instance
 so a record added or removed without updating RECORDS fails here.
 NumericType, SpecialType and ClassQuery validate in ``__new__``, so they
 get sample values that pass their checks and one value that fails.
+Creating a record class compiles no code: every ``__new__`` is a
+function of the package's source files.
 """
 
 from __future__ import annotations
 
 import copy
+import json
+import os
 import pickle
+import subprocess
+import sys
 from importlib import import_module
 
 import pytest
@@ -134,6 +140,14 @@ def test_make_replace_and_asdict(path):
     assert list(x._asdict()) == list(kind._fields)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_is_replace():
+    for path in RECORDS:
+        kind, values = _record(path), _values(path)
+        x = kind(*values)
+        assert copy.replace(x) == x and type(copy.replace(x)) is kind
+
+
 def test_repr_equality_and_hash(path):
     kind, values = _record(path), _values(path)
     x = kind(*values)
@@ -169,15 +183,69 @@ def test_fields_are_read_only_and_there_is_no_instance_dict(path):
 def test_replace_and_pickle_validate_again(path):
     kind = _record(path)
     values, change, error = VALIDATED[path]
-    x = kind(*values)
+    bad_values = tuple(change.get(name, v) for name, v in zip(kind._fields, values))
     with pytest.raises(error):
-        x._replace(**change)
+        kind(*values)._replace(**change)
     with pytest.raises(error):
-        kind._make(tuple(change.get(name, v) for name, v in zip(kind._fields, values)))
-    bad = tuple.__new__(kind, tuple(change.get(name, v) for name, v in zip(kind._fields, values)))
+        kind._make(bad_values)
+    bad = tuple.__new__(kind, bad_values)
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         with pytest.raises(error):
             pickle.loads(pickle.dumps(bad, protocol))
     for round_trip in (copy.copy, copy.deepcopy):
         with pytest.raises(error):
             round_trip(bad)
+
+
+def test_no_record_new_is_compiled_from_a_string(path):
+    code = _record(path).__new__.__code__
+    assert os.path.isfile(code.co_filename)
+    assert os.path.basename(os.path.dirname(code.co_filename)) == "genus2pencils"
+
+
+def test_creating_a_record_class_runs_no_compile_or_exec():
+    # an audit hook cannot be removed, so it is installed in a child
+    # interpreter; the class statements run after every import
+    code = """
+import json, sys
+from genus2pencils._record import Record
+events = []
+sys.addaudithook(lambda event, args: events.append(event) if event in ("compile", "exec") else None)
+
+class Point(Record):
+    x: int
+    y: int = 0
+
+class Checked(Point):
+    def __new__(cls, x, y=0):
+        return super().__new__(cls, x, y)
+
+point = Checked(1)._replace(y=2)
+print(json.dumps([events, repr(point)]))
+"""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(import_module("genus2pencils").__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], "Checked(x=1, y=2)"]
+
+
+def test_record_class_definition_errors():
+    from genus2pencils._record import Record
+
+    with pytest.raises(TypeError, match="a field without a default follows one with a default"):
+        type(Record)("Bad", (Record,), {"__annotations__": {"x": "int", "y": "int"}, "x": 0})
+    with pytest.raises(TypeError, match="record subclass Wider cannot add fields"):
+        type(Record)("Wider", (_record("sharp.PlaneModel"),), {"__annotations__": {"z": "int"}})
+
+
+def test_missing_fields_are_listed_like_a_python_call():
+    kind = _record("sharp.TraceStep")
+    with pytest.raises(TypeError, match="missing 2 required positional arguments: 'surface_after' and 'pencil_after'"):
+        kind(1, 2)
+    with pytest.raises(TypeError, match="missing 3 required positional arguments: "
+                       "'pencil_degree', 'surface_after', and 'pencil_after'"):
+        kind(1)
+    with pytest.raises(TypeError, match=r"takes from 3 to 7 positional arguments but 8 were given"):
+        _record("lattice.Fibration")(*range(7))

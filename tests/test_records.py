@@ -1,8 +1,8 @@
 """The package's record types, written without dataclasses.
 
 The plain records (Fibration, the fibre components and decompositions,
-ModelFile) are NamedTuples; NumericType, SpecialType and ClassQuery are
-NamedTuples whose subclass validates in __new__; Surface, DivisorClass
+ModelFile) are tuple records; NumericType, SpecialType and ClassQuery are
+tuple records whose subclass validates in __new__; Surface, DivisorClass
 and IdentityReport are plain frozen classes.  Each keeps the repr text,
 the equality and the hash (that of its field tuple) it had as a frozen
 dataclass, among values of its own type.  A pickle or copy round trip
