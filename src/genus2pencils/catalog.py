@@ -202,7 +202,9 @@ def tags() -> tuple[str, ...]:
 
 def normalize_tag(tag: str) -> str:
     """The tag a spelling names: case, '.' or '-' for '_' and a missing
-    "Ex" prefix are forgiven."""
+    "Ex" prefix are forgiven; anything but a string names no tag."""
+    if not isinstance(tag, str):
+        raise KeyError(f"unknown example tag {tag!r}")
     cleaned = tag.strip().replace(".", "_").replace("-", "_").upper()
     for key in _CLAIMS:
         if cleaned in (key.upper(), key.upper().removeprefix("EX")):

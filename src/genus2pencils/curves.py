@@ -230,7 +230,7 @@ def _blocks(surface: Surface, weights: tuple[DivisorClass, ...]) -> tuple[tuple[
     """Exceptional positions (0-based) grouped by their coordinates in every
     weight class, blocks ordered by their first position."""
     for w in weights:
-        if w.surface != surface:
+        if w.surface is not surface:
             raise ForeignClassError("foreign class: operands live on different surfaces")
     base = surface.base_rank
     positions = range(surface.blowups)
@@ -459,7 +459,7 @@ def _check_decomposition(fib: Fibration, pencil: DivisorClass, shift: int) -> in
     LatticeError."""
     _expect(pencil, DivisorClass, "pencil")
     shift = _integer(shift, "shift")
-    if pencil.surface != fib.surface:
+    if pencil.surface is not fib.surface:
         raise LatticeError("identity inapplicable: pencil lives on another surface")
     if fib.fibre_class != pencil + (-shift) * fib.surface.canonical():
         raise LatticeError("identity inapplicable: fibre class is not pencil minus shift times canonical")

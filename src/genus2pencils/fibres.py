@@ -28,6 +28,7 @@ from .intmat import bareiss_determinant, hermite_normal_form, kernel_basis
 from .lattice import (
     DivisorClass,
     Fibration,
+    ForeignClassError,
     LatticeError,
     Surface,
     _integer,
@@ -86,7 +87,7 @@ def _divisor(p: FibreComponent, surface: Surface | None = None) -> DivisorClass:
     c = p.divisor
     if not isinstance(c, DivisorClass):
         raise FibreError(f"component {p.name} has divisor {c!r}, not a divisor class")
-    if surface is not None and c.surface is not surface and c.surface != surface:
+    if surface is not None and c.surface is not surface:
         raise FibreError(f"foreign class: component {p.name} lives on another surface")
     return c
 
@@ -348,7 +349,7 @@ def orthogonal_decomposition_check(
         for c in block:
             if not isinstance(c, DivisorClass):
                 raise FibreError(f"blocks must hold divisor classes: block {b + 1} holds {c!r}")
-            if c.surface != fib.surface:
+            if c.surface is not fib.surface:
                 messages.append(f"foreign class in block {b + 1}: {c}")
     if not messages:
         gram = _gram(flat)
@@ -410,8 +411,8 @@ def complement_lattice(surface: Surface, sub: Sequence[DivisorClass]) -> Complem
     for c in sub:
         if not isinstance(c, DivisorClass):
             raise FibreError(f"sub must hold divisor classes, not {c!r}")
-        if c.surface != surface:
-            raise LatticeError("foreign class: input lives on another surface")
+        if c.surface is not surface:
+            raise ForeignClassError("foreign class: input lives on another surface")
     if len(hermite_normal_form([c.coords for c in sub])) != len(sub):
         raise LatticeError("dependent input classes")
     # the (lattice basis x sub) pairing matrix: its columns are the dual vectors

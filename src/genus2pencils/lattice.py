@@ -15,11 +15,14 @@ walks build are made without validating again.  A class is a slotted
 frozen object: two fields and no per-instance dict, so a large
 enumeration costs one small object and one coordinate tuple per class.
 Surfaces and classes are plain classes, not dataclasses, so importing
-the package builds none; equality and hash are those of the field tuple.
+the package builds none; a class's equality and hash are those of its
+field tuple.
 
-Every surface a contraction reaches comes from one shared constructor,
-so equal surfaces reached that way are one object, and the canonical
-class and its dual vector are built once per distinct surface.
+A surface is interned: Surface(kind, index, blowups) returns the one
+object of those fields, however it is reached (a constructor call,
+plane_blowup, a contraction, parse, pickle or copy), so equal surfaces
+are one object, a surface hashes by identity, and the canonical class
+and its dual vector are built once per distinct surface.
 Contraction and the quadratic transform each have one rule, on
 coordinate rows: blow_down and cremona wrap them for classes, and the
 reduction pipeline contracts raw rows.
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from operator import add, index as _as_int, mul, neg, sub
 
@@ -91,17 +94,23 @@ def _frozen(self, name: str, *value) -> None:
     raise FrozenInstanceError(f"cannot {verb} field {name!r}")
 
 
+# (kind, index, blow-up count) -> its one Surface; a run reaches a few
+# dozen surfaces, so the table needs no bound
+_SURFACES: dict[tuple[str, int, int], "Surface"] = {}
+
+
 class Surface:
     """A marked rational surface: ambient kind, Hirzebruch index, blow-up count.
 
-    ``index`` is 0 for the plane kind.  Equality is structural, so classes
-    built on independently constructed but identical surfaces interoperate.
-    The canonical class and its dual vector are computed once per object.
-    A surface is frozen; pickle and copy rebuild it from its three fields,
-    without the cached classes.
+    ``index`` is 0 for the plane kind.  Surfaces are interned: the
+    constructor returns the one object of its validated fields, so equal
+    surfaces are identical and equality and hash are those of the object.
+    The canonical class and its dual vector are computed once per surface.
+    A surface is frozen; pickle and copy rebuild it through the
+    constructor, so they return the same object.
     """
 
-    def __init__(self, kind: str, index: int, blowups: int) -> None:
+    def __new__(cls, kind: str, index: int, blowups: int) -> "Surface":
         if kind not in ("plane", "hirzebruch"):
             raise LatticeError(f"unknown surface kind {kind!r}")
         try:
@@ -112,26 +121,24 @@ class Surface:
             raise LatticeError("plane surfaces carry no Hirzebruch index")
         if index < 0 or blowups < 0:
             raise LatticeError("index and blow-up count must be nonnegative")
-        _set_field(self, "kind", kind)
-        _set_field(self, "index", index)
-        _set_field(self, "blowups", blowups)
+        key = (kind, index, blowups)
+        surface = _SURFACES.get(key)
+        if surface is None:
+            surface = _new_object(cls)
+            _set_field(surface, "kind", kind)
+            _set_field(surface, "index", index)
+            _set_field(surface, "blowups", blowups)
+            surface = _SURFACES.setdefault(key, surface)
+        return surface
 
     __setattr__ = __delattr__ = _frozen
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.index, self.blowups) == (other.kind, other.index, other.blowups)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.index, self.blowups))
 
     def __repr__(self) -> str:
         return f"Surface(kind={self.kind!r}, index={self.index!r}, blowups={self.blowups!r})"
 
     def __reduce__(self):
-        # the cached canonical class points back at its surface, so it is
-        # not part of the state: the copy recomputes it on first use
+        # through the constructor, so a copy is the interned surface; the
+        # cached canonical class points back at it and is not pickled
         return Surface, (self.kind, self.index, self.blowups)
 
     @property
@@ -224,13 +231,6 @@ class Surface:
         return DivisorClass._derived(self, tuple(c))
 
 
-@lru_cache(maxsize=256)
-def _surface(kind: str, index: int, blowups: int) -> Surface:
-    """The shared Surface of (kind, index, blow-up count); the arguments
-    must be plain ints (a validated surface's fields)."""
-    return Surface(kind, index, blowups)
-
-
 def plane_blowup(n: int) -> Surface:
     return Surface("plane", 0, n)
 
@@ -303,7 +303,7 @@ class DivisorClass:
         return DivisorClass, (self.surface, self.coords)
 
     def _require_same(self, other: "DivisorClass") -> None:
-        if self.surface is not other.surface and self.surface != other.surface:
+        if self.surface is not other.surface:
             raise ForeignClassError("foreign class: operands live on different surfaces")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -374,14 +374,10 @@ def pairings(d: DivisorClass, classes: Sequence[DivisorClass]) -> tuple[int, ...
     except AttributeError:
         raise LatticeError(f"pairings need a divisor class, not {d!r}") from None
     out = []
-    # equal surfaces are compared once per change of object, not per class
-    checked = surface
     try:
         for c in classes:
-            if c.surface is not checked:
-                if c.surface != surface:
-                    raise ForeignClassError("foreign class: operands live on different surfaces")
-                checked = c.surface
+            if c.surface is not surface:
+                raise ForeignClassError("foreign class: operands live on different surfaces")
             out.append(sum(map(mul, dual, c.coords)))
     except AttributeError:
         # c is the item that had no surface or no coordinates
@@ -437,7 +433,7 @@ def _integer(value, name: str, error: type = LatticeError) -> int:
 
 
 def _require_on(surface: Surface, c: DivisorClass) -> None:
-    if c.surface is not surface and c.surface != surface:
+    if c.surface is not surface:
         raise ForeignClassError("foreign class: carried class lives on another surface")
 
 
@@ -502,7 +498,7 @@ def contracting_isometry(
     E_i.  Each move picks the three largest multiplicities and must strictly
     drop the degree, which bounds the search; failure raises.
     """
-    if e.surface != surface:
+    if e.surface is not surface:
         raise ForeignClassError("foreign class: e lives on another surface")
     if surface.kind != "plane":
         raise NotContractibleError("not contractible: only basis classes contract off the plane kind")
@@ -545,7 +541,7 @@ def _contract_rows(
         for (i, j, k) in moves:
             rows = _reflect(rows, i, j, k)
     pos = base + idx - 1
-    smaller = _surface(surface.kind, surface.index, surface.blowups - 1)
+    smaller = Surface(surface.kind, surface.index, surface.blowups - 1)
     return smaller, [c[:pos] + c[pos + 1:] for c in rows]
 
 
@@ -560,7 +556,7 @@ def blow_down(
     kind only basis classes contract (contracting anything else would leave
     the ambient family).
     """
-    if e.surface != surface:
+    if e.surface is not surface:
         raise ForeignClassError("foreign class: e lives on another surface")
     rows = []
     for c in classes:
@@ -632,7 +628,7 @@ class Fibration(Record):
 
     def validate(self) -> "Fibration":
         f = self.fibre_class
-        if f.surface != self.surface:
+        if f.surface is not self.surface:
             raise ForeignClassError("foreign class: fibre class lives on another surface")
         if f * f != 0:
             raise LatticeError(f"fibre class has self-intersection {f * f}, expected 0")
@@ -642,7 +638,7 @@ class Fibration(Record):
                 f"canonical degree {k * f} does not match genus {self.genus}"
             )
         for s in self.sections:
-            if s.surface != self.surface:
+            if s.surface is not self.surface:
                 raise ForeignClassError("foreign class: section lives on another surface")
             if s * f != 1:
                 raise LatticeError(f"section {s} pairs {s * f} with the fibre, expected 1")

@@ -94,7 +94,7 @@ class ReducedPencil(Record):
 def _check_carried(surface: Surface, c: DivisorClass) -> tuple[int, ...]:
     """The coordinates of c, once c is checked to be a curve the reduction
     may carry."""
-    if c.surface is not surface and c.surface != surface:
+    if c.surface is not surface:
         raise ReductionError(f"foreign class: {c} lives on another surface")
     x = c.coords
     square = surface.intersect(x, x)
@@ -293,10 +293,10 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
     pencil = reduced.pencil
     curves: list[tuple[int, ...]] = []
     for c in reduced.curves:
-        if c.surface is not surface and c.surface != surface:
+        if c.surface is not surface:
             raise ForeignClassError("foreign class: operands live on different surfaces")
         curves.append(c.coords)
-    if curves and pencil.surface != surface:
+    if curves and pencil.surface is not surface:
         raise ForeignClassError("foreign class: operands live on different surfaces")
     for p, c in _minus_one_curves(surface, pencil, curves):
         if p == 1:

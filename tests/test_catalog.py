@@ -315,6 +315,14 @@ def test_normalize_tag_spellings():
             catalog.normalize_tag(raw)
 
 
+@pytest.mark.parametrize("tag", (5, None, b"A"), ids=("int", "none", "bytes"))
+def test_a_tag_that_is_not_a_string_is_unknown(tag):
+    for lookup in (catalog.normalize_tag, catalog.get):
+        with pytest.raises(KeyError) as info:
+            lookup(tag)
+        assert info.value.args == (f"unknown example tag {tag!r}",)
+
+
 def test_get_caches_entries():
     assert catalog.get("4.5") is catalog.get("Ex4_5")
     assert catalog.get("A").tag == "A"

@@ -25,7 +25,14 @@ from genus2pencils.fibres import (
     validate_fibre,
 )
 from genus2pencils.intmat import hermite_normal_form, is_negative_semidefinite
-from genus2pencils.lattice import DivisorClass, Fibration, LatticeError, plane_blowup, plane_curve
+from genus2pencils.lattice import (
+    DivisorClass,
+    Fibration,
+    ForeignClassError,
+    LatticeError,
+    plane_blowup,
+    plane_curve,
+)
 
 
 def sextic_fibration():
@@ -450,8 +457,9 @@ def test_complement_edge_cases():
     assert rank_one.basis == (s.exceptional(2),)
     assert rank_one.discriminant == -1
 
-    with pytest.raises(LatticeError, match="foreign class: input lives on another surface"):
+    with pytest.raises(LatticeError, match="foreign class: input lives on another surface") as info:
         complement_lattice(s, (plane_blowup(3).exceptional(1),))
+    assert isinstance(info.value, ForeignClassError)
     with pytest.raises(LatticeError, match="dependent input classes"):
         complement_lattice(s, (s.line, s.line + s.line))
     with pytest.raises(FibreError) as info:

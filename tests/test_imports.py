@@ -1,13 +1,16 @@
-"""Lazy package exports and per-command CLI imports.
+"""Lazy package exports, per-command CLI imports and unused imports.
 
-Each check runs in a fresh interpreter, so modules the test process has
-already imported cannot hide an export that fails to resolve or a command
-that loads more than it uses.  Every assertion is about which names and
-modules exist, never about time.
+Each run-time check runs in a fresh interpreter, so modules the test
+process has already imported cannot hide an export that fails to resolve
+or a command that loads more than it uses.  Every assertion is about which
+names and modules exist, never about time.  The unused-import check reads
+the package's source with ast and runs none of it.
 """
 
 from __future__ import annotations
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -199,3 +202,65 @@ with contextlib.redirect_stdout(io.StringIO()):
 def test_without_site_no_typing_or_heavy_module_loads(code):
     unwanted = ("typing", *HEAVY)
     assert _child(f"{code}\nprint(json.dumps([m for m in {unwanted!r} if m in sys.modules]))", "-S") == []
+
+
+def _module_imports(tree: ast.Module):
+    """(bound name, line) of every import at module level, including those
+    under a module-level ``if`` such as ``if TYPE_CHECKING:``; __future__
+    imports bind nothing."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.If):
+            pending.extend(node.body + node.orelse)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, the names in __all__, and the names in
+    string annotations (parsed as expressions)."""
+    used = set()
+    strings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)
+            )
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            strings.extend(
+                n.value for n in ast.walk(annotation)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
+    for text in strings:
+        used.update(n.id for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name))
+    return used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(glob.glob(os.path.join(SRC, "genus2pencils", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        used = _used_names(tree)
+        unused.extend(
+            f"{os.path.basename(path)}:{line}: {name}"
+            for name, line in _module_imports(tree)
+            if name not in used
+        )
+    assert sorted(unused) == []

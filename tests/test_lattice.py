@@ -95,10 +95,10 @@ def test_canonical_class_is_built_once_per_surface():
     k = s.canonical()
     assert s.canonical() is k
     assert k.coords == (-3, 1, 1, 1, 1)
-    # the cached class changes neither equality nor hashing
+    # equal surfaces are one object, so they share the cached class
     twin = plane_blowup(4)
-    assert twin == s and hash(twin) == hash(s)
-    assert twin.canonical() == k and twin.canonical() is not k
+    assert twin is s
+    assert twin.canonical() is k
     h = hirzebruch_blowup(2, 1)
     assert h.canonical() is h.canonical()
     assert h.canonical().coords == (-2, -4, 1)
@@ -106,7 +106,8 @@ def test_canonical_class_is_built_once_per_surface():
 
 def test_copies_after_the_canonical_class_is_cached():
     # the cached canonical class points back at its surface; pickle and
-    # copy rebuild the surface from its fields and recompute it on use
+    # copy rebuild the surface through the constructor, which returns the
+    # interned surface with its cached class
     s = plane_blowup(3)
     c = s.divisor(1, 0, 0, 0)
     k = s.canonical()
@@ -277,8 +278,28 @@ def test_contractions_share_their_target_surface():
     assert blow_down(bigger, bigger.exceptional(1))[0] is first
     h = hirzebruch_blowup(1, 2)
     assert blow_down(h, h.exceptional(1))[0] is blow_down(h, h.exceptional(2))[0]
-    # sharing changes neither equality nor hashing
-    assert first == plane_blowup(4) and hash(first) == hash(plane_blowup(4))
+    # contractions and the constructor share one surface per field tuple
+    assert first is plane_blowup(4)
+
+
+@pytest.mark.parametrize("n", (0, 1, 4, 9))
+def test_the_constructor_returns_the_one_surface_of_its_fields(n):
+    assert Surface("plane", 0, n) is plane_blowup(n)
+    for index in (0, 1, 2):
+        assert Surface("hirzebruch", index, n) is hirzebruch_blowup(index, n)
+    # integer-like fields intern as their plain int values
+    assert Surface("hirzebruch", True, n) is hirzebruch_blowup(1, n)
+    assert Surface("plane", 0, n) is not Surface("plane", 0, n + 1)
+
+
+def test_pickle_and_copy_return_the_one_surface():
+    s = hirzebruch_blowup(2, 3)
+    c = s.divisor(1, 2, 0, -1, 0)
+    k = s.canonical()
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        assert copy_of(s) is s
+        assert copy_of(c).surface is s
+        assert copy_of(c).surface.canonical() is k
 
 
 def test_cremona_is_the_reflection_in_alpha():

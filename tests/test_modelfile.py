@@ -81,6 +81,14 @@ def test_catalog_entry_round_trips_as_text():
     assert serialize(reparsed) == text
 
 
+@pytest.mark.parametrize("tag", catalog.tags())
+def test_a_reparsed_model_lives_on_the_catalog_surface(tag):
+    # surfaces are interned: the parsed surface is the catalog's object
+    entry = catalog.get(tag)
+    text = serialize(from_fibration(entry.fibration, entry.effective))
+    assert parse(text).surface is entry.fibration.surface
+
+
 # SAMPLE's F0 (A + 2O, with the section O) does not sum to F; here the
 # pencil of SAMPLE is blown up twice more at a point of one member, whose
 # strict transform C, the (-2)-curve A = E13 - E14 and the last exceptional

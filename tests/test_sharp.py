@@ -9,18 +9,21 @@ pushforward rule and then frozen.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genus2pencils import catalog, lattice, sharp
+from genus2pencils import lattice, sharp
 from genus2pencils.lattice import (
     DivisorClass,
     Fibration,
     ForeignClassError,
     LatticeError,
-    Surface,
     cremona,
     hirzebruch_blowup,
     plane_blowup,
@@ -582,31 +585,48 @@ def test_greedy_rejects_foreign_curves_like_the_reference():
             reference_greedy(reduced)
 
 
-def test_verify_builds_k_once_per_distinct_surface(monkeypatch):
-    # contractions reach shared surfaces, so each distinct surface builds
-    # its canonical class once over any number of verify passes
-    reached = set()
+# run in a fresh interpreter, so no surface has built K before counting starts
+K_COUNT = """
+import json
+from genus2pencils import catalog
+from genus2pencils.lattice import Surface
+from genus2pencils.sharp import sharp_minimal_pipeline
+
+canonical = Surface.__dict__["_canonical"]
+real = canonical.func
+built = []
+
+def counting(surface):
+    built.append(surface)
+    return real(surface)
+
+canonical.func = counting
+for _ in range(2):
     for tag in catalog.tags():
-        entry = catalog.get(tag)
-        fib = entry.fibration
-        result = sharp_minimal_pipeline(fib, [fib.named(n) for n in entry.effective])
-        for trace in (result.reduced.trace, result.model.trace):
-            reached.add(trace.start)
-            reached.update(step.surface_after for step in trace.steps)
-    canonical = Surface.__dict__["_canonical"]
-    real = canonical.func
-    built = []
+        assert catalog.verify(tag).passed
+reached = set()
+for tag in catalog.tags():
+    entry = catalog.get(tag)
+    fib = entry.fibration
+    result = sharp_minimal_pipeline(fib, [fib.named(n) for n in entry.effective])
+    for trace in (result.reduced.trace, result.model.trace):
+        reached.add(trace.start)
+        reached.update(step.surface_after for step in trace.steps)
+print(json.dumps([len(built), len(set(built)), set(built) <= reached]))
+"""
 
-    def counting(surface):
-        built.append(surface)
-        return real(surface)
 
-    monkeypatch.setattr(canonical, "func", counting)
-    # start cold: every surface a contraction reaches is made anew
-    lattice._surface.cache_clear()
-    for _ in range(2):
-        for tag in catalog.tags():
-            assert catalog.verify(tag).passed
+def test_verify_builds_k_once_per_distinct_surface():
+    # surfaces are interned, so each distinct surface builds its canonical
+    # class once over any number of verify passes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lattice.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", K_COUNT], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    built, distinct, within_reached = json.loads(proc.stdout)
     assert built
-    assert len(set(built)) == len(built)
-    assert set(built) <= reached
+    assert distinct == built
+    assert within_reached
