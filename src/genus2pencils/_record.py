@@ -13,9 +13,10 @@ per field, the ``PlaneModel(degree=3, multiplicities=())`` repr,
 and ``__match_args__``, and no instance ``__dict__``.  Unlike
 ``collections.namedtuple``, creating a class compiles no code: one
 ``__new__`` binds the arguments of every record class, and a
-positional call takes a fast path.  A subclass of a record class adds
-no fields; it may override ``__new__`` to validate, and ``_make``,
-``_replace``, pickle and copy all go through that override.
+positional call takes a fast path.  A record class may override
+``__new__`` next to its fields to validate them, and so may a subclass
+of one, which adds no fields; ``_make``, ``_replace``, pickle and copy
+all go through that override.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from .lattice import (
     ForeignClassError,
     LatticeError,
     Surface,
+    _expect,
     _frozen,
     _integer,
     pairings,
@@ -69,17 +70,15 @@ class BudgetExceededError(LatticeError):
     """The enumeration visited more states than the configured budget."""
 
 
-class _QueryFields(Record):
-    self_int: int
-    k_deg: int
-    degree_cap: int = 3
-
-
-class ClassQuery(_QueryFields):
+class ClassQuery(Record):
     """Target numerical data: C*C, K*C, and a cap on the reference degree.
     Each field is coerced to an int; anything else is a LatticeError.  A
     query is a tuple of its three fields; pickle, copy and ``_replace``
     validate again through the constructor."""
+
+    self_int: int
+    k_deg: int
+    degree_cap: int = 3
 
     def __new__(cls, self_int: int, k_deg: int, degree_cap: int = 3):
         try:
@@ -89,12 +88,6 @@ class ClassQuery(_QueryFields):
         if fields[2] < 1:
             raise LatticeError("degree cap must be at least 1")
         return tuple.__new__(cls, fields)
-
-
-def _expect(value, kind: type, name: str) -> None:
-    """A LatticeError naming the argument when it is not a ``kind``."""
-    if not isinstance(value, kind):
-        raise LatticeError(f"{name} must be a {kind.__name__}, not {value!r}")
 
 
 def _check_fibration(fib: Fibration) -> None:

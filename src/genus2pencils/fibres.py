@@ -11,9 +11,9 @@ from one matrix, built by ``_gram``.  That builder is memoized on the
 tuple of classes, so the Gram matrix of a fibre that a model file's
 loading validated is read back, not recomputed, by the later checks on
 the same components, and the blocks and the complement of one model
-share theirs.  An argument that holds something other than divisor
-classes, or a multiplicity or node count that is not an integer, is a
-FibreError naming it.
+share theirs.  An argument that is not a fibration or a decomposition,
+one that holds something other than divisor classes, or a multiplicity
+or node count that is not an integer, is a FibreError naming it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .lattice import (
     ForeignClassError,
     LatticeError,
     Surface,
+    _expect,
     _integer,
     arithmetic_genus,
     pairings,
@@ -103,6 +104,11 @@ class FibreDecomposition(Record):
         raise KeyError(name)
 
 
+def _check_arguments(fib: Fibration, dec: FibreDecomposition) -> None:
+    _expect(fib, Fibration, "fib", FibreError)
+    _expect(dec, FibreDecomposition, "dec", FibreError)
+
+
 class FibreReport(Record):
     name: str
     component_count: int
@@ -118,6 +124,7 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
     sum_j m_j G_ij = F.C_i = 0 and G_ij >= 0 off the diagonal, writing
     x_i = m_i y_i gives x^T G x = -1/2 sum_{i != j} m_i m_j G_ij (y_i - y_j)^2.
     """
+    _check_arguments(fib, dec)
     f = fib.fibre_class
     parts = dec.components
     if not parts:
@@ -175,6 +182,7 @@ def _graph(parts: Sequence[FibreComponent], surface: Surface | None = None) -> D
 
 
 def dual_graph(fib: Fibration, dec: FibreDecomposition) -> DualGraph:
+    _check_arguments(fib, dec)
     return _graph(dec.components, fib.surface)
 
 
@@ -255,6 +263,7 @@ def ade_classify(dec: FibreDecomposition) -> tuple[tuple[tuple[str, ...], str], 
     Components carrying multiplicity weights above one in the pairing are
     left unclassified rather than misread as simply laced.
     """
+    _expect(dec, FibreDecomposition, "dec", FibreError)
     graph = _graph(dec.components)
     keep = [i for i, (_, sq, genus) in enumerate(graph.nodes) if sq == -2 and genus == 0]
     index = {v: k for k, v in enumerate(keep)}

@@ -432,6 +432,12 @@ def _integer(value, name: str, error: type = LatticeError) -> int:
         raise error(f"{name} must be an integer, not {value!r}") from None
 
 
+def _expect(value, kind: type, name: str, error: type = LatticeError) -> None:
+    """An ``error`` naming the argument when ``value`` is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be a {kind.__name__}, not {value!r}")
+
+
 def _require_on(surface: Surface, c: DivisorClass) -> None:
     if c.surface is not surface:
         raise ForeignClassError("foreign class: carried class lives on another surface")
@@ -628,12 +634,16 @@ class Fibration(Record):
 
     def validate(self) -> "Fibration":
         f = self.fibre_class
+        _expect(f, DivisorClass, "the fibre class")
+        for i, s in enumerate(self.sections):
+            _expect(s, DivisorClass, f"section {i}")
+        genus = _integer(self.genus, "genus")
         if f.surface is not self.surface:
             raise ForeignClassError("foreign class: fibre class lives on another surface")
         if f * f != 0:
             raise LatticeError(f"fibre class has self-intersection {f * f}, expected 0")
         k = self.surface.canonical()
-        if k * f != 2 * self.genus - 2:
+        if k * f != 2 * genus - 2:
             raise LatticeError(
                 f"canonical degree {k * f} does not match genus {self.genus}"
             )

@@ -63,14 +63,7 @@ def _coerced(names: tuple[str, ...], degree, second, multiplicities, square) -> 
         raise
 
 
-class _NumericFields(Record):
-    adjoint_degree: int
-    twice_offset: int
-    multiplicities: tuple[int, ...]
-    adjoint_square: int
-
-
-class NumericType(_NumericFields):
+class NumericType(Record):
     """Numerical data of a pencil on a ruled model, independent of the index.
 
     ``adjoint_degree`` is the pairing of (K + pencil) with a ruling fibre;
@@ -83,6 +76,11 @@ class NumericType(_NumericFields):
     equation on construction.  A row is a tuple of its four fields; pickle,
     copy and ``_replace`` validate again through the constructor.
     """
+
+    adjoint_degree: int
+    twice_offset: int
+    multiplicities: tuple[int, ...]
+    adjoint_square: int
 
     def __new__(cls, adjoint_degree: int, twice_offset: int, multiplicities, adjoint_square: int):
         a, t, ms, ksq = _coerced(
@@ -150,18 +148,16 @@ class NumericType(_NumericFields):
         )
 
 
-class _SpecialFields(Record):
-    adjoint_degree: int
-    extra_multiplicity: int
-    multiplicities: tuple[int, ...]
-    adjoint_square: int
-
-
-class SpecialType(_SpecialFields):
+class SpecialType(Record):
     """Pencil data on the index-1 model with one distinguished base point
     of multiplicity below the generic floor, recorded via its plane
     presentation of degree adjoint_degree + 2 + extra_multiplicity.  A
     tuple of its four fields, validated like NumericType."""
+
+    adjoint_degree: int
+    extra_multiplicity: int
+    multiplicities: tuple[int, ...]
+    adjoint_square: int
 
     def __new__(cls, adjoint_degree: int, extra_multiplicity: int, multiplicities, adjoint_square: int):
         a, m0, ms, ksq = _coerced(

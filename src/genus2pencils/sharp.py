@@ -28,6 +28,7 @@ from .lattice import (
     LatticeError,
     Surface,
     _contract_rows,
+    _expect,
     elementary_transform,
 )
 from .numerics import NumericType
@@ -94,6 +95,7 @@ class ReducedPencil(Record):
 def _check_carried(surface: Surface, c: DivisorClass) -> tuple[int, ...]:
     """The coordinates of c, once c is checked to be a curve the reduction
     may carry."""
+    _expect(c, DivisorClass, "an effective curve", ReductionError)
     if c.surface is not surface:
         raise ReductionError(f"foreign class: {c} lives on another surface")
     x = c.coords
@@ -207,6 +209,7 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     one.  The curves are carried as coordinate rows; classes are built
     only for the trace and the result.
     """
+    _expect(fib, Fibration, "fib", ReductionError)
     fib.validate()
     surface = fib.surface
     curves = [_check_carried(surface, c) for c in effective]
@@ -289,6 +292,7 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
     elementary transforms where one exists.  A reduction that ended on P^2
     itself (rank 1) has no ruled model and raises ReductionError.
     """
+    _expect(reduced, ReducedPencil, "reduced", ReductionError)
     surface = reduced.surface
     pencil = reduced.pencil
     curves: list[tuple[int, ...]] = []

@@ -130,6 +130,24 @@ def test_a_component_divisor_that_is_not_a_class_is_named(check):
     assert str(info.value) == f"component TH9 has divisor {coords!r}, not a divisor class"
 
 
+@pytest.mark.parametrize(
+    "check, bad",
+    [(validate_fibre, 5), (dual_graph, None), (lambda fib, dec: ade_classify(dec), 5)],
+    ids=["validate_fibre", "dual_graph", "ade_classify"],
+)
+def test_an_argument_that_is_not_a_decomposition_is_named(check, bad):
+    with pytest.raises(FibreError) as info:
+        check(sextic_fibration(), bad)
+    assert str(info.value) == f"dec must be a FibreDecomposition, not {bad!r}"
+
+
+@pytest.mark.parametrize("check", [validate_fibre, dual_graph])
+def test_an_argument_that_is_not_a_fibration_is_named(check):
+    with pytest.raises(FibreError) as info:
+        check(None, chain_fibre(sextic_fibration()))
+    assert str(info.value) == "fib must be a Fibration, not None"
+
+
 def test_validate_fibre_rejects_wrong_sum():
     fib = sextic_fibration()
     dec = chain_fibre(fib)

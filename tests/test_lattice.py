@@ -378,3 +378,21 @@ def test_fibration_validation():
     assert named.named("F") == f
     with pytest.raises(KeyError):
         named.named("Q")
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("genus", 2.0, "genus must be an integer, not 2.0"),
+        ("genus", "2", "genus must be an integer, not '2'"),
+        ("genus", None, "genus must be an integer, not None"),
+        ("fibre_class", None, "the fibre class must be a DivisorClass, not None"),
+        ("sections", (None,), "section 0 must be a DivisorClass, not None"),
+    ],
+    ids=["float-genus", "string-genus", "no-genus", "no-fibre-class", "no-section"],
+)
+def test_fibration_validation_names_a_malformed_field(field, bad, message):
+    fib = catalog.get("A").fibration
+    with pytest.raises(LatticeError) as info:
+        fib._replace(**{field: bad}).validate()
+    assert str(info.value) == message

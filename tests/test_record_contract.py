@@ -7,10 +7,11 @@ position, by keyword and with defaults; ``_fields``, ``_field_defaults``,
 pickle and copy round trips; read-only fields and no instance
 ``__dict__``.  The classes are found by walking the package's modules,
 so a record added or removed without updating RECORDS fails here.
-NumericType, SpecialType and ClassQuery validate in ``__new__``, so they
-get sample values that pass their checks and one value that fails.
-Creating a record class compiles no code: every ``__new__`` is a
-function of the package's source files.
+Every record declares its fields in its own class body.  NumericType,
+SpecialType and ClassQuery validate in a ``__new__`` of their own, next
+to their fields, so they get sample values that pass their checks and
+one value that fails.  Creating a record class compiles no code: every
+``__new__`` is a function of the package's source files.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ MODULES = ("catalog", "cli", "curves", "fibres", "intmat", "lattice", "modelfile
 RECORDS = (
     "catalog.ExpectedData", "catalog.CatalogEntry", "catalog.CheckResult",
     "catalog.VerifyReport", "catalog._Claims",
-    "curves._QueryFields", "curves.ClassQuery", "curves._Orbit", "curves.SectionSearch",
+    "curves.ClassQuery", "curves._Orbit", "curves.SectionSearch",
     "fibres.FibreComponent", "fibres.FibreDecomposition", "fibres.FibreReport",
     "fibres.DualGraph", "fibres.DecompositionReport", "fibres.ComplementLattice",
     "lattice.ElementaryTransformResult", "lattice.Fibration",
     "modelfile.ModelFile",
-    "numerics._NumericFields", "numerics.NumericType", "numerics._SpecialFields",
-    "numerics.SpecialType", "numerics.MinimalAmbientVerdict", "numerics.ExclusionCertificate",
+    "numerics.NumericType", "numerics.SpecialType", "numerics.MinimalAmbientVerdict",
+    "numerics.ExclusionCertificate",
     "sharp.TraceStep", "sharp.ContractionTrace", "sharp.ReducedPencil",
     "sharp.ElementaryTransformRepair", "sharp.SharpModelData", "sharp.PlaneModel",
     "sharp.PipelineResult",
@@ -79,7 +80,11 @@ def test_every_record_class_is_listed():
             if isinstance(value, type) and value.__module__ == mod.__name__ and issubclass(value, tuple):
                 found.add(f"{module}.{name}")
     assert found == set(RECORDS)
-    assert len(RECORDS) == 31
+    assert len(RECORDS) == 28
+    # each record declares its fields in its own body, none in a base
+    for path in RECORDS:
+        kind = _record(path)
+        assert tuple(vars(kind).get("__annotations__", {})) == kind._fields, path
 
 
 @pytest.fixture(params=RECORDS)
@@ -207,7 +212,7 @@ def test_creating_a_record_class_runs_no_compile_or_exec():
     # an audit hook cannot be removed, so it is installed in a child
     # interpreter; the class statements run after every import
     code = """
-import json, sys
+import json, pickle, sys
 from genus2pencils._record import Record
 events = []
 sys.addaudithook(lambda event, args: events.append(event) if event in ("compile", "exec") else None)
@@ -220,15 +225,35 @@ class Checked(Point):
     def __new__(cls, x, y=0):
         return super().__new__(cls, x, y)
 
+class Natural(Record):
+    n: int
+    step: int = 1
+
+    def __new__(cls, n, step=1):
+        if n < 0:
+            raise ValueError(f"{n} is negative")
+        return super().__new__(cls, n, step)
+
 point = Checked(1)._replace(y=2)
-print(json.dumps([events, repr(point)]))
+bad = tuple.__new__(Natural, (-1, 1))
+rejected = []
+for attempt in (lambda: Natural._make((-2, 1)), lambda: Natural(0)._replace(n=-3),
+                lambda: pickle.loads(pickle.dumps(bad))):
+    try:
+        attempt()
+    except ValueError as exc:
+        rejected.append(str(exc))
+print(json.dumps([events, repr(point), repr(Natural(2)), rejected]))
 """
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(import_module("genus2pencils").__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], "Checked(x=1, y=2)"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        [], "Checked(x=1, y=2)", "Natural(n=2, step=1)",
+        ["-2 is negative", "-3 is negative", "-1 is negative"],
+    ]
 
 
 def test_record_class_definition_errors():

@@ -291,6 +291,23 @@ def test_reduction_screens_the_curve_list():
         reduction(fib, (plane_curve(s, 5, (3, 3, 3)),))
 
 
+@pytest.mark.parametrize("run", [reduction, sharp_minimal_pipeline])
+def test_reduction_names_an_argument_that_is_not_a_class(run):
+    s, f = sextic_pencil()
+    with pytest.raises(ReductionError) as info:
+        run(Fibration(s, f), [5])
+    assert str(info.value) == "an effective curve must be a DivisorClass, not 5"
+    with pytest.raises(ReductionError) as info:
+        run(5, [])
+    assert str(info.value) == "fib must be a Fibration, not 5"
+
+
+def test_greedy_names_an_argument_that_is_not_a_reduced_pencil():
+    with pytest.raises(ReductionError) as info:
+        greedy_sharp_minimal(5)
+    assert str(info.value) == "reduced must be a ReducedPencil, not 5"
+
+
 def test_reduction_validates_the_fibration():
     s = plane_blowup(12)
     not_a_fibre = plane_curve(s, 6, (2,) * 8)
