@@ -28,7 +28,7 @@ from .lattice import (
 )
 from .modelfile import parse, to_fibration
 from .numerics import NumericType
-from .sharp import InvariantError, PlaneModel, canonical_p2_model, sharp_minimal_pipeline
+from .sharp import PlaneModel, canonical_p2_model, sharp_minimal_pipeline
 
 __all__ = [
     "CatalogEntry", "ExpectedData", "CheckResult", "VerifyReport",
@@ -71,11 +71,13 @@ class CatalogEntry(Record):
 
 class CheckResult(Record):
     """One check's outcome.  A failed claim has passed False; a check that
-    raised anything but AssertionError or LatticeError, or raised the
-    InvariantError of a broken library invariant, also carries ``error``,
-    the exception type and the file:line it was raised at.  Running out of
-    the enumeration budget (BudgetExceededError) is a failed claim: the
-    claim was not established within the budget."""
+    raised anything but AssertionError or LatticeError is a fault in the
+    library and also carries ``error``, the exception type and the
+    file:line it was raised at.  So an argument of the wrong type (a
+    TypeError) and a broken library invariant (sharp.InvariantError, a
+    RuntimeError) are faults.  Running out of the enumeration budget
+    (BudgetExceededError) is a failed claim: the claim was not
+    established within the budget."""
 
     name: str
     passed: bool
@@ -253,9 +255,8 @@ def _run(checks: list[CheckResult], name: str, fn) -> None:
         detail = fn()
     except Exception as exc:
         # an AssertionError or LatticeError means the claim does not hold;
-        # a broken invariant or anything else is a fault in the library
-        failed = isinstance(exc, (AssertionError, LatticeError))
-        fault = isinstance(exc, InvariantError) or not failed
+        # anything else is a fault in the library
+        fault = not isinstance(exc, (AssertionError, LatticeError))
         checks.append(CheckResult(name, False, str(exc), _where(exc) if fault else None))
         return
     checks.append(CheckResult(name, True, detail or ""))

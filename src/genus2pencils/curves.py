@@ -72,7 +72,7 @@ class BudgetExceededError(LatticeError):
 
 class ClassQuery(Record):
     """Target numerical data: C*C, K*C, and a cap on the reference degree.
-    Each field is coerced to an int; anything else is a LatticeError.  A
+    Each field is coerced to an int; anything else is a TypeError.  A
     query is a tuple of its three fields; pickle, copy and ``_replace``
     validate again through the constructor."""
 
@@ -84,7 +84,7 @@ class ClassQuery(Record):
         try:
             fields = (_as_int(self_int), _as_int(k_deg), _as_int(degree_cap))
         except TypeError:
-            raise LatticeError("query fields must be integers") from None
+            raise TypeError("query fields must be integers") from None
         if fields[2] < 1:
             raise LatticeError("degree cap must be at least 1")
         return tuple.__new__(cls, fields)
@@ -303,7 +303,7 @@ def enum_classes(
     """Every class with the queried numerical data and reference degree
     between 0 and the cap, in ascending (degree part, multiplicities) order:
     the orbits over one block of every exceptional position, expanded.  A
-    surface or query of another type is a LatticeError naming it."""
+    surface or query of another type is a TypeError naming it."""
     _expect(surface, Surface, "surface")
     _expect(query, ClassQuery, "query")
     budget = _integer(budget, "budget")
@@ -449,7 +449,7 @@ class IdentityReport:
 def _check_decomposition(fib: Fibration, pencil: DivisorClass, shift: int) -> int:
     """The shift as an int, once F = pencil - shift*K is checked; a pencil
     that is not a class or a shift that is not an integer is a
-    LatticeError."""
+    TypeError."""
     _expect(pencil, DivisorClass, "pencil")
     shift = _integer(shift, "shift")
     if pencil.surface is not fib.surface:
@@ -474,7 +474,7 @@ def fibre_intersection_identity(
     paired once per block orbit of F (K is constant on the exceptional
     coordinates, so P is constant on these blocks too), which gives the
     count, the minimum and the orbits of its witnesses.  A fibration,
-    fibre class, pencil or query of another type is a LatticeError naming
+    fibre class, pencil or query of another type is a TypeError naming
     it, raised before any walk.
     """
     _check_fibration(fib)
@@ -513,13 +513,14 @@ def minus_one_section_exists(
 
     F*C is computed once per block orbit of F; each witness is the first
     qualifying class in enumeration order.  When a pencil is supplied,
-    ``shift`` must be an integer and the decomposition F = pencil - shift*K
-    is checked before the walk (either failure is a LatticeError, as is a
-    shift without a pencil); then F*C = pencil*C + shift on classes with
-    K*C = -1, and shift is certified as a lower bound over the enumerated
-    range when pencil*C >= 0 on every enumerated class, that is when the
-    minimum is at least shift.  A fibration, fibre class or pencil of
-    another type is a LatticeError naming it, raised before any walk.
+    ``shift`` must be an integer (else a TypeError) and the decomposition
+    F = pencil - shift*K is checked before the walk (a failure is a
+    LatticeError, as is a shift without a pencil); then F*C = pencil*C +
+    shift on classes with K*C = -1, and shift is certified as a lower
+    bound over the enumerated range when pencil*C >= 0 on every enumerated
+    class, that is when the minimum is at least shift.  A fibration, fibre
+    class or pencil of another type is a TypeError naming it, raised
+    before any walk.
     """
     _check_fibration(fib)
     if pencil is not None:

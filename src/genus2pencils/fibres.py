@@ -12,8 +12,9 @@ tuple of classes, so the Gram matrix of a fibre that a model file's
 loading validated is read back, not recomputed, by the later checks on
 the same components, and the blocks and the complement of one model
 share theirs.  An argument that is not a fibration or a decomposition,
-one that holds something other than divisor classes, or a multiplicity
-or node count that is not an integer, is a FibreError naming it.
+one that holds something other than components or divisor classes, or a
+multiplicity or node count that is not an integer, is a TypeError naming
+it.
 """
 
 from __future__ import annotations
@@ -83,11 +84,14 @@ class FibreComponent(Record):
 
 
 def _divisor(p: FibreComponent, surface: Surface | None = None) -> DivisorClass:
-    """The class of component ``p``.  A divisor that is not a DivisorClass,
-    or one off ``surface`` when that is given, is a FibreError naming p."""
+    """The class of component ``p``.  A component that is not a
+    FibreComponent, or a divisor that is not a DivisorClass, is a TypeError
+    naming it; a divisor off ``surface`` when that is given is a FibreError
+    naming p."""
+    _expect(p, FibreComponent, "a component")
     c = p.divisor
     if not isinstance(c, DivisorClass):
-        raise FibreError(f"component {p.name} has divisor {c!r}, not a divisor class")
+        raise TypeError(f"component {p.name} has divisor {c!r}, not a divisor class")
     if surface is not None and c.surface is not surface:
         raise FibreError(f"foreign class: component {p.name} lives on another surface")
     return c
@@ -105,8 +109,8 @@ class FibreDecomposition(Record):
 
 
 def _check_arguments(fib: Fibration, dec: FibreDecomposition) -> None:
-    _expect(fib, Fibration, "fib", FibreError)
-    _expect(dec, FibreDecomposition, "dec", FibreError)
+    _expect(fib, Fibration, "fib")
+    _expect(dec, FibreDecomposition, "dec")
 
 
 class FibreReport(Record):
@@ -132,7 +136,7 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
     divisors, mults = [], []
     for p in parts:
         divisors.append(_divisor(p, fib.surface))
-        m = _integer(p.multiplicity, f"the multiplicity of component {p.name}", FibreError)
+        m = _integer(p.multiplicity, f"the multiplicity of component {p.name}")
         if m < 1:
             raise FibreError(f"component {p.name} has multiplicity {m}")
         mults.append(m)
@@ -189,9 +193,10 @@ def dual_graph(fib: Fibration, dec: FibreDecomposition) -> DualGraph:
 def classify_diagram(node_count: int, edges: Sequence[tuple[int, int]]) -> str:
     """Label a connected simply-laced diagram: A/D/E, their affine shapes
     (suffixed with ~), or "unclassified".  The nodes are 0 .. node_count - 1;
-    a negative count, or an edge whose ends are not nodes, is a FibreError
-    naming it."""
-    n = _integer(node_count, "node_count", FibreError)
+    a count or an edge end that is not an integer, or an edge that is not a
+    pair, is a TypeError naming it, and a negative count, or an edge whose
+    ends are not nodes, is a FibreError naming it."""
+    n = _integer(node_count, "node_count")
     if n < 0:
         raise FibreError(f"node_count must be nonnegative, not {n}")
     if n == 0:
@@ -201,8 +206,8 @@ def classify_diagram(node_count: int, edges: Sequence[tuple[int, int]]) -> str:
         try:
             a, b = edge
         except (TypeError, ValueError):
-            raise FibreError(f"an edge must be a pair of nodes, not {edge!r}") from None
-        a, b = (_integer(x, "an edge end", FibreError) for x in (a, b))
+            raise TypeError(f"an edge must be a pair of nodes, not {edge!r}") from None
+        a, b = (_integer(x, "an edge end") for x in (a, b))
         if not (0 <= a < n and 0 <= b < n):
             raise FibreError(f"edge {edge!r} has an end outside the nodes 0..{n - 1}")
         adj[a].add(b)
@@ -263,7 +268,7 @@ def ade_classify(dec: FibreDecomposition) -> tuple[tuple[tuple[str, ...], str], 
     Components carrying multiplicity weights above one in the pairing are
     left unclassified rather than misread as simply laced.
     """
-    _expect(dec, FibreDecomposition, "dec", FibreError)
+    _expect(dec, FibreDecomposition, "dec")
     graph = _graph(dec.components)
     keep = [i for i, (_, sq, genus) in enumerate(graph.nodes) if sq == -2 and genus == 0]
     index = {v: k for k, v in enumerate(keep)}
@@ -307,8 +312,8 @@ def ade_classify(dec: FibreDecomposition) -> tuple[tuple[tuple[str, ...], str], 
 def shioda_rank(picard_rank: int, component_counts: Sequence[int]) -> int:
     """Mordell-Weil rank forced by the rank bookkeeping: the lattice rank
     minus two (fibre and zero section) minus one per extra fibre component."""
-    picard_rank = _integer(picard_rank, "picard_rank", FibreError)
-    extra = sum(_integer(c, "a component count", FibreError) - 1 for c in component_counts)
+    picard_rank = _integer(picard_rank, "picard_rank")
+    extra = sum(_integer(c, "a component count") - 1 for c in component_counts)
     rank = picard_rank - 2 - extra
     if rank < 0:
         raise FibreError(
@@ -348,7 +353,7 @@ def orthogonal_decomposition_check(
     so rank-many independent classes span a sublattice of index k exactly
     when that determinant is plus or minus k squared: a failure names the
     index, or the dependence when the determinant is 0.  A block item
-    that is not a DivisorClass is a FibreError naming its block.
+    that is not a DivisorClass is a TypeError naming its block.
     """
     rank = fib.surface.rank
     messages: list[str] = []
@@ -357,7 +362,7 @@ def orthogonal_decomposition_check(
     for b, block in enumerate(blocks):
         for c in block:
             if not isinstance(c, DivisorClass):
-                raise FibreError(f"blocks must hold divisor classes: block {b + 1} holds {c!r}")
+                raise TypeError(f"blocks must hold divisor classes: block {b + 1} holds {c!r}")
             if c.surface is not fib.surface:
                 messages.append(f"foreign class in block {b + 1}: {c}")
     if not messages:
@@ -412,14 +417,14 @@ def complement_lattice(surface: Surface, sub: Sequence[DivisorClass]) -> Complem
     complement, not a finite-index sublattice.  The basis is the nonzero
     rows of the kernel's Hermite normal form, so it is its own Hermite
     form: two complements are equal exactly when their bases are.  An
-    input that is not a DivisorClass is a FibreError.  The catalog's
+    input that is not a DivisorClass is a TypeError.  The catalog's
     complement check does not run this kernel route: it certifies the
     same equality by determinants (catalog._complement_certificate).
     """
     sub = list(sub)
     for c in sub:
         if not isinstance(c, DivisorClass):
-            raise FibreError(f"sub must hold divisor classes, not {c!r}")
+            raise TypeError(f"sub must hold divisor classes, not {c!r}")
         if c.surface is not surface:
             raise ForeignClassError("foreign class: input lives on another surface")
     if len(hermite_normal_form([c.coords for c in sub])) != len(sub):

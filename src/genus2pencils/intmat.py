@@ -10,12 +10,14 @@ The semidefiniteness test scales each Schur complement by its positive
 pivot, so it stays integral too.  It has no caller in the library: fibre
 validation gets semidefiniteness from its other checks.  It stays as the
 tests' reference for that argument, and because the benchmark's tracer
-wraps it by name.  Floating point never appears.
+wraps it by name.  Floating point never appears: an entry that is not
+an integer (a float, a string) is a TypeError naming it, not truncated.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import index
 
 __all__ = [
     "bareiss_determinant",
@@ -30,7 +32,18 @@ Matrix = Sequence[Sequence[int]]
 
 
 def _copy(rows: Matrix) -> list[list[int]]:
-    out = [list(map(int, r)) for r in rows]
+    try:
+        out = [list(map(index, r)) for r in rows]
+    except TypeError:
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                try:
+                    index(x)
+                except TypeError:
+                    raise TypeError(
+                        f"matrix entry ({i}, {j}) must be an integer, not {x!r}"
+                    ) from None
+        raise
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out

@@ -116,7 +116,7 @@ class Surface:
         try:
             index, blowups = _as_int(index), _as_int(blowups)
         except TypeError:
-            raise LatticeError("index and blow-up count must be integers") from None
+            raise TypeError("index and blow-up count must be integers") from None
         if kind == "plane" and index != 0:
             raise LatticeError("plane surfaces carry no Hirzebruch index")
         if index < 0 or blowups < 0:
@@ -252,11 +252,11 @@ class DivisorClass:
 
     def __init__(self, surface: Surface, coords: Sequence[int]) -> None:
         if not isinstance(surface, Surface):
-            raise LatticeError(f"a class lives on a Surface, not on {surface!r}")
+            raise TypeError(f"a class lives on a Surface, not on {surface!r}")
         try:
             coords = tuple(map(_as_int, coords))
         except TypeError:
-            raise LatticeError("coordinates must be integers") from None
+            raise TypeError("coordinates must be integers") from None
         if len(coords) != surface.rank:
             raise LatticeError(
                 f"coordinate length {len(coords)} does not match lattice rank {surface.rank}"
@@ -367,12 +367,12 @@ class DivisorClass:
 def pairings(d: DivisorClass, classes: Sequence[DivisorClass]) -> tuple[int, ...]:
     """(d * c for c in classes), with d's dual vector computed once; every
     class must live on d's surface, and anything that is not a class is a
-    LatticeError naming it."""
+    TypeError naming it."""
     try:
         surface = d.surface
         dual = surface.dual(d.coords)
     except AttributeError:
-        raise LatticeError(f"pairings need a divisor class, not {d!r}") from None
+        raise TypeError(f"pairings need a divisor class, not {d!r}") from None
     out = []
     try:
         for c in classes:
@@ -381,7 +381,7 @@ def pairings(d: DivisorClass, classes: Sequence[DivisorClass]) -> tuple[int, ...
             out.append(sum(map(mul, dual, c.coords)))
     except AttributeError:
         # c is the item that had no surface or no coordinates
-        raise LatticeError(f"pairings need divisor classes, not {c!r}") from None
+        raise TypeError(f"pairings need divisor classes, not {c!r}") from None
     return tuple(out)
 
 
@@ -424,18 +424,18 @@ def is_minus_one_class(c: DivisorClass) -> bool:
     return c * c == -1 and c.surface.canonical() * c == -1
 
 
-def _integer(value, name: str, error: type = LatticeError) -> int:
-    """``value`` as an int; anything else is an ``error`` naming the argument."""
+def _integer(value, name: str) -> int:
+    """``value`` as an int; anything else is a TypeError naming the argument."""
     try:
         return _as_int(value)
     except TypeError:
-        raise error(f"{name} must be an integer, not {value!r}") from None
+        raise TypeError(f"{name} must be an integer, not {value!r}") from None
 
 
-def _expect(value, kind: type, name: str, error: type = LatticeError) -> None:
-    """An ``error`` naming the argument when ``value`` is not a ``kind``."""
+def _expect(value, kind: type, name: str) -> None:
+    """A TypeError naming the argument when ``value`` is not a ``kind``."""
     if not isinstance(value, kind):
-        raise error(f"{name} must be a {kind.__name__}, not {value!r}")
+        raise TypeError(f"{name} must be a {kind.__name__}, not {value!r}")
 
 
 def _require_on(surface: Surface, c: DivisorClass) -> None:
@@ -479,8 +479,10 @@ def cremona(
     """Reflect classes in L - Ei - Ej - Ek, the plane quadratic transform.
 
     This is an isometry fixing the canonical class; applying it twice is
-    the identity.
+    the identity.  A point index that is not an integer is a TypeError
+    naming it.
     """
+    i, j, k = map(_integer, (i, j, k), ("i", "j", "k"))
     if surface.kind != "plane":
         raise LatticeError("quadratic transforms need the plane kind")
     if len({i, j, k}) != 3:
@@ -635,6 +637,7 @@ class Fibration(Record):
     def validate(self) -> "Fibration":
         f = self.fibre_class
         _expect(f, DivisorClass, "the fibre class")
+        _expect(self.sections, tuple, "the sections")
         for i, s in enumerate(self.sections):
             _expect(s, DivisorClass, f"section {i}")
         genus = _integer(self.genus, "genus")

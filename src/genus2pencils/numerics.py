@@ -50,7 +50,7 @@ _new_tuple = tuple.__new__
 
 def _coerced(names: tuple[str, ...], degree, second, multiplicities, square) -> tuple:
     """A row's fields as exact ints, the multiplicities as a tuple of them;
-    a non-integer (a float, a string) is a ValueError naming the first such
+    a non-integer (a float, a string) is a TypeError naming the first such
     field, not silently truncated."""
     try:
         return index(degree), index(second), tuple(map(index, multiplicities)), index(square)
@@ -59,7 +59,7 @@ def _coerced(names: tuple[str, ...], degree, second, multiplicities, square) -> 
             try:
                 tuple(map(index, value)) if name == "multiplicities" else index(value)
             except TypeError:
-                raise ValueError(f"numeric type field {name} must hold integers") from None
+                raise TypeError(f"numeric type field {name} must hold integers") from None
         raise
 
 
@@ -336,7 +336,7 @@ def _caps(genus, ksq_lo, ksq_hi, adjoint_cap) -> tuple[int, int, int, int, int]:
         genus, ksq_lo, ksq_hi = index(genus), index(ksq_lo), index(ksq_hi)
         a_cap = 2 * genus + 6 if adjoint_cap is None else index(adjoint_cap)
     except TypeError:
-        raise ValueError("genus, window bounds and adjoint_cap must be integers") from None
+        raise TypeError("genus, window bounds and adjoint_cap must be integers") from None
     if genus < 2:
         raise ValueError("genus must be at least 2")
     if not 1 <= ksq_lo <= ksq_hi:
@@ -468,7 +468,7 @@ def exclude_p2_and_hirzebruch(genus: int, ksq: int) -> MinimalAmbientVerdict:
     try:
         genus, ksq = index(genus), index(ksq)
     except TypeError:
-        raise ValueError("genus and adjoint square must be integers") from None
+        raise TypeError("genus and adjoint square must be integers") from None
     if genus < 2:
         raise ValueError("genus must be at least 2")
     planes = tuple(

@@ -13,7 +13,8 @@ of pencil degree m raises K^2 by one and the adjoint square
 (K + pencil)^2 by (m - 1)^2, whatever the input, since K = pi*K' + E and
 pencil = pi*pencil' - mE on the blow-up.  A run that breaks either
 identity raises InvariantError, a fault in the library and never a
-failed claim about the pencil.
+failed claim about the pencil: it is a RuntimeError, not a LatticeError.
+An argument of the wrong type is a TypeError naming it.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class ReductionError(LatticeError):
     """Input outside the reduction pipeline's domain."""
 
 
-class InvariantError(ReductionError):
+class InvariantError(RuntimeError):
     """An identity the reduction must keep was broken: a fault in the
-    library, not in its input."""
+    library, not in its input, so it is not a LatticeError."""
 
 
 class IncompleteGeometryError(ReductionError):
@@ -95,7 +96,7 @@ class ReducedPencil(Record):
 def _check_carried(surface: Surface, c: DivisorClass) -> tuple[int, ...]:
     """The coordinates of c, once c is checked to be a curve the reduction
     may carry."""
-    _expect(c, DivisorClass, "an effective curve", ReductionError)
+    _expect(c, DivisorClass, "an effective curve")
     if c.surface is not surface:
         raise ReductionError(f"foreign class: {c} lives on another surface")
     x = c.coords
@@ -209,7 +210,7 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     one.  The curves are carried as coordinate rows; classes are built
     only for the trace and the result.
     """
-    _expect(fib, Fibration, "fib", ReductionError)
+    _expect(fib, Fibration, "fib")
     fib.validate()
     surface = fib.surface
     curves = [_check_carried(surface, c) for c in effective]
@@ -292,11 +293,13 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
     elementary transforms where one exists.  A reduction that ended on P^2
     itself (rank 1) has no ruled model and raises ReductionError.
     """
-    _expect(reduced, ReducedPencil, "reduced", ReductionError)
+    _expect(reduced, ReducedPencil, "reduced")
     surface = reduced.surface
     pencil = reduced.pencil
+    _expect(pencil, DivisorClass, "the pencil of reduced")
     curves: list[tuple[int, ...]] = []
     for c in reduced.curves:
+        _expect(c, DivisorClass, "a curve of reduced")
         if c.surface is not surface:
             raise ForeignClassError("foreign class: operands live on different surfaces")
         curves.append(c.coords)

@@ -371,10 +371,12 @@ def test_check_outcomes_are_pass_fail_or_error():
     catalog._run(checks, "claim", raising(AssertionError("claim broken")))
     catalog._run(checks, "lattice", raising(LatticeError("not a class")))
     catalog._run(checks, "fault", raising(KeyError("P")))
-    # a broken library invariant is a fault although it is a LatticeError;
-    # running out of budget leaves the claim unproved, a failure
+    # a broken library invariant is a RuntimeError and an argument of the
+    # wrong type a TypeError, so both are faults; running out of budget
+    # leaves the claim unproved, a failure
     catalog._run(checks, "invariant", raising(InvariantError("invariant broken")))
     catalog._run(checks, "budget", raising(BudgetExceededError("budget exceeded")))
+    catalog._run(checks, "argument", raising(TypeError("fib must be a Fibration, not 5")))
     assert [(c.name, c.passed, c.error is None) for c in checks] == [
         ("holds", True, True),
         ("claim", False, True),
@@ -382,6 +384,8 @@ def test_check_outcomes_are_pass_fail_or_error():
         ("fault", False, False),
         ("invariant", False, False),
         ("budget", False, True),
+        ("argument", False, False),
     ]
     assert checks[3].error.startswith("KeyError at test_catalog.py:")
     assert checks[4].error.startswith("InvariantError at test_catalog.py:")
+    assert checks[6].error.startswith("TypeError at test_catalog.py:")

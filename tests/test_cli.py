@@ -286,6 +286,29 @@ def test_verify_example_contraction_fault_is_an_error(tag, fake, monkeypatch, ca
     assert not any(line.startswith("FAIL") for line in lines)
 
 
+_REAL_PIPELINE = catalog.sharp_minimal_pipeline
+
+
+def _malformed_pipeline(fib, curves):
+    # a library bug: the pipeline is handed a curve that is not a class
+    return _REAL_PIPELINE(fib, [*curves, 5])
+
+
+@pytest.mark.parametrize("tag", catalog.tags())
+def test_verify_example_malformed_argument_is_an_error(tag, monkeypatch, capsys):
+    # a wrong-typed argument from library code is a fault, never a failed claim
+    monkeypatch.setattr(catalog, "sharp_minimal_pipeline", _malformed_pipeline)
+    assert main(["verify-example", tag]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    (error,) = [line for line in lines if line.startswith("ERROR")]
+    assert error.startswith("ERROR pipeline: TypeError at ")
+    assert not any(line.startswith("FAIL") for line in lines)
+
+    assert main(["verify-example", tag, "--report"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in payload["checks"] if "error" in c] == ["pipeline"]
+
+
 def test_verify_example_unknown_tag(capsys):
     assert main(["verify-example", "4.9"]) == 2
     assert "unknown example tag" in capsys.readouterr().err

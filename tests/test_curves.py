@@ -220,7 +220,7 @@ def test_query_fields_must_be_integers():
     # a non-integer field is refused before any walk: as K*C it would
     # otherwise match no class at all
     for fields in ((-1.0, -1, 2), (-1, -1, 2.5), (-1, -1.5, 2)):
-        with pytest.raises(LatticeError, match="query fields must be integers"):
+        with pytest.raises(TypeError, match="query fields must be integers"):
             enum_classes(plane_blowup(3), ClassQuery(*fields))
     query = ClassQuery(True, -1, 2)
     assert (query.self_int, type(query.self_int)) == (1, int)
@@ -266,11 +266,11 @@ def test_budget_must_be_an_integer():
     query = ClassQuery(-1, -1, 2)
     fib = _b1_fibration()
     for bad in ("10", None, 2.5):
-        with pytest.raises(LatticeError, match="budget must be an integer"):
+        with pytest.raises(TypeError, match="budget must be an integer"):
             enum_classes(s, query, bad)
-        with pytest.raises(LatticeError, match="budget must be an integer"):
+        with pytest.raises(TypeError, match="budget must be an integer"):
             minus_one_section_exists(fib, 2, budget=bad)
-        with pytest.raises(LatticeError, match="budget must be an integer"):
+        with pytest.raises(TypeError, match="budget must be an integer"):
             fibre_intersection_identity(fib, fib.named("P"), 2, query, bad)
     assert enum_classes(s, query, _Index(DEFAULT_BUDGET)) == enum_classes(s, query)
     # the orbit cache is keyed by the coerced budget
@@ -348,9 +348,9 @@ def test_fibre_intersection_identity_rejects_mismatch():
 def test_shift_must_be_an_integer(bad):
     fib = _b1_fibration()
     p = fib.named("P")
-    with pytest.raises(LatticeError, match="shift must be an integer"):
+    with pytest.raises(TypeError, match="shift must be an integer"):
         fibre_intersection_identity(fib, p, bad, ClassQuery(-1, -1, 2))
-    with pytest.raises(LatticeError, match="shift must be an integer"):
+    with pytest.raises(TypeError, match="shift must be an integer"):
         minus_one_section_exists(fib, 2, p, bad)
     # an __index__ shift is taken as the int it stands for
     assert fibre_intersection_identity(fib, p, _Index(2), ClassQuery(-1, -1, 2)).shift == 2
@@ -380,10 +380,10 @@ def test_section_search_refuses_a_shift_without_a_pencil(shift):
     ),
 )
 def test_entry_points_name_an_argument_of_the_wrong_type(call, name):
-    # a LatticeError, not an AttributeError from deep inside, raised before
-    # any walk or orbit-cache lookup
+    # a TypeError naming the argument, not an AttributeError from deep
+    # inside, raised before any walk or orbit-cache lookup
     clear_caches()
-    with pytest.raises(LatticeError, match=f"^{name} must be a "):
+    with pytest.raises(TypeError, match=f"^{name} must be a "):
         call(_b1_fibration())
     assert _orbits_cached.cache_info().currsize == 0
 

@@ -108,7 +108,7 @@ def test_validate_fibre_names_a_multiplicity_that_is_not_an_integer(bad):
     fib = sextic_fibration()
     dec = chain_fibre(fib)
     parts = tuple(p._replace(multiplicity=bad) if p.name == "TH9" else p for p in dec.components)
-    with pytest.raises(FibreError) as info:
+    with pytest.raises(TypeError) as info:
         validate_fibre(fib, dec._replace(components=parts))
     assert str(info.value) == f"the multiplicity of component TH9 must be an integer, not {bad!r}"
 
@@ -125,9 +125,21 @@ def test_a_component_divisor_that_is_not_a_class_is_named(check):
     parts = tuple(
         p._replace(divisor=coords) if p.name == "TH9" else p for p in dec.components
     )
-    with pytest.raises(FibreError) as info:
+    with pytest.raises(TypeError) as info:
         check(fib, dec._replace(components=parts))
     assert str(info.value) == f"component TH9 has divisor {coords!r}, not a divisor class"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [validate_fibre, dual_graph, lambda fib, dec: ade_classify(dec)],
+    ids=["validate_fibre", "dual_graph", "ade_classify"],
+)
+def test_a_component_that_is_not_a_fibre_component_is_named(check):
+    fib = sextic_fibration()
+    with pytest.raises(TypeError) as info:
+        check(fib, chain_fibre(fib)._replace(components=(5,)))
+    assert str(info.value) == "a component must be a FibreComponent, not 5"
 
 
 @pytest.mark.parametrize(
@@ -136,14 +148,14 @@ def test_a_component_divisor_that_is_not_a_class_is_named(check):
     ids=["validate_fibre", "dual_graph", "ade_classify"],
 )
 def test_an_argument_that_is_not_a_decomposition_is_named(check, bad):
-    with pytest.raises(FibreError) as info:
+    with pytest.raises(TypeError) as info:
         check(sextic_fibration(), bad)
     assert str(info.value) == f"dec must be a FibreDecomposition, not {bad!r}"
 
 
 @pytest.mark.parametrize("check", [validate_fibre, dual_graph])
 def test_an_argument_that_is_not_a_fibration_is_named(check):
-    with pytest.raises(FibreError) as info:
+    with pytest.raises(TypeError) as info:
         check(None, chain_fibre(sextic_fibration()))
     assert str(info.value) == "fib must be a Fibration, not None"
 
@@ -313,7 +325,9 @@ def test_classify_diagram_rejections():
     ],
 )
 def test_classify_diagram_names_a_malformed_argument(args, message):
-    with pytest.raises(FibreError) as info:
+    # a message saying an argument has the wrong type is a TypeError
+    error = TypeError if " must be a" in message else FibreError
+    with pytest.raises(error) as info:
         classify_diagram(*args)
     assert str(info.value) == message
 
@@ -382,7 +396,7 @@ def test_shioda_rank_bookkeeping():
     ],
 )
 def test_shioda_rank_names_a_number_that_is_not_an_integer(args, message):
-    with pytest.raises(FibreError) as info:
+    with pytest.raises(TypeError) as info:
         shioda_rank(*args)
     assert str(info.value) == message
 
@@ -451,7 +465,7 @@ def test_orthogonal_decomposition_failure_messages():
 def test_orthogonal_decomposition_names_an_item_that_is_not_a_class():
     fib = small_fibration()
     f, o = fib.fibre_class, fib.surface.exceptional(1)
-    with pytest.raises(FibreError) as info:
+    with pytest.raises(TypeError) as info:
         orthogonal_decomposition_check(fib, [[f, o], [(0, 0, 1)]])
     assert str(info.value) == "blocks must hold divisor classes: block 2 holds (0, 0, 1)"
 
@@ -480,7 +494,7 @@ def test_complement_edge_cases():
     assert isinstance(info.value, ForeignClassError)
     with pytest.raises(LatticeError, match="dependent input classes"):
         complement_lattice(s, (s.line, s.line + s.line))
-    with pytest.raises(FibreError) as info:
+    with pytest.raises(TypeError) as info:
         complement_lattice(s, (s.line, (0, 1, 0)))
     assert str(info.value) == "sub must hold divisor classes, not (0, 1, 0)"
 

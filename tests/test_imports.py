@@ -264,3 +264,38 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used
         )
     assert sorted(unused) == []
+
+
+# a raise whose message says that an argument has the wrong type; no
+# message about the mathematics uses these phrases
+_WRONG_TYPE_PHRASES = (
+    "must be a ", "must be an integer", "must be integers", "must hold integers",
+    "not a divisor class", "divisor classes", "need a divisor class", "not on ",
+)
+
+
+def test_every_wrong_type_message_is_a_type_error():
+    """A wrong-typed argument is a TypeError, so verify files it as a fault
+    in the library; a LatticeError would read as a failed claim."""
+    from genus2pencils.lattice import LatticeError
+    from genus2pencils.sharp import InvariantError
+
+    raised = []
+    for path in sorted(glob.glob(os.path.join(SRC, "genus2pencils", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            message = "".join(
+                n.value for arg in node.exc.args for n in ast.walk(arg)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
+            if any(phrase in message for phrase in _WRONG_TYPE_PHRASES):
+                site = f"{os.path.basename(path)}:{node.lineno}"
+                raised.append((site, ast.unparse(node.exc.func)))
+    # the sites: _expect, _integer and the hand-written checks
+    assert len(raised) == 16
+    assert [site for site, name in raised if name != "TypeError"] == []
+    # a broken invariant is a fault too, so it is no LatticeError
+    assert not issubclass(InvariantError, LatticeError)

@@ -164,6 +164,21 @@ def test_rational_rank_matches_fraction_elimination():
             rank([[1, 2], [3]])
 
 
+def test_an_entry_that_is_not_an_integer_is_named():
+    # a float or a string is refused, not truncated by int()
+    for call, rows, message in (
+        (rational_rank, [[0.5, 0]], "matrix entry (0, 0) must be an integer, not 0.5"),
+        (bareiss_determinant, [[2, 0], [0, 1.9]], "matrix entry (1, 1) must be an integer, not 1.9"),
+        (hermite_normal_form, [[1, 1], ["3", 1]], "matrix entry (1, 0) must be an integer, not '3'"),
+        (kernel_basis, [[1, None]], "matrix entry (0, 1) must be an integer, not None"),
+    ):
+        with pytest.raises(TypeError) as info:
+            call(rows)
+        assert str(info.value) == message
+    # an integer-like entry is the int it stands for
+    assert bareiss_determinant([[True, 0], [0, 2]]) == 2
+
+
 def test_negative_semidefinite_frozen_cases():
     # negatives of ADE Cartan matrices are negative definite
     a2 = [[-2, 1], [1, -2]]

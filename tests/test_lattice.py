@@ -77,11 +77,11 @@ def test_surface_validation():
 
 
 def test_surface_rejects_non_integer_parameters():
-    with pytest.raises(LatticeError, match="must be integers"):
+    with pytest.raises(TypeError, match="must be integers"):
         Surface("hirzebruch", 1.5, 2)
-    with pytest.raises(LatticeError, match="must be integers"):
+    with pytest.raises(TypeError, match="must be integers"):
         plane_blowup(2.5)
-    with pytest.raises(LatticeError, match="must be integers"):
+    with pytest.raises(TypeError, match="must be integers"):
         hirzebruch_blowup(1, "2")
     # integer-like parameters are stored as plain ints
     s = Surface("hirzebruch", True, True)
@@ -163,7 +163,7 @@ def test_divisor_class_arithmetic():
 
 def test_divisor_class_rejects_bad_coords():
     s = plane_blowup(1)
-    with pytest.raises(LatticeError, match="coordinates must be integers"):
+    with pytest.raises(TypeError, match="coordinates must be integers"):
         DivisorClass(s, (1.5, 0))
     with pytest.raises(LatticeError, match="does not match lattice rank"):
         DivisorClass(s, (1, 0, 0))
@@ -174,9 +174,9 @@ def test_divisor_class_rejects_bad_coords():
 
 
 def test_divisor_class_needs_a_surface():
-    with pytest.raises(LatticeError, match="a class lives on a Surface, not on 'plane'"):
+    with pytest.raises(TypeError, match="a class lives on a Surface, not on 'plane'"):
         DivisorClass("plane", (1,))
-    with pytest.raises(LatticeError, match="not on None"):
+    with pytest.raises(TypeError, match="not on None"):
         DivisorClass(None, ())
 
 
@@ -207,11 +207,11 @@ def test_pairings_name_what_is_not_a_class():
     s = plane_blowup(2)
     line = s.line
     assert pairings(line, [line, s.exceptional(1)]) == (1, 0)
-    with pytest.raises(LatticeError, match="need divisor classes, not 1$"):
+    with pytest.raises(TypeError, match="need divisor classes, not 1$"):
         pairings(line, [1, 2])
-    with pytest.raises(LatticeError, match=r"need a divisor class, not \(1, 0, 0\)$"):
+    with pytest.raises(TypeError, match=r"need a divisor class, not \(1, 0, 0\)$"):
         pairings((1, 0, 0), [line])
-    with pytest.raises(LatticeError, match="need divisor classes, not Surface"):
+    with pytest.raises(TypeError, match="need divisor classes, not Surface"):
         pairings(line, [line, s])
     with pytest.raises(ForeignClassError):
         pairings(line, [line, plane_blowup(3).line])
@@ -327,6 +327,23 @@ def test_cremona_reflection_frozen():
         cremona(hirzebruch_blowup(0, 3), 1, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ((2.0, 2, 3), "i must be an integer, not 2.0"),
+        ((1, "2", 3), "j must be an integer, not '2'"),
+        ((1, 2, None), "k must be an integer, not None"),
+    ],
+)
+def test_cremona_names_a_point_that_is_not_an_integer(points, message):
+    # 2.0 is not read as a second point 2: the three points are not
+    # reported as repeated
+    s = plane_blowup(3)
+    with pytest.raises(TypeError) as info:
+        cremona(s, *points, (s.line,))
+    assert str(info.value) == message
+
+
 def test_elementary_transform_family():
     down = elementary_transform(2, (8, 17), 4)
     assert down == (1, (8, 13), 4)
@@ -358,7 +375,7 @@ def test_elementary_transform_errors():
     ],
 )
 def test_elementary_transform_names_a_number_that_is_not_an_integer(args, message):
-    with pytest.raises(LatticeError, match=re.escape(message)):
+    with pytest.raises(TypeError, match=re.escape(message)):
         elementary_transform(*args)
 
 
@@ -388,11 +405,12 @@ def test_fibration_validation():
         ("genus", None, "genus must be an integer, not None"),
         ("fibre_class", None, "the fibre class must be a DivisorClass, not None"),
         ("sections", (None,), "section 0 must be a DivisorClass, not None"),
+        ("sections", None, "the sections must be a tuple, not None"),
     ],
-    ids=["float-genus", "string-genus", "no-genus", "no-fibre-class", "no-section"],
+    ids=["float-genus", "string-genus", "no-genus", "no-fibre-class", "no-section", "no-sections"],
 )
 def test_fibration_validation_names_a_malformed_field(field, bad, message):
     fib = catalog.get("A").fibration
-    with pytest.raises(LatticeError) as info:
+    with pytest.raises(TypeError) as info:
         fib._replace(**{field: bad}).validate()
     assert str(info.value) == message

@@ -18,7 +18,7 @@ from genus2pencils.modelfile import (
     serialize,
     to_fibration,
 )
-from genus2pencils.lattice import LatticeError, hirzebruch_blowup, plane_blowup
+from genus2pencils.lattice import hirzebruch_blowup, plane_blowup
 
 SAMPLE = """\
 # sextic pencil with two of its exceptional classes
@@ -127,7 +127,7 @@ def test_to_fibration_validates():
     model = parse(SAMPLE)
     with pytest.raises(ValueError, match="canonical degree 2 does not match genus 3"):
         to_fibration(model, genus=3)
-    with pytest.raises(LatticeError, match="genus must be an integer, not 2.0"):
+    with pytest.raises(TypeError, match="genus must be an integer, not 2.0"):
         to_fibration(model, genus=2.0)
 
 

@@ -315,11 +315,11 @@ def test_numeric_rows_take_integers_only():
         (2, 0, (2,) * 7, 1.0),
         (2, 0, 2, 1),
     ):
-        with pytest.raises(ValueError, match="must hold integers"):
+        with pytest.raises(TypeError, match="must hold integers"):
             NumericType(*args)
     for args in ((3.0, 2, (2,) * 12, 3), (3, "2", (2,) * 12, 3), (3, 2, (2.0,) * 12, 3),
                  (3, 2, (2,) * 12, Fraction(3))):
-        with pytest.raises(ValueError, match="must hold integers"):
+        with pytest.raises(TypeError, match="must hold integers"):
             SpecialType(*args)
     # any integer type is stored as int and a list as a tuple
     row = NumericType(2, False, [2] * 7, 1)
@@ -379,7 +379,9 @@ def test_search_window_validation():
     ),
 )
 def test_search_argument_validation(search, args, kwargs, message):
-    with pytest.raises(ValueError, match=message):
+    # a wrong type is a TypeError, a value out of range a ValueError
+    error = TypeError if message == "must be integers" else ValueError
+    with pytest.raises(error, match=message):
         search(*args, **kwargs)
 
 
@@ -450,7 +452,7 @@ def test_exclude_p2_and_hirzebruch():
 @pytest.mark.parametrize("args", ((2, 1.5), (2, "1"), (2.0, 1), ("2", 1), (2, None), (None, 1)))
 def test_exclusion_takes_integers_only(args):
     # a float, a string or None is refused, not stored in the verdict
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(TypeError, match="must be integers"):
         exclude_p2_and_hirzebruch(*args)
 
 

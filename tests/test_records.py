@@ -148,18 +148,18 @@ def test_tuple_records_compare_as_tuples_and_replace_fields():
     "make, error, message",
     (
         (lambda: Surface("torus", "x", -1), LatticeError, "unknown surface kind 'torus'"),
-        (lambda: Surface("plane", 1.5, -1), LatticeError, "index and blow-up count must be integers"),
+        (lambda: Surface("plane", 1.5, -1), TypeError, "index and blow-up count must be integers"),
         (lambda: Surface("plane", 1, -1), LatticeError, "plane surfaces carry no Hirzebruch index"),
         (lambda: Surface("hirzebruch", -1, 0), LatticeError, "must be nonnegative"),
-        (lambda: DivisorClass("plane", (1.5,)), LatticeError, "a class lives on a Surface"),
-        (lambda: DivisorClass(plane_blowup(1), (1.5,)), LatticeError, "coordinates must be integers"),
+        (lambda: DivisorClass("plane", (1.5,)), TypeError, "a class lives on a Surface"),
+        (lambda: DivisorClass(plane_blowup(1), (1.5,)), TypeError, "coordinates must be integers"),
         (lambda: DivisorClass(plane_blowup(1), (1,)), LatticeError,
          "coordinate length 1 does not match lattice rank 2"),
-        (lambda: ClassQuery(-1, "a", 0), LatticeError, "query fields must be integers"),
+        (lambda: ClassQuery(-1, "a", 0), TypeError, "query fields must be integers"),
         (lambda: ClassQuery(-1, -1, 0), LatticeError, "degree cap must be at least 1"),
-        (lambda: NumericType(0.5, -1, (1,), 0), ValueError, "field adjoint_degree must hold integers"),
-        (lambda: NumericType(0, -1, (1.0,), 0), ValueError, "field multiplicities must hold integers"),
-        (lambda: NumericType(2, 0, (2,), None), ValueError, "field adjoint_square must hold integers"),
+        (lambda: NumericType(0.5, -1, (1,), 0), TypeError, "field adjoint_degree must hold integers"),
+        (lambda: NumericType(0, -1, (1.0,), 0), TypeError, "field multiplicities must hold integers"),
+        (lambda: NumericType(2, 0, (2,), None), TypeError, "field adjoint_square must hold integers"),
         (lambda: NumericType(0, -1, (1,), 0), ValueError, "adjoint degree must be positive"),
         (lambda: NumericType(2, -1, (1,), 0), ValueError, "twice-offset must be nonnegative"),
         (lambda: NumericType(2, 1, (1,), 0), ValueError, "even adjoint degree forces an even"),
@@ -167,7 +167,7 @@ def test_tuple_records_compare_as_tuples_and_replace_fields():
         (lambda: NumericType(2, 0, (2, 3), 0), ValueError, "multiplicities must be non-increasing"),
         (lambda: NumericType(2, 0, (3,), 0), ValueError, "largest multiplicity 3 exceeds half"),
         (lambda: NumericType(2, 0, (2,), 0), ValueError, "disagrees with the defining equation"),
-        (lambda: SpecialType(3, 2, ("2",), 0), ValueError, "field multiplicities must hold integers"),
+        (lambda: SpecialType(3, 2, ("2",), 0), TypeError, "field multiplicities must hold integers"),
         (lambda: SpecialType(2, 3, (1,), 0), ValueError, "adjoint degree at least 3"),
         (lambda: SpecialType(3, 3, (1,), 0), ValueError, "distinguished multiplicity must lie"),
         (lambda: SpecialType(3, 2, (3, 1), 0), ValueError, "must lie in \\[2, the distinguished"),

@@ -294,18 +294,34 @@ def test_reduction_screens_the_curve_list():
 @pytest.mark.parametrize("run", [reduction, sharp_minimal_pipeline])
 def test_reduction_names_an_argument_that_is_not_a_class(run):
     s, f = sextic_pencil()
-    with pytest.raises(ReductionError) as info:
+    with pytest.raises(TypeError) as info:
         run(Fibration(s, f), [5])
     assert str(info.value) == "an effective curve must be a DivisorClass, not 5"
-    with pytest.raises(ReductionError) as info:
+    with pytest.raises(TypeError) as info:
         run(5, [])
     assert str(info.value) == "fib must be a Fibration, not 5"
 
 
 def test_greedy_names_an_argument_that_is_not_a_reduced_pencil():
-    with pytest.raises(ReductionError) as info:
+    with pytest.raises(TypeError) as info:
         greedy_sharp_minimal(5)
     assert str(info.value) == "reduced must be a ReducedPencil, not 5"
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("curves", (5,), "a curve of reduced must be a DivisorClass, not 5"),
+        ("pencil", None, "the pencil of reduced must be a DivisorClass, not None"),
+    ],
+    ids=["curve", "pencil"],
+)
+def test_greedy_names_a_curve_or_pencil_that_is_not_a_class(field, bad, message):
+    s, f = sextic_pencil()
+    red = reduction(Fibration(s, f), basis_effective(s))
+    with pytest.raises(TypeError) as info:
+        greedy_sharp_minimal(red._replace(**{field: bad}))
+    assert str(info.value) == message
 
 
 def test_reduction_validates_the_fibration():
@@ -325,7 +341,7 @@ def test_reduction_checks_the_adjoint_square(monkeypatch):
     monkeypatch.setattr(sharp, "_contract", doubling)
     s, f = sextic_pencil()
     # raised, not asserted, so the check survives python -O
-    with pytest.raises(ReductionError, match="adjoint square went from 1 to 6"):
+    with pytest.raises(InvariantError, match="adjoint square went from 1 to 6"):
         reduction(Fibration(s, f), basis_effective(s))
 
 
@@ -336,7 +352,7 @@ def test_reduction_checks_the_canonical_square(monkeypatch):
 
     monkeypatch.setattr(sharp, "_contract", forgetting)
     s, f = sextic_pencil()
-    with pytest.raises(ReductionError, match=r"K\^2 went from -3 to -3 over 4 contractions"):
+    with pytest.raises(InvariantError, match=r"K\^2 went from -3 to -3 over 4 contractions"):
         reduction(Fibration(s, f), basis_effective(s))
 
 
