@@ -21,7 +21,7 @@ orbit's head, the other blocks' arrangements are joined on block after
 block, and one permutation puts the whole row, head included, in
 position order.  Each head's rows are sorted once and become the
 classes' coordinates as they stand, so an enumerated class costs one
-coordinate tuple and one slotted object.
+coordinate tuple and one two-item (surface, coords) tuple.
 
 One budget rule covers every query: the walk counts its nodes plus the
 orbits it emits, and expanding orbits into more classes than the budget

@@ -12,9 +12,9 @@ tuple of classes, so the Gram matrix of a fibre that a model file's
 loading validated is read back, not recomputed, by the later checks on
 the same components, and the blocks and the complement of one model
 share theirs.  An argument that is not a fibration or a decomposition,
-one that holds something other than components or divisor classes, or a
-multiplicity or node count that is not an integer, is a TypeError naming
-it.
+components that are not a tuple, one that holds something other than
+components or divisor classes, or a multiplicity or node count that is
+not an integer, is a TypeError naming it.
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
     _check_arguments(fib, dec)
     f = fib.fibre_class
     parts = dec.components
+    _expect(parts, tuple, "dec.components")
     if not parts:
         raise FibreError(f"fibre {dec.name} has no components")
     divisors, mults = [], []
@@ -177,6 +178,7 @@ class DualGraph(Record):
 
 
 def _graph(parts: Sequence[FibreComponent], surface: Surface | None = None) -> DualGraph:
+    _expect(parts, tuple, "dec.components")
     gram = _gram(tuple(_divisor(p, surface) for p in parts))
     nodes = tuple(
         (p.name, gram[i][i], arithmetic_genus(p.divisor)) for i, p in enumerate(parts)

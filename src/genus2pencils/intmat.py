@@ -152,7 +152,7 @@ def rational_rank(rows: Matrix) -> int:
 
 def is_negative_semidefinite(gram: Matrix) -> bool:
     """Exact test for x^T G x <= 0 on a symmetric integer Gram matrix."""
-    g = [[-x for x in r] for r in gram]
+    g = [[-x for x in r] for r in _copy(gram)]
     n = len(g)
     if any(len(r) != n for r in g):
         raise ValueError("semidefiniteness needs a square matrix")

@@ -11,12 +11,12 @@ Coordinates are validated once, when a class enters the library through
 DivisorClass(surface, coords) or Surface.divisor.  Classes the library
 derives from validated ones (sums, differences, integer multiples,
 blow-down images, quadratic transforms) and the classes its own integer
-walks build are made without validating again.  A class is a slotted
-frozen object: two fields and no per-instance dict, so a large
-enumeration costs one small object and one coordinate tuple per class.
-Surfaces and classes are plain classes, not dataclasses, so importing
-the package builds none; a class's equality and hash are those of its
-field tuple.
+walks build are made without validating again.  A class is a frozen
+tuple of its two fields, (surface, coords), with no per-instance dict,
+so a large enumeration costs one small tuple over each coordinate row,
+and building one is a single C call.  Surfaces and classes are not
+dataclasses, so importing the package builds none; a class's equality
+and hash are those of its field pair.
 
 A surface is interned: Surface(kind, index, blowups) returns the one
 object of those fields, however it is reached (a constructor call,
@@ -30,7 +30,8 @@ reduction pipeline contracts raw rows.
 
 from __future__ import annotations
 
-from collections import deque
+# the C field descriptor collections.namedtuple uses
+from collections import _tuplegetter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import repeat
@@ -39,9 +40,9 @@ from operator import add, index as _as_int, mul, neg, sub
 from ._record import Record
 
 # bound once: DivisorClass._derived and _derived_all build every class the
-# library makes
-_new_object = object.__new__
-_set_field = object.__setattr__
+# library makes, and DivisorClass.__eq__ and __ne__ compare them
+_tuple_new = tuple.__new__
+_tuple_eq = tuple.__eq__
 
 __all__ = [
     "LatticeError",
@@ -124,10 +125,10 @@ class Surface:
         key = (kind, index, blowups)
         surface = _SURFACES.get(key)
         if surface is None:
-            surface = _new_object(cls)
-            _set_field(surface, "kind", kind)
-            _set_field(surface, "index", index)
-            _set_field(surface, "blowups", blowups)
+            surface = object.__new__(cls)
+            object.__setattr__(surface, "kind", kind)
+            object.__setattr__(surface, "index", index)
+            object.__setattr__(surface, "blowups", blowups)
             surface = _SURFACES.setdefault(key, surface)
         return surface
 
@@ -239,18 +240,24 @@ def hirzebruch_blowup(index: int, n: int) -> Surface:
     return Surface("hirzebruch", index, n)
 
 
-class DivisorClass:
+class DivisorClass(tuple):
     """An element of the divisor-class lattice, stored by basis coordinates.
 
     The constructor checks that the surface is a Surface, coerces every
     coordinate to an int and checks the count against the surface's rank.
-    The two fields are slots; an instance has no __dict__ and is frozen.
-    Equality and hash are those of the (surface, coords) pair.
+    A class is the tuple (surface, coords), as a record is the tuple of
+    its fields: len() is 2, iteration and indexing give the surface and
+    then the coordinates.  It has no __dict__ and is frozen.  Equality
+    and hash are those of the pair, but a class equals only a class, has
+    no order, and adds only to a class (or to 0, so sum() folds classes).
     """
 
-    __slots__ = ("surface", "coords")
+    __slots__ = ()
 
-    def __init__(self, surface: Surface, coords: Sequence[int]) -> None:
+    surface = _tuplegetter(0, "The Surface the class lives on")
+    coords = _tuplegetter(1, "The basis coordinates, a tuple of ints")
+
+    def __new__(cls, surface: Surface, coords: Sequence[int]) -> "DivisorClass":
         if not isinstance(surface, Surface):
             raise TypeError(f"a class lives on a Surface, not on {surface!r}")
         try:
@@ -261,45 +268,44 @@ class DivisorClass:
             raise LatticeError(
                 f"coordinate length {len(coords)} does not match lattice rank {surface.rank}"
             )
-        _set_field(self, "surface", surface)
-        _set_field(self, "coords", coords)
+        return _tuple_new(cls, (surface, coords))
 
     __setattr__ = __delattr__ = _frozen
 
+    # the tuple's own comparisons would let a class equal, or be ordered
+    # against, its bare (surface, coords) pair
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.surface, self.coords) == (other.surface, other.coords)
-        return NotImplemented
+        return other.__class__ is self.__class__ and _tuple_eq(self, other)
 
-    def __hash__(self) -> int:
-        return hash((self.surface, self.coords))
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or not _tuple_eq(self, other)
+
+    def _unordered(self, other):
+        raise TypeError("a divisor class has no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    # the pair's hash, computed in C; the Surface hashes by identity
+    __hash__ = tuple.__hash__
 
     @classmethod
     def _derived(cls, surface: Surface, coords: tuple[int, ...]) -> "DivisorClass":
         """A class whose coordinates the library built itself: a tuple of
         ints of the surface's rank, so the constructor's checks are skipped."""
-        c = _new_object(cls)
-        _set_field(c, "surface", surface)
-        _set_field(c, "coords", coords)
-        return c
+        return _tuple_new(cls, (surface, coords))
 
     @classmethod
     def _derived_all(
         cls, surface: Surface, rows: Iterable[tuple[int, ...]]
     ) -> tuple["DivisorClass", ...]:
-        """_derived for every row, in order: the objects are made and both
-        slots set by C-level loops, with no Python call per class, and each
-        row becomes the class's coordinates as it stands, not copied."""
-        rows = tuple(rows)
-        made = tuple(map(_new_object, repeat(cls, len(rows))))
-        deque(map(_set_field, made, repeat("surface"), repeat(surface)), 0)
-        deque(map(_set_field, made, repeat("coords"), rows), 0)
-        return made
+        """_derived for every row, in order: one C-level loop makes every
+        class, with no Python call per class, and each row becomes the
+        class's coordinates as it stands, not copied."""
+        return tuple(map(_tuple_new, repeat(cls), zip(repeat(surface), rows)))
 
     def __reduce__(self):
-        # the default reduction would restore the slots by setattr, which
-        # a frozen class refuses: pickle and copy rebuild through the
-        # validating constructor instead
+        # pickle and copy rebuild through the validating constructor, so an
+        # unpickled pair is checked as any class entering the library is
         return DivisorClass, (self.surface, self.coords)
 
     def _require_same(self, other: "DivisorClass") -> None:
@@ -313,10 +319,14 @@ class DivisorClass:
         return DivisorClass._derived(self.surface, tuple(map(add, self.coords, other.coords)))
 
     def __radd__(self, other):
-        # lets sum() fold class lists
+        # lets sum() fold class lists; a class never lands here, as
+        # class + class is __add__, and any other left operand raises
+        # rather than fall back to tuple concatenation
         if other == 0:
             return self
-        return NotImplemented
+        raise TypeError(
+            f"unsupported operand type(s) for +: {type(other).__name__!r} and 'DivisorClass'"
+        )
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
@@ -479,9 +489,11 @@ def cremona(
     """Reflect classes in L - Ei - Ej - Ek, the plane quadratic transform.
 
     This is an isometry fixing the canonical class; applying it twice is
-    the identity.  A point index that is not an integer is a TypeError
-    naming it.
+    the identity.  A surface that is not a Surface, a point index that
+    is not an integer, or a carried item that is not a class is a
+    TypeError naming it.
     """
+    _expect(surface, Surface, "surface")
     i, j, k = map(_integer, (i, j, k), ("i", "j", "k"))
     if surface.kind != "plane":
         raise LatticeError("quadratic transforms need the plane kind")
@@ -491,7 +503,8 @@ def cremona(
         if not 1 <= t <= surface.blowups:
             raise LatticeError(f"no exceptional class E{t} on a {surface.blowups}-point surface")
     rows = []
-    for c in classes:
+    for n, c in enumerate(classes):
+        _expect(c, DivisorClass, f"carried class {n}")
         _require_on(surface, c)
         rows.append(c.coords)
     return DivisorClass._derived_all(surface, _reflect(rows, i, j, k))
@@ -636,6 +649,7 @@ class Fibration(Record):
 
     def validate(self) -> "Fibration":
         f = self.fibre_class
+        _expect(self.surface, Surface, "the surface")
         _expect(f, DivisorClass, "the fibre class")
         _expect(self.sections, tuple, "the sections")
         for i, s in enumerate(self.sections):

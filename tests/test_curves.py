@@ -620,8 +620,8 @@ print(json.dumps([len(classes), tracemalloc.get_traced_memory()[0]]))
 
 
 def test_enumerated_classes_cost_one_row_and_one_small_object():
-    # a class is a slotted object over its coordinate row, about 200 bytes
-    # on P^2 blown up in 12 points.  Measured in a fresh interpreter, as a
+    # a class is a (surface, coords) tuple over its coordinate row, about
+    # 215 bytes on P^2 blown up in 12 points.  Measured in a fresh interpreter, as a
     # benchmark worker runs: there the first bulk build of a class with an
     # instance dict gives every class a whole dict (about 480 bytes each),
     # and a second row per class would also pass 300

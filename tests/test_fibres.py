@@ -143,6 +143,19 @@ def test_a_component_that_is_not_a_fibre_component_is_named(check):
 
 
 @pytest.mark.parametrize(
+    "check",
+    [validate_fibre, dual_graph, lambda fib, dec: ade_classify(dec)],
+    ids=["validate_fibre", "dual_graph", "ade_classify"],
+)
+def test_components_that_are_not_a_tuple_are_named(check):
+    # no components at all is a wrong-typed field, not an empty fibre
+    fib = catalog.get("Ex4_3").fibration
+    with pytest.raises(TypeError) as info:
+        check(fib, fib.fibres[0]._replace(components=None))
+    assert str(info.value) == "dec.components must be a tuple, not None"
+
+
+@pytest.mark.parametrize(
     "check, bad",
     [(validate_fibre, 5), (dual_graph, None), (lambda fib, dec: ade_classify(dec), 5)],
     ids=["validate_fibre", "dual_graph", "ade_classify"],

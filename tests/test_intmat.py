@@ -159,9 +159,9 @@ def test_rational_rank_matches_fraction_elimination():
         assert rational_rank(a) == oracles.rational_rank(a)
     for rows in ([], [[]], [[], []], [[0, 0, 0]]):
         assert rational_rank(rows) == oracles.rational_rank(rows) == 0
-    for rank in (rational_rank, oracles.rational_rank):
+    for call in (rational_rank, oracles.rational_rank, is_negative_semidefinite):
         with pytest.raises(ValueError, match="ragged matrix"):
-            rank([[1, 2], [3]])
+            call([[1, 2], [3]])
 
 
 def test_an_entry_that_is_not_an_integer_is_named():
@@ -171,6 +171,8 @@ def test_an_entry_that_is_not_an_integer_is_named():
         (bareiss_determinant, [[2, 0], [0, 1.9]], "matrix entry (1, 1) must be an integer, not 1.9"),
         (hermite_normal_form, [[1, 1], ["3", 1]], "matrix entry (1, 0) must be an integer, not '3'"),
         (kernel_basis, [[1, None]], "matrix entry (0, 1) must be an integer, not None"),
+        (is_negative_semidefinite, [[-0.5, 0], [0, -1]], "matrix entry (0, 0) must be an integer, not -0.5"),
+        (is_negative_semidefinite, [[-2.5]], "matrix entry (0, 0) must be an integer, not -2.5"),
     ):
         with pytest.raises(TypeError) as info:
             call(rows)

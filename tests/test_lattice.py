@@ -185,22 +185,62 @@ def test_divisor_classes_are_slotted_and_frozen():
     c = s.divisor(1, -1, 0, 0)
     ruled = ruled_curve(hirzebruch_blowup(2, 2), 1, 2, (1,))
     derived = c + s.exceptional(2)
-    for x in (c, ruled, derived):
+    (reflected,) = cremona(s, 1, 2, 3, (c,))
+    for x in (c, ruled, derived, reflected):
         assert not hasattr(x, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            x.coords = (0,) * x.surface.rank
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            x.degree = 1
+        assert isinstance(x, tuple) and tuple(x) == (x.surface, x.coords)
+        for name in ("coords", "surface", "degree"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
         # equality and hash are those of the (surface, coords) pair
         assert hash(x) == hash((x.surface, x.coords))
         for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
             assert type(y) is DivisorClass
             assert y == x and hash(y) == hash(x)
-            assert y.surface == x.surface and y.coords == x.coords
+            assert y.surface is x.surface and y.coords == x.coords
     assert c == DivisorClass(plane_blowup(3), (1, -1, 0, 0))
     assert c != DivisorClass(plane_blowup(3), (1, 0, -1, 0))
     assert c != DivisorClass(plane_blowup(4), (1, -1, 0, 0, 0))
     assert len({c, DivisorClass(plane_blowup(3), (1, -1, 0, 0)), ruled}) == 2
+    # a bulk build takes each row as the class's coordinates, not a copy
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, -1, -1)]
+    made = DivisorClass._derived_all(s, iter(rows))
+    assert type(made) is tuple and len(made) == len(rows)
+    for x, row in zip(made, rows):
+        assert type(x) is DivisorClass and x.surface is s and x.coords is row
+
+
+class _Index:
+    def __index__(self) -> int:
+        return 2
+
+
+def test_a_divisor_class_is_not_its_bare_pair():
+    # a class is a tuple in shape only: len, iteration and indexing give
+    # (surface, coords); equality, order and addition are those of a
+    # class, not of the tuple
+    s = plane_blowup(2)
+    c, e = s.line, s.exceptional(1)
+    pair = (c.surface, c.coords)
+    assert len(c) == 2 and c[0] is s and c[1] == (1, 0, 0) and tuple(c) == pair
+    assert not c == pair and not pair == c
+    assert c != pair and pair != c
+    assert c == s.line and not c != s.line and c != e
+    for compare in (
+        lambda: c < e, lambda: c <= e, lambda: c > e, lambda: c >= e,
+        lambda: c < pair, lambda: pair < c, lambda: sorted([c, e]),
+    ):
+        with pytest.raises(TypeError, match="no order"):
+            compare()
+    assert sum([c, e]) == c + e and 0 + c == c
+    for bad in (
+        lambda: (1, 2) + c, lambda: pair + c, lambda: 1 + c, lambda: c + (1,),
+        lambda: c * _Index(), lambda: _Index() * c,
+    ):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            bad()
 
 
 def test_pairings_name_what_is_not_a_class():
@@ -344,6 +384,18 @@ def test_cremona_names_a_point_that_is_not_an_integer(points, message):
     assert str(info.value) == message
 
 
+def test_cremona_names_a_surface_or_class_that_is_wrong():
+    s = plane_blowup(3)
+    for args, message in (
+        ((None, 1, 2, 3), "surface must be a Surface, not None"),
+        ((s, 1, 2, 3, (5,)), "carried class 0 must be a DivisorClass, not 5"),
+        ((s, 1, 2, 3, (s.line, "E1")), "carried class 1 must be a DivisorClass, not 'E1'"),
+    ):
+        with pytest.raises(TypeError) as info:
+            cremona(*args)
+        assert str(info.value) == message
+
+
 def test_elementary_transform_family():
     down = elementary_transform(2, (8, 17), 4)
     assert down == (1, (8, 13), 4)
@@ -406,8 +458,12 @@ def test_fibration_validation():
         ("fibre_class", None, "the fibre class must be a DivisorClass, not None"),
         ("sections", (None,), "section 0 must be a DivisorClass, not None"),
         ("sections", None, "the sections must be a tuple, not None"),
+        ("surface", None, "the surface must be a Surface, not None"),
     ],
-    ids=["float-genus", "string-genus", "no-genus", "no-fibre-class", "no-section", "no-sections"],
+    ids=[
+        "float-genus", "string-genus", "no-genus", "no-fibre-class", "no-section", "no-sections",
+        "no-surface",
+    ],
 )
 def test_fibration_validation_names_a_malformed_field(field, bad, message):
     fib = catalog.get("A").fibration
