@@ -311,6 +311,12 @@ def verify(tag: str) -> VerifyReport:
     surface = fib.surface
     f = fib.fibre_class
     checks: list[CheckResult] = []
+    # every name resolved once; a missing one raises KeyError(name) inside
+    # the check that asks for it, as Fibration.named does
+    by_name: dict[str, DivisorClass] = {}
+    for n, c in fib.named_classes:
+        by_name.setdefault(n, c)
+    named = by_name.__getitem__
 
     def check_fibration() -> str:
         fib.validate()
@@ -354,7 +360,7 @@ def verify(tag: str) -> VerifyReport:
         _run(checks, "dual-graphs", check_graphs)
 
         def check_section_meets() -> str:
-            o = fib.named("O")
+            o = named("O")
             seen = set()
             for dec in fib.fibres:
                 meets = pairings(o, [comp.divisor for comp in dec.components])
@@ -381,7 +387,7 @@ def verify(tag: str) -> VerifyReport:
     if entry.blocks:
 
         def check_blocks() -> str:
-            classes = [[fib.named(n) for n in block] for block in entry.blocks]
+            classes = [[named(n) for n in block] for block in entry.blocks]
             report = orthogonal_decomposition_check(fib, classes)
             _require(report.passed, "; ".join(report.messages))
             _require(report.block_sizes == exp.block_sizes, f"block sizes {report.block_sizes}")
@@ -391,7 +397,7 @@ def verify(tag: str) -> VerifyReport:
 
         def check_complement() -> str:
             # F, O and the rest, as the blocks check lists them
-            classes = tuple(fib.named(n) for block in entry.blocks for n in block)
+            classes = tuple(named(n) for block in entry.blocks for n in block)
             return _complement_certificate(classes, surface.rank)
 
         _run(checks, "complement", check_complement)
@@ -400,14 +406,14 @@ def verify(tag: str) -> VerifyReport:
 
         def check_degrees() -> str:
             for name, want in exp.fibre_degrees:
-                got = f * fib.named(name)
+                got = f * named(name)
                 _require(got == want, f"F pairs {got} with {name}, expected {want}")
             return ", ".join(f"F*{n}={v}" for n, v in exp.fibre_degrees)
 
         _run(checks, "fibre-degrees", check_degrees)
 
     def check_pipeline() -> str:
-        curves = [fib.named(n) for n in entry.effective]
+        curves = [named(n) for n in entry.effective]
         result = sharp_minimal_pipeline(fib, curves)
         red_order = tuple(str(s.contracted) for s in result.reduced.trace.steps)
         _require(red_order == exp.reduction_order, f"reduction order {red_order}")
@@ -444,7 +450,7 @@ def verify(tag: str) -> VerifyReport:
     _run(checks, "pipeline", check_pipeline)
 
     def check_section() -> str:
-        pencil = fib.named("P") if exp.pencil_shift is not None else None
+        pencil = named("P") if exp.pencil_shift is not None else None
         search = minus_one_section_exists(fib, 3, pencil, exp.pencil_shift)
         _require(
             search.exists == (exp.section_witness is not None), f"section existence {search.exists}"
@@ -466,7 +472,7 @@ def verify(tag: str) -> VerifyReport:
 
         def check_identity() -> str:
             report = fibre_intersection_identity(
-                fib, fib.named("P"), exp.pencil_shift, ClassQuery(-1, -1, 3)
+                fib, named("P"), exp.pencil_shift, ClassQuery(-1, -1, 3)
             )
             _require(report.holds, "pairing identity failed")
             _require(report.minimum == exp.empirical_minimum, f"minimum {report.minimum}")
@@ -481,17 +487,17 @@ def verify(tag: str) -> VerifyReport:
 
         def check_pencil_query() -> str:
             report = fibre_intersection_identity(
-                fib, fib.named("P"), exp.pencil_shift, ClassQuery(0, -2, 3)
+                fib, named("P"), exp.pencil_shift, ClassQuery(0, -2, 3)
             )
             _require(report.holds, "pairing identity failed")
             _require(
                 report.minimum == exp.pencil_query_minimum,
                 f"minimum {report.minimum}",
             )
-            _require(fib.named("P") in report.witnesses, "pencil class does not attain the minimum")
+            _require(named("P") in report.witnesses, "pencil class does not attain the minimum")
             return (
                 f"minimum {report.minimum} over {report.count} pencil classes, "
-                f"attained at {fib.named('P')}"
+                f"attained at {named('P')}"
             )
 
         _run(checks, "pencil-query", check_pencil_query)
@@ -499,7 +505,7 @@ def verify(tag: str) -> VerifyReport:
     for name, query, constraints in exp.reconstructed:
 
         def check_unique(name: str = name, query=query, constraints=constraints) -> str:
-            stored = fib.named(name)
+            stored = named(name)
             # the printed numerics, at a reference degree in [0, 3]
             got = stored * stored, surface.canonical() * stored
             degree = sum(stored.coords[: surface.base_rank])
@@ -507,7 +513,7 @@ def verify(tag: str) -> VerifyReport:
                 got == query and 0 <= degree <= 3,
                 f"{name} has C*C, K*C = {got} at degree {degree}, expected {query} at 0..3",
             )
-            targets = [f if other == "F" else fib.named(other) for other, _ in constraints]
+            targets = [f if other == "F" else named(other) for other, _ in constraints]
             for (other, want), value in zip(constraints, pairings(stored, targets)):
                 _require(value == want, f"{name} pairs {value} with {other}, expected {want}")
             # the form is nondegenerate, so constraint classes of full rank

@@ -34,7 +34,7 @@ class lists are built anew on every call.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import factorial, prod
 from operator import add, eq, index as _as_int, itemgetter, mul, sub
 
@@ -234,37 +234,60 @@ def _blocks(surface: Surface, weights: tuple[DivisorClass, ...]) -> tuple[tuple[
     )
 
 
-def _picks(counts: tuple[int, ...], size: int, i: int = 0):
-    """Vectors t with 0 <= t_j <= counts_j for j >= i and sum(t) = size,
-    largest first."""
-    if i == len(counts):
-        if size == 0:
-            yield ()
-        return
-    if sum(counts[i:]) < size:
-        return
-    for t in range(min(counts[i], size), -1, -1):
-        for rest in _picks(counts, size - t, i + 1):
-            yield (t,) + rest
+def _picks(counts: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
+    """Vectors t with 0 <= t_j <= counts_j and sum(t) = size, largest
+    first.  Each entry runs from what is left down to what the later
+    positions cannot hold, so no branch is a dead end."""
+    # room[j]: what the positions after j hold together
+    room = [*accumulate(counts[:0:-1], initial=0)][::-1]
+    picks = [((), size)]
+    for c, after in zip(counts, room):
+        picks = [
+            (t + (x,), left - x)
+            for t, left in picks
+            for x in range(min(c, left), max(0, left - after) - 1, -1)
+        ]
+    return [t for t, left in picks if left == 0]
 
 
-def _deals(tail: tuple[int, ...], sizes: tuple[int, ...]):
+def _deals(
+    tail: tuple[int, ...], sizes: tuple[int, ...], factorials: list[int]
+) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
     """Every way to deal a non-increasing tuple into blocks of the given
-    sizes, which sum to its length, as one non-increasing tail per block;
-    the last block takes what is left."""
+    sizes, which sum to its length: (one non-increasing tail per block,
+    the number of classes of that orbit), ways for the first block
+    outermost.  The tuple is counted once, into its distinct values and
+    how often each occurs, and dealt on that count vector, the last block
+    taking what is left; a block's number of arrangements is the
+    multinomial of its count vector, read from the factorial table."""
     if len(sizes) < 2:
-        yield (tail,) if sizes else ()
-        return
+        # one block takes the whole tuple: only the counts matter
+        counts = map(tail.count, set(tail))
+        return [((tail,) if sizes else (), factorials[len(tail)] // _product(factorials, counts))]
     values, counts = _multiset(tail)
-    for taken in _picks(counts, sizes[0]):
-        first = _spread(values, taken)
-        for rest in _deals(_spread(values, tuple(map(sub, counts, taken))), sizes[1:]):
-            yield (first,) + rest
+    deals = [((), counts, 1)]
+    for size in sizes[:-1]:
+        deals = [
+            (tails + (_spread(values, taken),), tuple(map(sub, left, taken)),
+             n * (factorials[size] // _product(factorials, taken)))
+            for tails, left, n in deals
+            for taken in _picks(left, size)
+        ]
+    last = factorials[sizes[-1]]
+    return [
+        (tails + (_spread(values, left),), n * (last // _product(factorials, left)))
+        for tails, left, n in deals
+    ]
+
+
+def _product(factorials: list[int], counts) -> int:
+    """The product of counts_j! over the count vector."""
+    return prod(map(factorials.__getitem__, counts))
 
 
 def _spread(values: tuple[int, ...], counts: tuple[int, ...]) -> tuple[int, ...]:
     """The non-increasing tuple holding values[j] counts[j] times."""
-    return tuple(v for v, c in zip(values, counts) for _ in range(c))
+    return tuple(chain.from_iterable(map(repeat, values, counts)))
 
 
 def _multiset(tail: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -284,11 +307,12 @@ def _orbits(
     in walk order; the budget counts walk nodes plus orbits emitted."""
     budget = _Budget(budget_size)
     sizes = tuple(map(len, blocks))
+    factorials = list(accumulate(range(1, surface.blowups + 1), mul, initial=1))
     orbits = []
     for head, rep in _walk(surface, query, budget):
-        for tails in _deals(rep, sizes):
+        for tails, size in _deals(rep, sizes, factorials):
             budget.spend()
-            orbits.append(_Orbit(head, tails, prod(map(_arrangement_count, tails))))
+            orbits.append(_Orbit(head, tails, size))
     return tuple(orbits)
 
 
@@ -328,8 +352,7 @@ def _orbit_degrees(
         if any(dual[base + i] != w for i in block):
             raise LatticeError(f"{d} is not constant on the exceptional block {block}")
     return tuple(
-        sum(map(mul, head, o.head)) + sum(w * sum(t) for w, t in zip(weights, o.tails))
-        for o in orbits
+        sum(map(mul, head, o.head)) + sum(map(mul, weights, map(sum, o.tails))) for o in orbits
     )
 
 

@@ -11,10 +11,12 @@ from one matrix, built by ``_gram``.  That builder is memoized on the
 tuple of classes, so the Gram matrix of a fibre that a model file's
 loading validated is read back, not recomputed, by the later checks on
 the same components, and the blocks and the complement of one model
-share theirs.  An argument that is not a fibration or a decomposition,
-components that are not a tuple, one that holds something other than
-components or divisor classes, or a multiplicity or node count that is
-not an integer, is a TypeError naming it.
+share theirs.  A component's genus reads its square off that matrix and
+K*C off the canonical dual vector.  An argument that is not a fibration
+or a decomposition, components that are not a tuple (or are one lone
+component), one that holds something other than components or divisor
+classes, or a multiplicity or node count that is not an integer, is a
+TypeError naming it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import isqrt, prod
+from operator import mul
 
 from ._record import Record
 from .intmat import bareiss_determinant, hermite_normal_form, kernel_basis
@@ -32,9 +35,10 @@ from .lattice import (
     ForeignClassError,
     LatticeError,
     Surface,
+    _adjunction_genus,
     _expect,
+    _expect_many,
     _integer,
-    arithmetic_genus,
     pairings,
 )
 
@@ -70,9 +74,21 @@ def _gram(classes: tuple[DivisorClass, ...]) -> tuple[tuple[int, ...], ...]:
     the last 64, like the orbit cache of curves: the whole catalog asks
     for 12 (one per fibre and one per model's blocks), 13 x 13 at most.
     ``_gram.cache_clear()`` drops them.  The callers check that every
-    item is a DivisorClass first, so a key is always hashable.
+    item is a DivisorClass first, so a key is always hashable.  The form
+    is symmetric, so each pair is paired once: row i pairs c_i with c_i
+    and the classes after it, and its entries before the diagonal are
+    read off the rows above.
     """
-    return tuple(pairings(c, classes) for c in classes)
+    upper = [pairings(c, classes[i:]) for i, c in enumerate(classes)]
+    return tuple(
+        tuple(upper[j][i - j] for j in range(i)) + row for i, row in enumerate(upper)
+    )
+
+
+def _genus(c: DivisorClass, square: int) -> int:
+    """The arithmetic genus of c, given its square from a Gram matrix the
+    caller holds; K*c is a dot product with the canonical dual vector."""
+    return _adjunction_genus(square, sum(map(mul, c.surface._canonical_dual, c.coords)))
 
 
 class FibreComponent(Record):
@@ -131,7 +147,7 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
     _check_arguments(fib, dec)
     f = fib.fibre_class
     parts = dec.components
-    _expect(parts, tuple, "dec.components")
+    _expect_many(parts, "dec.components", tuple)
     if not parts:
         raise FibreError(f"fibre {dec.name} has no components")
     divisors, mults = [], []
@@ -141,7 +157,9 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
         if m < 1:
             raise FibreError(f"component {p.name} has multiplicity {m}")
         mults.append(m)
-    total = sum(m * c for m, c in zip(mults, divisors))
+    # the weighted sum, coordinate by coordinate
+    columns = zip(*(c.coords for c in divisors))
+    total = DivisorClass._derived(fib.surface, tuple(sum(map(mul, mults, x)) for x in columns))
     if total != f:
         residual = f - total
         raise FibreError(
@@ -155,7 +173,7 @@ def validate_fibre(fib: Fibration, dec: FibreDecomposition) -> FibreReport:
                 f"component {p.name} has self-intersection {sq}, "
                 f"declared {p.declared_self_intersection}"
             )
-        g = arithmetic_genus(p.divisor)
+        g = _genus(divisors[i], sq)
         if p.declared_genus is not None and g != p.declared_genus:
             raise FibreError(f"component {p.name} has genus {g}, declared {p.declared_genus}")
         # F is the weighted sum of the components, so F.C is a weighted row sum
@@ -178,10 +196,11 @@ class DualGraph(Record):
 
 
 def _graph(parts: Sequence[FibreComponent], surface: Surface | None = None) -> DualGraph:
-    _expect(parts, tuple, "dec.components")
-    gram = _gram(tuple(_divisor(p, surface) for p in parts))
+    _expect_many(parts, "dec.components", tuple)
+    divisors = tuple(_divisor(p, surface) for p in parts)
+    gram = _gram(divisors)
     nodes = tuple(
-        (p.name, gram[i][i], arithmetic_genus(p.divisor)) for i, p in enumerate(parts)
+        (p.name, gram[i][i], _genus(c, gram[i][i])) for i, (p, c) in enumerate(zip(parts, divisors))
     )
     pairs = combinations(range(len(parts)), 2)
     return DualGraph(nodes, tuple((i, j, gram[i][j]) for i, j in pairs if gram[i][j]))
@@ -355,11 +374,16 @@ def orthogonal_decomposition_check(
     so rank-many independent classes span a sublattice of index k exactly
     when that determinant is plus or minus k squared: a failure names the
     index, or the dependence when the determinant is 0.  A block item
-    that is not a DivisorClass is a TypeError naming its block.
+    that is not a DivisorClass is a TypeError naming its block, and so
+    is one lone class passed as the blocks or as a block.
     """
     rank = fib.surface.rank
     messages: list[str] = []
-    blocks = [tuple(b) for b in blocks]
+    _expect_many(blocks, "blocks")
+    blocks = list(blocks)
+    for b, block in enumerate(blocks):
+        _expect_many(block, f"block {b + 1}")
+        blocks[b] = tuple(block)
     flat = tuple(c for block in blocks for c in block)
     for b, block in enumerate(blocks):
         for c in block:
@@ -419,10 +443,12 @@ def complement_lattice(surface: Surface, sub: Sequence[DivisorClass]) -> Complem
     complement, not a finite-index sublattice.  The basis is the nonzero
     rows of the kernel's Hermite normal form, so it is its own Hermite
     form: two complements are equal exactly when their bases are.  An
-    input that is not a DivisorClass is a TypeError.  The catalog's
+    input that is not a DivisorClass, or one lone class passed as
+    ``sub``, is a TypeError.  The catalog's
     complement check does not run this kernel route: it certifies the
     same equality by determinants (catalog._complement_certificate).
     """
+    _expect_many(sub, "sub")
     sub = list(sub)
     for c in sub:
         if not isinstance(c, DivisorClass):

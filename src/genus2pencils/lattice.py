@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import _tuplegetter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, index as _as_int, mul, neg, sub
 
 from ._record import Record
@@ -151,6 +151,11 @@ class Surface:
         return self.base_rank + self.blowups
 
     def basis_names(self) -> tuple[str, ...]:
+        return self._basis_names
+
+    @cached_property
+    def _basis_names(self) -> tuple[str, ...]:
+        # built once per surface: str() of every class reads them
         heads = ("L",) if self.kind == "plane" else ("D0", "G")
         return heads + tuple(f"E{i}" for i in range(1, self.blowups + 1))
 
@@ -357,11 +362,9 @@ class DivisorClass(tuple):
         return NotImplemented
 
     def __str__(self) -> str:
-        names = self.surface.basis_names()
+        coords = self.coords
         parts: list[str] = []
-        for c, name in zip(self.coords, names):
-            if c == 0:
-                continue
+        for c, name in compress(zip(coords, self.surface._basis_names), coords):
             mag = "" if abs(c) == 1 else str(abs(c))
             if not parts:
                 sign = "-" if c < 0 else ""
@@ -376,13 +379,14 @@ class DivisorClass(tuple):
 
 def pairings(d: DivisorClass, classes: Sequence[DivisorClass]) -> tuple[int, ...]:
     """(d * c for c in classes), with d's dual vector computed once; every
-    class must live on d's surface, and anything that is not a class is a
-    TypeError naming it."""
+    class must live on d's surface, and anything that is not a class, or
+    one lone class passed as ``classes``, is a TypeError naming it."""
     try:
         surface = d.surface
         dual = surface.dual(d.coords)
     except AttributeError:
         raise TypeError(f"pairings need a divisor class, not {d!r}") from None
+    _expect_many(classes, "classes")
     out = []
     try:
         for c in classes:
@@ -412,7 +416,11 @@ def ruled_curve(
     fibre_coefficient: int,
     multiplicities: Sequence[int] = (),
 ) -> DivisorClass:
-    """section_coefficient*D0 + fibre_coefficient*G minus multiplicities on the E_i."""
+    """section_coefficient*D0 + fibre_coefficient*G minus multiplicities on the E_i.
+
+    Public API with no caller inside the library (model files and the
+    catalog spell out ruled coordinates); kept as the ruled twin of
+    plane_curve."""
     if surface.kind != "hirzebruch":
         raise LatticeError("ruled_curve needs the ruled kind")
     ms = tuple(multiplicities)
@@ -424,7 +432,12 @@ def ruled_curve(
 
 def arithmetic_genus(c: DivisorClass) -> int:
     """Adjunction genus (C*C + K*C)/2 + 1; parity is a lattice theorem here."""
-    total = c * c + c.surface.canonical() * c
+    return _adjunction_genus(c * c, c.surface.canonical() * c)
+
+
+def _adjunction_genus(square: int, k_degree: int) -> int:
+    """(C*C + K*C)/2 + 1 from the two numbers, for a caller that holds them."""
+    total = square + k_degree
     if total % 2:
         raise LatticeError("non-integral genus")
     return total // 2 + 1
@@ -448,6 +461,18 @@ def _expect(value, kind: type, name: str) -> None:
         raise TypeError(f"{name} must be a {kind.__name__}, not {value!r}")
 
 
+def _expect_many(value, name: str, kind: type | None = None) -> None:
+    """A TypeError naming the argument when ``value``, which must hold
+    items, is one divisor class or record, or is not a ``kind`` when one is
+    given.  A class or a record is itself a tuple of its fields, so a lone
+    one would pass a tuple check and iterate as its fields, the first of
+    them then named as the wrong item."""
+    lone = isinstance(value, (DivisorClass, Record))
+    if lone or kind is not None and not isinstance(value, kind):
+        noun = "collection" if kind is None else kind.__name__
+        raise TypeError(f"{name} must be a {noun}, not {value!r}")
+
+
 def _require_on(surface: Surface, c: DivisorClass) -> None:
     if c.surface is not surface:
         raise ForeignClassError("foreign class: carried class lives on another surface")
@@ -456,12 +481,11 @@ def _require_on(surface: Surface, c: DivisorClass) -> None:
 def _basis_exceptional_index(coords: tuple[int, ...], base: int) -> int | None:
     """1-based i when the coordinates (over a base of rank ``base``) are
     exactly the basis class E_i, else None."""
-    if any(coords[:base]):
+    # one nonzero coordinate, a 1, past the base
+    if coords.count(0) != len(coords) - 1 or 1 not in coords:
         return None
-    hits = [i for i in range(base, len(coords)) if coords[i]]
-    if len(hits) == 1 and coords[hits[0]] == 1:
-        return hits[0] - base + 1
-    return None
+    pos = coords.index(1)
+    return pos - base + 1 if pos >= base else None
 
 
 def _reflect(
@@ -490,8 +514,8 @@ def cremona(
 
     This is an isometry fixing the canonical class; applying it twice is
     the identity.  A surface that is not a Surface, a point index that
-    is not an integer, or a carried item that is not a class is a
-    TypeError naming it.
+    is not an integer, a carried item that is not a class, or one lone
+    class passed as ``classes``, is a TypeError naming it.
     """
     _expect(surface, Surface, "surface")
     i, j, k = map(_integer, (i, j, k), ("i", "j", "k"))
@@ -502,6 +526,7 @@ def cremona(
     for t in (i, j, k):
         if not 1 <= t <= surface.blowups:
             raise LatticeError(f"no exceptional class E{t} on a {surface.blowups}-point surface")
+    _expect_many(classes, "the carried classes")
     rows = []
     for n, c in enumerate(classes):
         _expect(c, DivisorClass, f"carried class {n}")
@@ -546,14 +571,17 @@ def contracting_isometry(
 
 def _contract_rows(
     surface: Surface, e: tuple[int, ...], rows: Sequence[tuple[int, ...]]
-) -> tuple[Surface, list[tuple[int, ...]]]:
+) -> tuple[Surface, list[tuple[int, ...]], list[int]]:
     """Contract the (-1)-class with coordinates e; returns the smaller
-    surface and the coordinate rows pushed forward.
+    surface, the coordinate rows pushed forward and each row's pairing
+    with e.
 
     The caller has checked that e is a (-1)-class of the surface.  A basis
-    exceptional class contracts by dropping its coordinate.  Any other
-    class is first carried onto a basis class by contracting_isometry (which
-    raises off the plane kind), the rows moving along.
+    exceptional class contracts by dropping its coordinate, and a row's
+    pairing with it is that coordinate negated.  Any other class is first
+    carried onto a basis class by contracting_isometry (which raises off
+    the plane kind), the rows moving along; the moves are isometries, so
+    the pairings are read off the moved rows.
     """
     base = surface.base_rank
     idx = _basis_exceptional_index(e, base)
@@ -563,7 +591,7 @@ def _contract_rows(
             rows = _reflect(rows, i, j, k)
     pos = base + idx - 1
     smaller = Surface(surface.kind, surface.index, surface.blowups - 1)
-    return smaller, [c[:pos] + c[pos + 1:] for c in rows]
+    return smaller, [c[:pos] + c[pos + 1:] for c in rows], [-c[pos] for c in rows]
 
 
 def blow_down(
@@ -576,6 +604,9 @@ def blow_down(
     contracting_isometry, moving the whole carried list along.  On the ruled
     kind only basis classes contract (contracting anything else would leave
     the ambient family).
+
+    Public API with no caller inside the library: the reduction pipeline
+    contracts coordinate rows through _contract_rows, the rule this wraps.
     """
     if e.surface is not surface:
         raise ForeignClassError("foreign class: e lives on another surface")
@@ -585,7 +616,7 @@ def blow_down(
         rows.append(c.coords)
     if not is_minus_one_class(e):
         raise NotContractibleError(f"not contractible: {e} is not a (-1)-class")
-    smaller, pushed = _contract_rows(surface, e.coords, rows)
+    smaller, pushed, _ = _contract_rows(surface, e.coords, rows)
     return smaller, DivisorClass._derived_all(smaller, pushed)
 
 
@@ -651,7 +682,7 @@ class Fibration(Record):
         f = self.fibre_class
         _expect(self.surface, Surface, "the surface")
         _expect(f, DivisorClass, "the fibre class")
-        _expect(self.sections, tuple, "the sections")
+        _expect_many(self.sections, "the sections", tuple)
         for i, s in enumerate(self.sections):
             _expect(s, DivisorClass, f"section {i}")
         genus = _integer(self.genus, "genus")

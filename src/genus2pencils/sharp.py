@@ -8,13 +8,18 @@ until the rank-2 minimal model is reached; the endpoint data (index,
 degree over the ruling, fibre coefficient, recorded multiplicities) is
 the numerical type the pencil realizes.
 
-The loop keeps one invariant for both phases: contracting a (-1)-curve
-of pencil degree m raises K^2 by one and the adjoint square
-(K + pencil)^2 by (m - 1)^2, whatever the input, since K = pi*K' + E and
-pencil = pi*pencil' - mE on the blow-up.  A run that breaks either
-identity raises InvariantError, a fault in the library and never a
-failed claim about the pencil: it is a RuntimeError, not a LatticeError.
-An argument of the wrong type is a TypeError naming it.
+Every curve is paired once, on entry, and carried with K*C, C*C and
+pencil*C; a contraction moves the three numbers by the blow-up
+identities instead of pairing the rows again, and only the curve a step
+chooses is paired again from its coordinates.  The loop keeps one
+invariant for both phases: contracting a (-1)-curve of pencil degree m
+raises K^2 by one and the adjoint square (K + pencil)^2 by (m - 1)^2,
+whatever the input, since K = pi*K' + E and pencil = pi*pencil' - mE on
+the blow-up.  A run that breaks either identity, carries numbers its
+chosen curve does not have, or contracts more often than its start rank
+allows raises InvariantError, a fault in the library and never a failed
+claim about the pencil: it is a RuntimeError, not a LatticeError.  An
+argument of the wrong type is a TypeError naming it.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .lattice import (
     Surface,
     _contract_rows,
     _expect,
+    _expect_many,
     elementary_transform,
 )
 from .numerics import NumericType
@@ -93,9 +99,12 @@ class ReducedPencil(Record):
     trace: ContractionTrace
 
 
-def _check_carried(surface: Surface, c: DivisorClass) -> tuple[int, ...]:
-    """The coordinates of c, once c is checked to be a curve the reduction
-    may carry."""
+def _check_carried(
+    surface: Surface, pencil_dual: tuple[int, ...], c: DivisorClass
+) -> tuple[tuple[int, ...], int, int, int]:
+    """The carried form (C, K*C, C*C, pencil*C) of c, once c is checked to
+    be a curve the reduction may carry; ``pencil_dual`` is the pencil's
+    dual vector."""
     _expect(c, DivisorClass, "an effective curve")
     if c.surface is not surface:
         raise ReductionError(f"foreign class: {c} lives on another surface")
@@ -105,41 +114,46 @@ def _check_carried(surface: Surface, c: DivisorClass) -> tuple[int, ...]:
         raise ReductionError(
             f"rejected: {c} has self-intersection {square}, not a contractible configuration curve"
         )
+    k = sum(map(mul, surface._canonical_dual, x))
     # adjunction; the canonical class is characteristic, so the sum is even
-    g = (square + sum(map(mul, surface._canonical_dual, x))) // 2 + 1
+    g = (square + k) // 2 + 1
     if g not in (0, 1):
         raise ReductionError(f"rejected: {c} has arithmetic genus {g}")
-    return x
+    return x, k, square, sum(map(mul, pencil_dual, x))
 
 
-def _minus_one_curves(
-    surface: Surface, pencil: DivisorClass, curves: list[tuple[int, ...]]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(pencil * C, C) for every (-1)-curve C of the coordinate rows, in
-    list order.
-
-    K*C and pencil*C are dot products with the two dual vectors; C*C is
-    computed only where K*C = -1.
-    """
+def _carry(surface: Surface, pencil: DivisorClass, curves: list[tuple[int, ...]]) -> list[tuple]:
+    """The carried form (C, K*C, C*C, pencil*C) of every coordinate row,
+    in list order: K*C and pencil*C are dot products with the two dual
+    vectors."""
     k_dual = surface._canonical_dual
     p_dual = surface.dual(pencil.coords)
     square = surface.intersect
-    return [
-        (sum(map(mul, p_dual, c)), c)
-        for c in curves
-        if sum(map(mul, k_dual, c)) == -1 and square(c, c) == -1
-    ]
+    return [(c, sum(map(mul, k_dual, c)), square(c, c), sum(map(mul, p_dual, c))) for c in curves]
 
 
 def _contract(
     surface: Surface,
     pencil: DivisorClass,
-    curves: list[tuple[int, ...]],
+    curves: list[tuple],
     e: tuple[int, ...],
-) -> tuple[Surface, DivisorClass, list[tuple[int, ...]]]:
-    smaller, pushed = _contract_rows(surface, e, [pencil.coords, *curves])
+) -> tuple[Surface, DivisorClass, list[tuple]]:
+    """Contract the (-1)-curve e: the smaller surface, the pushed pencil
+    and the carried curves pushed forward, rows pushed to zero dropped.
+
+    A row C meeting e a = C*e times pushes to C' with pi*C' = C + a e, so
+    with m = pencil*e the carried numbers move by the blow-up identities
+    K'*C' = K*C - a, C'^2 = C^2 + a^2 and pencil'*C' = pencil*C + a m;
+    no row is paired again."""
+    smaller, (p_row, *rows), (m, *meets) = _contract_rows(
+        surface, e, [pencil.coords, *(c[0] for c in curves)]
+    )
     zero = (0,) * smaller.rank
-    return smaller, DivisorClass._derived(smaller, pushed[0]), [c for c in pushed[1:] if c != zero]
+    return smaller, DivisorClass._derived(smaller, p_row), [
+        (row, k - a, square + a * a, p + a * m)
+        for row, a, (_, k, square, p) in zip(rows, meets, curves)
+        if row != zero
+    ]
 
 
 def _squares(surface: Surface, pencil: DivisorClass) -> tuple[int, int]:
@@ -149,11 +163,14 @@ def _squares(surface: Surface, pencil: DivisorClass) -> tuple[int, int]:
     return k_sq, k_sq + 2 * (k * pencil) + pencil * pencil
 
 
-def _check_run(before: tuple[int, int], surface: Surface, pencil: DivisorClass, steps) -> None:
-    """InvariantError unless, from the squares ``before`` the run, K^2 rose
-    by one per step and the adjoint square by (m - 1)^2 per step of
-    pencil degree m."""
-    (k_start_sq, adj_start), (k_end_sq, adj_end) = before, _squares(surface, pencil)
+def _check_run(
+    before: tuple[int, int], surface: Surface, pencil: DivisorClass, steps
+) -> tuple[int, int]:
+    """The squares after the run, once they are checked: InvariantError
+    unless, from the squares ``before`` the run, K^2 rose by one per step
+    and the adjoint square by (m - 1)^2 per step of pencil degree m."""
+    after = _squares(surface, pencil)
+    (k_start_sq, adj_start), (k_end_sq, adj_end) = before, after
     adj_want = adj_start + sum((s.pencil_degree - 1) ** 2 for s in steps)
     if adj_end != adj_want:
         raise InvariantError(
@@ -165,36 +182,65 @@ def _check_run(before: tuple[int, int], surface: Surface, pencil: DivisorClass, 
             f"invariant broken: K^2 went from {k_start_sq} to {k_end_sq} "
             f"over {len(steps)} contractions"
         )
+    return after
 
 
 def _contractions(
-    surface: Surface, pencil: DivisorClass, curves: list[tuple[int, ...]], pick
-) -> tuple[Surface, DivisorClass, list[tuple[int, ...]], ContractionTrace]:
-    """Contract the (-1)-curve ``pick`` chooses until it chooses none.
+    surface: Surface, pencil: DivisorClass, curves: list[tuple], pick, before: tuple[int, int]
+) -> tuple[Surface, DivisorClass, list[tuple], ContractionTrace, tuple[int, int]]:
+    """Contract the (-1)-curve ``pick`` chooses until it chooses none;
+    ``before`` holds the squares of K and K + pencil at the start, and the
+    run returns them at its end with the trace.
 
-    ``pick(surface, pairs)`` gets the (pencil * C, C) pair of every
-    (-1)-curve of the rows, rescanned after every contraction since
-    images evolve, and returns one pair or None.  Each contraction of
-    pencil degree m raises K^2 by one and the adjoint square (K + pencil)^2
-    by (m - 1)^2, whatever the classes are; both identities are checked
-    over the run and a violation raises InvariantError.  They are checked
-    too before a pick's IncompleteGeometryError leaves, so a contraction
-    that drops its curve uncontracted is a fault, not a lack of curves.
+    ``curves`` holds each row in its carried form (C, K*C, C*C, pencil*C),
+    and _contract moves the three numbers along by the blow-up identities.
+    ``pick(surface, pairs)`` gets the (pencil * C, C) pair of every row
+    carried as a (-1)-curve and returns one pair or None.  The chosen
+    curve alone is paired again from its coordinates, and carried numbers
+    it does not match raise InvariantError.  Each contraction of pencil
+    degree m raises K^2 by one and the adjoint square (K + pencil)^2 by
+    (m - 1)^2, whatever the classes are; both identities are checked over
+    the run and a violation raises InvariantError.  They are checked too
+    before any other InvariantError or a pick's IncompleteGeometryError
+    leaves, so a contraction that drops its curve uncontracted is a fault,
+    not a lack of curves.  Each contraction lowers the rank by one, so a
+    run choosing a curve after start.rank contractions is a fault too.
     """
-    start = surface
-    before = _squares(surface, pencil)
+    start, limit = surface, surface.rank
     steps: list[TraceStep] = []
+
+    def fault(message: str):
+        _check_run(before, surface, pencil, steps)
+        return InvariantError(f"invariant broken: {message}")
+
     try:
-        while (chosen := pick(surface, _minus_one_curves(surface, pencil, curves))) is not None:
+        while (
+            chosen := pick(surface, [(p, c) for c, k, square, p in curves if k == square == -1])
+        ) is not None:
             m, e = chosen
             contracted = DivisorClass._derived(surface, e)
+            if len(steps) == limit:
+                raise fault(
+                    f"{contracted} chosen after {limit} contractions from rank {limit}, "
+                    "though each lowers the rank by one"
+                )
+            got = (
+                sum(map(mul, surface._canonical_dual, e)),
+                surface.intersect(e, e),
+                surface.intersect(pencil.coords, e),
+            )
+            if got != (-1, -1, m):
+                raise fault(
+                    f"{contracted} was carried with K*C, C*C, pencil*C = (-1, -1, {m}), "
+                    f"its coordinates give {got}"
+                )
             surface, pencil, curves = _contract(surface, pencil, curves, e)
             steps.append(TraceStep(contracted, m, surface, pencil))
     except IncompleteGeometryError:
         _check_run(before, surface, pencil, steps)
         raise
-    _check_run(before, surface, pencil, steps)
-    return surface, pencil, curves, ContractionTrace(start, surface, tuple(steps))
+    after = _check_run(before, surface, pencil, steps)
+    return surface, pencil, curves, ContractionTrace(start, surface, tuple(steps)), after
 
 
 def _pick_reduction(surface: Surface, pairs):
@@ -208,16 +254,27 @@ def reduction(fib: Fibration, effective) -> ReducedPencil:
     Ties go to the smallest coordinate vector.  The adjoint square is
     unchanged at every step while the canonical self-intersection rises by
     one.  The curves are carried as coordinate rows; classes are built
-    only for the trace and the result.
+    only for the trace and the result.  A single class passed as
+    ``effective`` is a TypeError naming it.
     """
+    return _reduce(fib, effective)[0]
+
+
+def _reduce(fib: Fibration, effective) -> tuple[ReducedPencil, list[tuple], tuple[int, int]]:
+    """reduction, with the curves it ends on in carried form and the
+    squares of K and K + pencil there, for the greedy phase to start from."""
     _expect(fib, Fibration, "fib")
     fib.validate()
     surface = fib.surface
-    curves = [_check_carried(surface, c) for c in effective]
-    surface, pencil, curves, trace = _contractions(
-        surface, fib.fibre_class, curves, _pick_reduction
+    pencil = fib.fibre_class
+    _expect_many(effective, "effective")
+    p_dual = surface.dual(pencil.coords)
+    curves = [_check_carried(surface, p_dual, c) for c in effective]
+    surface, pencil, curves, trace, after = _contractions(
+        surface, pencil, curves, _pick_reduction, _squares(surface, pencil)
     )
-    return ReducedPencil(surface, pencil, DivisorClass._derived_all(surface, curves), trace)
+    rows = DivisorClass._derived_all(surface, (c[0] for c in curves))
+    return ReducedPencil(surface, pencil, rows, trace), curves, after
 
 
 class ElementaryTransformRepair(Record):
@@ -297,6 +354,7 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
     surface = reduced.surface
     pencil = reduced.pencil
     _expect(pencil, DivisorClass, "the pencil of reduced")
+    _expect_many(reduced.curves, "the curves of reduced", tuple)
     curves: list[tuple[int, ...]] = []
     for c in reduced.curves:
         _expect(c, DivisorClass, "a curve of reduced")
@@ -305,12 +363,21 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
         curves.append(c.coords)
     if curves and pencil.surface is not surface:
         raise ForeignClassError("foreign class: operands live on different surfaces")
-    for p, c in _minus_one_curves(surface, pencil, curves):
-        if p == 1:
+    curves = _carry(surface, pencil, curves)
+    for c, k, square, p in curves:
+        if k == square == -1 and p == 1:
             raise ReductionError(
                 f"not a reduction: {DivisorClass._derived(surface, c)} still meets the pencil once"
             )
-    surface, pencil, _, trace = _contractions(surface, pencil, curves, _pick_greedy)
+    return _greedy(surface, pencil, curves, _squares(surface, pencil))
+
+
+def _greedy(
+    surface: Surface, pencil: DivisorClass, curves: list[tuple], squares: tuple[int, int]
+) -> SharpModelData:
+    """greedy_sharp_minimal from a checked reduction's surface, pencil,
+    carried curves and squares of K and K + pencil."""
+    surface, pencil, _, trace, _ = _contractions(surface, pencil, curves, _pick_greedy, squares)
     mults = trace.multiplicities
     violations = [
         f"contraction multiplicity dropped from {before} to {m} at {step.contracted}"
@@ -404,6 +471,8 @@ class PipelineResult(Record):
 
 
 def sharp_minimal_pipeline(fib: Fibration, effective) -> PipelineResult:
-    """Reduction followed by greedy contraction, with both traces."""
-    red = reduction(fib, effective)
-    return PipelineResult(red, greedy_sharp_minimal(red))
+    """Reduction followed by greedy contraction, with both traces.  The
+    greedy phase starts from the numbers the reduction carried to its end,
+    so no curve is paired again between the phases."""
+    red, curves, squares = _reduce(fib, effective)
+    return PipelineResult(red, _greedy(red.surface, red.pencil, curves, squares))

@@ -209,6 +209,23 @@ def test_one_verify_builds_each_gram_matrix_once(monkeypatch):
     assert _gram.cache_info()[:2] == (3, 3)
 
 
+def test_verify_resolves_each_name_as_fibration_named_does(monkeypatch):
+    # a missing name is a KeyError fault in each check that asks for it,
+    # and a repeated name resolves to its first binding
+    entry = catalog.get("C")
+    fib = entry.fibration
+    missing = fib._replace(named_classes=tuple((n, c) for n, c in fib.named_classes if n != "P"))
+    monkeypatch.setitem(catalog._CACHE, "C", entry._replace(fibration=missing))
+    checks = {c.name: c for c in catalog.verify("C").checks}
+    for name in ("section", "pencil-identity", "pencil-query"):
+        assert (checks[name].passed, checks[name].detail) == (False, "'P'")
+        assert checks[name].error.startswith("KeyError at ")
+    assert all(c.passed for n, c in checks.items() if not n.startswith(("section", "pencil")))
+    repeated = fib._replace(named_classes=fib.named_classes + (("P", fib.fibre_class),))
+    monkeypatch.setitem(catalog._CACHE, "C", entry._replace(fibration=repeated))
+    assert catalog.verify("C").passed
+
+
 RECONSTRUCTED = (("Ex4_3", "E8"), ("Ex4_5", "EH8"))
 
 

@@ -226,8 +226,9 @@ def test_verify_example_broken_invariant_is_an_error(monkeypatch, capsys):
     from genus2pencils import sharp
 
     def forgetting(surface, pencil, curves, e):
-        # drops the curve without contracting it, so K^2 never rises
-        return surface, pencil, [c for c in curves if c != e]
+        # drops the curve without contracting it, so K^2 never rises; a
+        # carried curve is (coordinates, K*C, C*C, pencil*C)
+        return surface, pencil, [c for c in curves if c[0] != e]
 
     monkeypatch.setattr(sharp, "_contract", forgetting)
     assert main(["verify-example", "A"]) == 3
@@ -269,8 +270,9 @@ def _doubling(surface, pencil, curves, e):
 
 
 def _forgetting(surface, pencil, curves, e):
-    # drops the curve without contracting it, so K^2 never rises
-    return surface, pencil, [c for c in curves if c != e]
+    # drops the curve without contracting it, so K^2 never rises; a
+    # carried curve is (coordinates, K*C, C*C, pencil*C)
+    return surface, pencil, [c for c in curves if c[0] != e]
 
 
 @pytest.mark.parametrize("fake", [_doubling, _forgetting], ids=["doubling", "forgetting"])

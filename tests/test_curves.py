@@ -25,6 +25,7 @@ from genus2pencils.curves import (
     _SPLIT_AT,
     _arrangements,
     _blocks,
+    _deals,
     _expand,
     _orbit_degrees,
     _orbits,
@@ -697,3 +698,34 @@ def test_clear_caches_drops_orbits():
     assert _orbits_cached.cache_info().currsize
     clear_caches()
     assert _orbits_cached.cache_info().currsize == 0
+
+
+def _dealt_by_arrangement(tail, sizes):
+    """{(one sorted tail per block): how many arrangements of the tail deal
+    to it}, by writing out every distinct arrangement and cutting it into
+    the blocks."""
+    counts = Counter()
+    for row in set(permutations(tail)):
+        cuts, start = [], 0
+        for size in sizes:
+            cuts.append(tuple(sorted(row[start:start + size], reverse=True)))
+            start += size
+        counts[tuple(cuts)] += 1
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-2, 2), max_size=7).map(lambda t: tuple(sorted(t, reverse=True))),
+    st.randoms(use_true_random=False),
+)
+def test_deals_on_count_vectors_match_the_arrangements(tail, rng):
+    # every deal once, the first block's ways outermost and largest first,
+    # each with the multinomial count of the arrangements it stands for
+    cuts = sorted(rng.sample(range(len(tail) + 1), rng.randrange(min(3, len(tail) + 1) + 1)))
+    sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [len(tail)])) if tail else ()
+    factorials = [factorial(i) for i in range(len(tail) + 1)]
+    got = _deals(tail, sizes, factorials)
+    assert dict(got) == _dealt_by_arrangement(tail, sizes) if sizes else got == [((), 1)]
+    assert len({tails for tails, _ in got}) == len(got)
+    assert [tails for tails, _ in got] == sorted((tails for tails, _ in got), reverse=True)

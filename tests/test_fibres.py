@@ -156,6 +156,41 @@ def test_components_that_are_not_a_tuple_are_named(check):
 
 
 @pytest.mark.parametrize(
+    "check",
+    [validate_fibre, dual_graph, lambda fib, dec: ade_classify(dec)],
+    ids=["validate_fibre", "dual_graph", "ade_classify"],
+)
+def test_a_lone_component_passed_as_the_components_is_named(check):
+    # a component is a record, so a tuple of its own fields: a tuple check
+    # alone would let it through and read its name as the first component
+    fib = catalog.get("Ex4_3").fibration
+    dec = fib.fibres[0]
+    with pytest.raises(TypeError) as info:
+        check(fib, dec._replace(components=dec.components[0]))
+    assert str(info.value) == f"dec.components must be a tuple, not {dec.components[0]!r}"
+
+
+@pytest.mark.parametrize("entry", ["blocks", "block", "sub"])
+def test_a_lone_class_passed_as_a_class_list_is_named(entry):
+    fib = catalog.get("Ex4_3").fibration
+    f, o = fib.fibre_class, fib.named("O")
+    call, message = {
+        "blocks": (
+            lambda: orthogonal_decomposition_check(fib, f),
+            f"blocks must be a collection, not {f!r}",
+        ),
+        "block": (
+            lambda: orthogonal_decomposition_check(fib, [[f, o], o]),
+            f"block 2 must be a collection, not {o!r}",
+        ),
+        "sub": (lambda: complement_lattice(fib.surface, o), f"sub must be a collection, not {o!r}"),
+    }[entry]
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "check, bad",
     [(validate_fibre, 5), (dual_graph, None), (lambda fib, dec: ade_classify(dec), 5)],
     ids=["validate_fibre", "dual_graph", "ade_classify"],

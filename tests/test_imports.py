@@ -295,7 +295,7 @@ def test_every_wrong_type_message_is_a_type_error():
                 site = f"{os.path.basename(path)}:{node.lineno}"
                 raised.append((site, ast.unparse(node.exc.func)))
     # the sites: _expect, _integer and the hand-written checks
-    assert len(raised) == 16
+    assert len(raised) == 17
     assert [site for site, name in raised if name != "TypeError"] == []
     # a broken invariant is a fault too, so it is no LatticeError
     assert not issubclass(InvariantError, LatticeError)

@@ -396,6 +396,34 @@ def test_cremona_names_a_surface_or_class_that_is_wrong():
         assert str(info.value) == message
 
 
+def _lone_class_calls():
+    fib = catalog.get("A").fibration
+    e1 = fib.surface.exceptional(1)
+    plane = plane_blowup(3)
+    return {
+        "sections": (
+            lambda: fib._replace(sections=e1).validate(), "the sections must be a tuple, not <E1>"
+        ),
+        "cremona": (
+            lambda: cremona(plane, 1, 2, 3, plane.line),
+            "the carried classes must be a collection, not <L>",
+        ),
+        "pairings": (
+            lambda: pairings(fib.fibre_class, e1), "classes must be a collection, not <E1>"
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", ["sections", "cremona", "pairings"])
+def test_a_lone_class_where_classes_belong_is_named(entry):
+    # a class is itself the tuple (surface, coords), so it passes a tuple
+    # check and iterates as its fields, the surface then named as item 0
+    call, message = _lone_class_calls()[entry]
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_elementary_transform_family():
     down = elementary_transform(2, (8, 17), 4)
     assert down == (1, (8, 13), 4)

@@ -18,7 +18,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genus2pencils import lattice, sharp
+from genus2pencils import catalog, lattice, sharp
 from genus2pencils.lattice import (
     DivisorClass,
     Fibration,
@@ -302,6 +302,24 @@ def test_reduction_names_an_argument_that_is_not_a_class(run):
     assert str(info.value) == "fib must be a Fibration, not 5"
 
 
+@pytest.mark.parametrize("run", [reduction, sharp_minimal_pipeline])
+def test_reduction_names_a_lone_class_passed_as_the_curve_list(run):
+    # a class is a tuple of its surface and coordinates: iterated, it would
+    # report its surface as the first curve
+    s, f = sextic_pencil()
+    with pytest.raises(TypeError) as info:
+        run(Fibration(s, f), s.exceptional(12))
+    assert str(info.value) == "effective must be a collection, not <E12>"
+
+
+def test_greedy_names_a_lone_class_passed_as_the_curves():
+    s, f = sextic_pencil()
+    red = reduction(Fibration(s, f), basis_effective(s))
+    with pytest.raises(TypeError) as info:
+        greedy_sharp_minimal(red._replace(curves=red.curves[0]))
+    assert str(info.value) == f"the curves of reduced must be a tuple, not {red.curves[0]!r}"
+
+
 def test_greedy_names_an_argument_that_is_not_a_reduced_pencil():
     with pytest.raises(TypeError) as info:
         greedy_sharp_minimal(5)
@@ -347,8 +365,9 @@ def test_reduction_checks_the_adjoint_square(monkeypatch):
 
 def test_reduction_checks_the_canonical_square(monkeypatch):
     def forgetting(surface, pencil, curves, e):
-        # drops the curve without contracting it
-        return surface, pencil, [c for c in curves if c != e]
+        # drops the curve without contracting it; a carried curve is
+        # (coordinates, K*C, C*C, pencil*C)
+        return surface, pencil, [c for c in curves if c[0] != e]
 
     monkeypatch.setattr(sharp, "_contract", forgetting)
     s, f = sextic_pencil()
@@ -370,6 +389,110 @@ def test_greedy_checks_the_adjoint_square(monkeypatch):
     reduced = ReducedPencil(s, f, basis_effective(s), ContractionTrace(s, s, ()))
     with pytest.raises(InvariantError, match="adjoint square went from 2 to "):
         greedy_sharp_minimal(reduced)
+
+
+@pytest.mark.parametrize("tag", catalog.tags())
+def test_a_contraction_that_changes_nothing_is_a_fault_within_the_start_rank(tag, monkeypatch):
+    # each contraction lowers the rank by one, so a step that returns its
+    # input ends the run as a fault; the fake raises past start.rank + 1
+    # calls, so a loop that never stops fails here instead of hanging
+    entry = catalog.get(tag)
+    fib = entry.fibration
+    start = fib.surface
+    calls = []
+
+    def unchanged(surface, pencil, curves, e):
+        calls.append(e)
+        if len(calls) > start.rank + 1:
+            raise AssertionError(f"{len(calls)} contractions from rank {start.rank}")
+        return surface, pencil, curves
+
+    monkeypatch.setattr(sharp, "_contract", unchanged)
+    broken = (
+        rf"adjoint square went from|K\^2 went from (-?\d+) to \1 over {start.rank} contractions"
+    )
+    with pytest.raises(InvariantError, match=broken):
+        sharp_minimal_pipeline(fib, [fib.named(n) for n in entry.effective])
+    assert len(calls) == start.rank
+
+
+def _check_carried_rows(surface, pencil, curves):
+    """Every carried (K*C, C*C, pencil*C) against its row's coordinates."""
+    k = surface.canonical()
+    for row, k_degree, square, pencil_degree in curves:
+        c = DivisorClass(surface, row)
+        assert (k_degree, square, pencil_degree) == (k * c, c * c, pencil * c), row
+
+
+def _checking_contract(steps):
+    """A _contract that checks the carried numbers of every row it is
+    given and of every row it returns, counting its steps."""
+    real = sharp._contract
+
+    def checked(surface, pencil, curves, e):
+        _check_carried_rows(surface, pencil, curves)
+        smaller, pushed, rest = real(surface, pencil, curves, e)
+        _check_carried_rows(smaller, pushed, rest)
+        steps.append(DivisorClass(surface, e))
+        return smaller, pushed, rest
+
+    return checked
+
+
+@pytest.mark.parametrize("tag", catalog.tags())
+def test_carried_numbers_match_the_coordinates_at_every_catalog_step(tag, monkeypatch):
+    entry = catalog.get(tag)
+    fib = entry.fibration
+    plain = sharp_minimal_pipeline(fib, [fib.named(n) for n in entry.effective])
+    steps = []
+    monkeypatch.setattr(sharp, "_contract", _checking_contract(steps))
+    result = sharp_minimal_pipeline(fib, [fib.named(n) for n in entry.effective])
+    assert result == plain
+    assert len(steps) == len(result.reduced.trace.steps) + len(result.model.trace.steps) > 0
+
+
+def test_carried_numbers_match_the_coordinates_on_random_draws(monkeypatch):
+    # the draws of the reference comparison, quadratic transforms included
+    steps = []
+    monkeypatch.setattr(sharp, "_contract", _checking_contract(steps))
+    rng = random.Random(20101018)
+    for _ in range(300):
+        fib, effective = random_pipeline_input(rng)
+        try:
+            sharp_minimal_pipeline(fib, effective)
+        except LatticeError:
+            pass  # the steps before a rejection were checked all the same
+    assert len(steps) >= 1000
+    assert sum(not _is_basis_exceptional(e) for e in steps) >= 100
+
+
+def test_a_pipeline_pairs_each_curve_once(monkeypatch):
+    # the counts of the second Ex4_6 run, once every surface it reaches
+    # holds its canonical dual vector: 3 for validating the fibration, 17
+    # for the carried curves, paired once, 2 for each of the 9 chosen
+    # curves, 3 for the squares at each of the 3 points they are read, and
+    # one dual vector, the pencil's; rescanning the rows after every step
+    # read 86 and 12
+    entry = catalog.get("Ex4_6")
+    fib = entry.fibration
+    effective = [fib.named(n) for n in entry.effective]
+    sharp_minimal_pipeline(fib, effective)
+    counts = {"intersect": 0, "dual": 0}
+    real_intersect, real_dual = lattice.Surface.intersect, lattice.Surface.dual
+
+    def intersect(surface, x, y):
+        counts["intersect"] += 1
+        return real_intersect(surface, x, y)
+
+    def dual(surface, x):
+        counts["dual"] += 1
+        return real_dual(surface, x)
+
+    monkeypatch.setattr(lattice.Surface, "intersect", intersect)
+    monkeypatch.setattr(lattice.Surface, "dual", dual)
+    result = sharp_minimal_pipeline(fib, effective)
+    assert len(effective) == 17 and len(result.model.trace.steps) == 9
+    assert counts == {"intersect": 47, "dual": 1}
 
 
 def test_classify_type_special_branch():
