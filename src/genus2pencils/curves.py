@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, compress, repeat
 from math import factorial, prod
-from operator import add, eq, index as _as_int, itemgetter, mul, sub
+from operator import add, eq, index as _as_int, itemgetter, mul
 
 from ._record import Record
 from .lattice import (
@@ -101,8 +101,8 @@ class _Budget:
     def __init__(self, n: int) -> None:
         self.left = _integer(n, "budget")
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, n: int = 1) -> None:
+        self.left -= n
         if self.left < 0:
             raise BudgetExceededError("budget exceeded")
 
@@ -146,18 +146,19 @@ def _arrangements(tail: tuple[int, ...], prefix: tuple[int, ...] = ()) -> list[t
     """
     if _arrangement_count(tail) < _SPLIT_AT:
         return list(_descending(tail, prefix))
-    values, counts = _multiset(tail)
     permuted: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
 
-    def arranged(head, taken):
-        key = head, _spread(values, taken)
+    def arranged(head, half):
+        key = head, half
         if key not in permuted:
-            permuted[key] = list(_descending(key[1], head))
+            permuted[key] = list(_descending(half, head))
         return permuted[key]
 
+    n = len(tail)
+    factorials = [*accumulate(range(1, n + 1), mul, initial=1)]
     out: list[tuple[int, ...]] = []
-    for taken in _picks(counts, len(tail) // 2):
-        out += _joined(arranged(prefix, taken), arranged((), tuple(map(sub, counts, taken))))
+    for (first, second), _ in _deals(tail, (n // 2, n - n // 2), factorials):
+        out += _joined(arranged(prefix, first), arranged((), second))
     return out
 
 
@@ -234,50 +235,52 @@ def _blocks(surface: Surface, weights: tuple[DivisorClass, ...]) -> tuple[tuple[
     )
 
 
-def _picks(counts: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
-    """Vectors t with 0 <= t_j <= counts_j and sum(t) = size, largest
-    first.  Each entry runs from what is left down to what the later
-    positions cannot hold, so no branch is a dead end."""
-    # room[j]: what the positions after j hold together
-    room = [*accumulate(counts[:0:-1], initial=0)][::-1]
-    picks = [((), size)]
-    for c, after in zip(counts, room):
-        picks = [
-            (t + (x,), left - x)
-            for t, left in picks
-            for x in range(min(c, left), max(0, left - after) - 1, -1)
-        ]
-    return [t for t, left in picks if left == 0]
-
-
 def _deals(
     tail: tuple[int, ...], sizes: tuple[int, ...], factorials: list[int]
 ) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
     """Every way to deal a non-increasing tuple into blocks of the given
     sizes, which sum to its length: (one non-increasing tail per block,
     the number of classes of that orbit), ways for the first block
-    outermost.  The tuple is counted once, into its distinct values and
-    how often each occurs, and dealt on that count vector, the last block
-    taking what is left; a block's number of arrangements is the
-    multinomial of its count vector, read from the factorial table."""
+    outermost and, block by block, largest tail first.
+
+    The tuple is counted once, into its distinct values and how often each
+    occurs, and dealt depth-first on that count vector: a block takes each
+    value in turn, from as many as it can hold down to as few as the later
+    values leave room for, so no branch is a dead end, and the last block
+    takes what is left.  A block's number of arrangements, the multinomial
+    of its counts, is divided out of the factorial table value by value."""
     if len(sizes) < 2:
         # one block takes the whole tuple: only the counts matter
         counts = map(tail.count, set(tail))
         return [((tail,) if sizes else (), factorials[len(tail)] // _product(factorials, counts))]
     values, counts = _multiset(tail)
-    deals = [((), counts, 1)]
-    for size in sizes[:-1]:
-        deals = [
-            (tails + (_spread(values, taken),), tuple(map(sub, left, taken)),
-             n * (factorials[size] // _product(factorials, taken)))
-            for tails, left, n in deals
-            for taken in _picks(left, size)
-        ]
-    last = factorials[sizes[-1]]
-    return [
-        (tails + (_spread(values, left),), n * (last // _product(factorials, left)))
-        for tails, left, n in deals
-    ]
+    left = list(counts)
+    last = len(sizes) - 1
+    rooms = [*accumulate(sizes[::-1])][::-1]
+    deals = []
+
+    def fill(b, j, need, room, block, ways, tails):
+        # block b holds ``block`` and needs ``need`` more entries from
+        # values[j:], of which ``room`` are left
+        if not need:
+            tails += (block,)
+            b += 1
+            if b < last:
+                fill(b, 0, sizes[b], rooms[b], (), ways * factorials[sizes[b]], tails)
+            else:
+                n = factorials[sizes[b]] // _product(factorials, left)
+                deals.append((tails + (_spread(values, left),), ways * n))
+            return
+        have = left[j]
+        room -= have
+        value = (values[j],)
+        for x in range(min(have, need), max(0, need - room) - 1, -1):
+            left[j] = have - x
+            fill(b, j + 1, need - x, room, block + value * x, ways // factorials[x], tails)
+        left[j] = have
+
+    fill(0, 0, sizes[0], rooms[0], (), factorials[sizes[0]], ())
+    return deals
 
 
 def _product(factorials: list[int], counts) -> int:
@@ -310,9 +313,9 @@ def _orbits(
     factorials = list(accumulate(range(1, surface.blowups + 1), mul, initial=1))
     orbits = []
     for head, rep in _walk(surface, query, budget):
-        for tails, size in _deals(rep, sizes, factorials):
-            budget.spend()
-            orbits.append(_Orbit(head, tails, size))
+        deals = _deals(rep, sizes, factorials)
+        budget.spend(len(deals))
+        orbits += [_Orbit(head, tails, size) for tails, size in deals]
     return tuple(orbits)
 
 
@@ -351,9 +354,9 @@ def _orbit_degrees(
     for w, block in zip(weights, blocks):
         if any(dual[base + i] != w for i in block):
             raise LatticeError(f"{d} is not constant on the exceptional block {block}")
-    return tuple(
-        sum(map(mul, head, o.head)) + sum(map(mul, weights, map(sum, o.tails))) for o in orbits
-    )
+    return tuple([
+        sum(map(mul, head, h)) + sum(map(mul, weights, map(sum, tails))) for h, tails, _ in orbits
+    ])
 
 
 def _placer(base: int, blocks: tuple[tuple[int, ...], ...]) -> itemgetter | None:

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, product, repeat
 from math import isqrt, prod
-from operator import mul
+from operator import getitem, mul
 
 from ._record import Record
 from .intmat import bareiss_determinant, hermite_normal_form, kernel_basis
@@ -39,7 +39,6 @@ from .lattice import (
     _expect,
     _expect_many,
     _integer,
-    pairings,
 )
 
 __all__ = [
@@ -74,14 +73,25 @@ def _gram(classes: tuple[DivisorClass, ...]) -> tuple[tuple[int, ...], ...]:
     the last 64, like the orbit cache of curves: the whole catalog asks
     for 12 (one per fibre and one per model's blocks), 13 x 13 at most.
     ``_gram.cache_clear()`` drops them.  The callers check that every
-    item is a DivisorClass first, so a key is always hashable.  The form
-    is symmetric, so each pair is paired once: row i pairs c_i with c_i
-    and the classes after it, and its entries before the diagonal are
-    read off the rows above.
+    item is a DivisorClass first, so a key is always hashable; classes on
+    two surfaces are a ForeignClassError.  The form is symmetric, so each
+    pair is paired once: row i dots c_i's dual vector with the coordinates
+    of c_i and the classes after it, and its entries before the diagonal
+    are read off the rows above.
     """
-    upper = [pairings(c, classes[i:]) for i, c in enumerate(classes)]
+    if not classes:
+        return ()
+    surface = classes[0].surface
+    if any(c.surface is not surface for c in classes):
+        raise ForeignClassError("foreign class: operands live on different surfaces")
+    rows = [c.coords for c in classes]
+    upper = [
+        tuple(map(sum, map(map, repeat(mul), repeat(d), rows[i:])))
+        for i, d in enumerate(map(surface.dual, rows))
+    ]
+    # row i before the diagonal: upper[j][i - j] for j < i
     return tuple(
-        tuple(upper[j][i - j] for j in range(i)) + row for i, row in enumerate(upper)
+        tuple(map(getitem, upper, range(i, 0, -1))) + row for i, row in enumerate(upper)
     )
 
 

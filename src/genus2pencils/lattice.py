@@ -103,10 +103,12 @@ _SURFACES: dict[tuple[str, int, int], "Surface"] = {}
 class Surface:
     """A marked rational surface: ambient kind, Hirzebruch index, blow-up count.
 
-    ``index`` is 0 for the plane kind.  Surfaces are interned: the
-    constructor returns the one object of its validated fields, so equal
-    surfaces are identical and equality and hash are those of the object.
-    The canonical class and its dual vector are computed once per surface.
+    ``index`` is 0 for the plane kind; ``base_rank`` (1 on the plane, 2
+    on the ruled kind) and ``rank`` are set with the fields.  Surfaces are
+    interned: the constructor returns the one object of its validated
+    fields, so equal surfaces are identical and equality and hash are
+    those of the object.  The canonical class and its dual vector, and the
+    surface a contraction lands on, are computed once per surface.
     A surface is frozen; pickle and copy rebuild it through the
     constructor, so they return the same object.
     """
@@ -129,6 +131,9 @@ class Surface:
             object.__setattr__(surface, "kind", kind)
             object.__setattr__(surface, "index", index)
             object.__setattr__(surface, "blowups", blowups)
+            base = 1 if kind == "plane" else 2
+            object.__setattr__(surface, "base_rank", base)
+            object.__setattr__(surface, "rank", base + blowups)
             surface = _SURFACES.setdefault(key, surface)
         return surface
 
@@ -141,14 +146,6 @@ class Surface:
         # through the constructor, so a copy is the interned surface; the
         # cached canonical class points back at it and is not pickled
         return Surface, (self.kind, self.index, self.blowups)
-
-    @property
-    def base_rank(self) -> int:
-        return 1 if self.kind == "plane" else 2
-
-    @property
-    def rank(self) -> int:
-        return self.base_rank + self.blowups
 
     def basis_names(self) -> tuple[str, ...]:
         return self._basis_names
@@ -183,10 +180,8 @@ class Surface:
     def dual(self, x: Sequence[int]) -> tuple[int, ...]:
         """The Gram matrix times x: intersect(x, y) is its dot product with y."""
         if self.kind == "plane":
-            head: tuple[int, ...] = (x[0],)
-        else:
-            head = (x[1] - self.index * x[0], x[0])
-        return head + tuple(-v for v in x[self.base_rank:])
+            return (x[0], *map(neg, x[1:]))
+        return (x[1] - self.index * x[0], x[0], *map(neg, x[2:]))
 
     def divisor(self, *coords: int) -> "DivisorClass":
         return DivisorClass(self, tuple(coords))
@@ -201,6 +196,11 @@ class Surface:
         else:
             head = (-2, -(self.index + 2))
         return DivisorClass._derived(self, head + (1,) * self.blowups)
+
+    @cached_property
+    def _blown_down(self) -> "Surface":
+        """The surface with one blow-up fewer, which a contraction lands on."""
+        return Surface(self.kind, self.index, self.blowups - 1)
 
     @cached_property
     def _canonical_dual(self) -> tuple[int, ...]:
@@ -571,10 +571,10 @@ def contracting_isometry(
 
 def _contract_rows(
     surface: Surface, e: tuple[int, ...], rows: Sequence[tuple[int, ...]]
-) -> tuple[Surface, list[tuple[int, ...]], list[int]]:
+) -> tuple[Surface, list[tuple[tuple[int, ...], int]]]:
     """Contract the (-1)-class with coordinates e; returns the smaller
-    surface, the coordinate rows pushed forward and each row's pairing
-    with e.
+    surface and, in one sweep over the rows, each coordinate row pushed
+    forward paired with its intersection with e.
 
     The caller has checked that e is a (-1)-class of the surface.  A basis
     exceptional class contracts by dropping its coordinate, and a row's
@@ -590,8 +590,7 @@ def _contract_rows(
         for (i, j, k) in moves:
             rows = _reflect(rows, i, j, k)
     pos = base + idx - 1
-    smaller = Surface(surface.kind, surface.index, surface.blowups - 1)
-    return smaller, [c[:pos] + c[pos + 1:] for c in rows], [-c[pos] for c in rows]
+    return surface._blown_down, [(c[:pos] + c[pos + 1:], -c[pos]) for c in rows]
 
 
 def blow_down(
@@ -605,19 +604,27 @@ def blow_down(
     kind only basis classes contract (contracting anything else would leave
     the ambient family).
 
+    A surface that is not a Surface, an e that is not a class, a carried
+    item that is not a class, or one lone class passed as ``classes``, is
+    a TypeError naming it.
+
     Public API with no caller inside the library: the reduction pipeline
     contracts coordinate rows through _contract_rows, the rule this wraps.
     """
+    _expect(surface, Surface, "surface")
+    _expect(e, DivisorClass, "e")
     if e.surface is not surface:
         raise ForeignClassError("foreign class: e lives on another surface")
+    _expect_many(classes, "the carried classes")
     rows = []
-    for c in classes:
+    for n, c in enumerate(classes):
+        _expect(c, DivisorClass, f"carried class {n}")
         _require_on(surface, c)
         rows.append(c.coords)
     if not is_minus_one_class(e):
         raise NotContractibleError(f"not contractible: {e} is not a (-1)-class")
-    smaller, pushed, _ = _contract_rows(surface, e.coords, rows)
-    return smaller, DivisorClass._derived_all(smaller, pushed)
+    smaller, pushed = _contract_rows(surface, e.coords, rows)
+    return smaller, DivisorClass._derived_all(smaller, (row for row, _ in pushed))
 
 
 class ElementaryTransformResult(Record):

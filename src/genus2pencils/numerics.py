@@ -464,6 +464,11 @@ def exclude_p2_and_hirzebruch(genus: int, ksq: int) -> MinimalAmbientVerdict:
     (b-3)^2 simultaneously; a ruled model needs the adjoint square to hit
     2c(genus-c-1)/(c+1) for some admissible c.  Both conditions are scanned
     over their full finite ranges.  Both arguments must be integers.
+
+    Public API with no caller inside the library: the search and the
+    catalog never ask for it, and the command line's --apply-exclusion
+    runs apply_exclusion; kept as the paper's exclusion of the plane and
+    ruled minimal models, pair by pair.
     """
     try:
         genus, ksq = index(genus), index(ksq)

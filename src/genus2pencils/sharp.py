@@ -24,7 +24,7 @@ argument of the wrong type is a TypeError naming it.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import itemgetter, mul
 
 from ._record import Record
 from .lattice import (
@@ -57,6 +57,10 @@ __all__ = [
     "PipelineResult",
     "sharp_minimal_pipeline",
 ]
+
+
+# the coordinate row of a carried curve (C, K*C, C*C, pencil*C)
+_row = itemgetter(0)
 
 
 class ReductionError(LatticeError):
@@ -100,26 +104,33 @@ class ReducedPencil(Record):
 
 
 def _check_carried(
-    surface: Surface, pencil_dual: tuple[int, ...], c: DivisorClass
-) -> tuple[tuple[int, ...], int, int, int]:
-    """The carried form (C, K*C, C*C, pencil*C) of c, once c is checked to
-    be a curve the reduction may carry; ``pencil_dual`` is the pencil's
-    dual vector."""
-    _expect(c, DivisorClass, "an effective curve")
-    if c.surface is not surface:
-        raise ReductionError(f"foreign class: {c} lives on another surface")
-    x = c.coords
-    square = surface.intersect(x, x)
-    if square >= 0:
-        raise ReductionError(
-            f"rejected: {c} has self-intersection {square}, not a contractible configuration curve"
-        )
-    k = sum(map(mul, surface._canonical_dual, x))
-    # adjunction; the canonical class is characteristic, so the sum is even
-    g = (square + k) // 2 + 1
-    if g not in (0, 1):
-        raise ReductionError(f"rejected: {c} has arithmetic genus {g}")
-    return x, k, square, sum(map(mul, pencil_dual, x))
+    surface: Surface, pencil: DivisorClass, effective
+) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """The carried form (C, K*C, C*C, pencil*C) of every curve of
+    ``effective``, in order, once each is checked to be a curve the
+    reduction may carry; the first that is not raises."""
+    k_dual = surface._canonical_dual
+    p_dual = surface.dual(pencil.coords)
+    intersect = surface.intersect
+    out = []
+    for c in effective:
+        _expect(c, DivisorClass, "an effective curve")
+        if c.surface is not surface:
+            raise ReductionError(f"foreign class: {c} lives on another surface")
+        x = c.coords
+        square = intersect(x, x)
+        if square >= 0:
+            raise ReductionError(
+                f"rejected: {c} has self-intersection {square}, "
+                "not a contractible configuration curve"
+            )
+        k = sum(map(mul, k_dual, x))
+        # adjunction; the canonical class is characteristic, so the sum is even
+        g = (square + k) // 2 + 1
+        if g not in (0, 1):
+            raise ReductionError(f"rejected: {c} has arithmetic genus {g}")
+        out.append((x, k, square, sum(map(mul, p_dual, x))))
+    return out
 
 
 def _carry(surface: Surface, pencil: DivisorClass, curves: list[tuple[int, ...]]) -> list[tuple]:
@@ -144,15 +155,14 @@ def _contract(
     A row C meeting e a = C*e times pushes to C' with pi*C' = C + a e, so
     with m = pencil*e the carried numbers move by the blow-up identities
     K'*C' = K*C - a, C'^2 = C^2 + a^2 and pencil'*C' = pencil*C + a m;
-    no row is paired again."""
-    smaller, (p_row, *rows), (m, *meets) = _contract_rows(
-        surface, e, [pencil.coords, *(c[0] for c in curves)]
-    )
-    zero = (0,) * smaller.rank
+    no row is paired again.  The pencil row goes last, so the curves zip
+    against the pushed rows without a copy."""
+    smaller, pushed = _contract_rows(surface, e, [*map(_row, curves), pencil.coords])
+    p_row, m = pushed[-1]
     return smaller, DivisorClass._derived(smaller, p_row), [
         (row, k - a, square + a * a, p + a * m)
-        for row, a, (_, k, square, p) in zip(rows, meets, curves)
-        if row != zero
+        for (row, a), (_, k, square, p) in zip(pushed, curves)
+        if any(row)
     ]
 
 
@@ -268,12 +278,11 @@ def _reduce(fib: Fibration, effective) -> tuple[ReducedPencil, list[tuple], tupl
     surface = fib.surface
     pencil = fib.fibre_class
     _expect_many(effective, "effective")
-    p_dual = surface.dual(pencil.coords)
-    curves = [_check_carried(surface, p_dual, c) for c in effective]
+    curves = _check_carried(surface, pencil, effective)
     surface, pencil, curves, trace, after = _contractions(
         surface, pencil, curves, _pick_reduction, _squares(surface, pencil)
     )
-    rows = DivisorClass._derived_all(surface, (c[0] for c in curves))
+    rows = DivisorClass._derived_all(surface, map(_row, curves))
     return ReducedPencil(surface, pencil, rows, trace), curves, after
 
 
@@ -348,11 +357,14 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
     decrease; a decrease, or an endpoint violating the minimality
     conditions, is reported in ``violations`` together with the repairing
     elementary transforms where one exists.  A reduction that ended on P^2
-    itself (rank 1) has no ruled model and raises ReductionError.
+    itself (rank 1) has no ruled model and raises ReductionError.  A
+    surface, pencil or curve of ``reduced`` of the wrong type is a
+    TypeError naming it; the trace is not read.
     """
     _expect(reduced, ReducedPencil, "reduced")
     surface = reduced.surface
     pencil = reduced.pencil
+    _expect(surface, Surface, "the surface of reduced")
     _expect(pencil, DivisorClass, "the pencil of reduced")
     _expect_many(reduced.curves, "the curves of reduced", tuple)
     curves: list[tuple[int, ...]] = []

@@ -27,6 +27,8 @@ from genus2pencils.lattice import (
     LatticeError,
     Surface,
     blow_down,
+    contracting_isometry,
+    cremona,
     pairings,
 )
 from genus2pencils.numerics import NumericType, SpecialType
@@ -359,6 +361,27 @@ def _ref_check_carried(surface: Surface, c: DivisorClass) -> None:
     g = (square + surface.canonical() * c) // 2 + 1
     if g not in (0, 1):
         raise ReductionError(f"rejected: {c} has arithmetic genus {g}")
+
+
+def contract_rows(surface: Surface, e: tuple[int, ...], rows) -> tuple[Surface, list]:
+    """lattice._contract_rows by its definition: cremona at each move
+    contracting_isometry finds carries e onto a basis class E_i and the
+    rows along, E_i's coordinate is dropped, and each row is paired with e
+    by the intersection form on the classes as given."""
+    target = DivisorClass(surface, e)
+    classes = [DivisorClass(surface, row) for row in rows]
+    meets = [target * c for c in classes]
+    if surface.kind == "plane":
+        moves, i = contracting_isometry(surface, target)
+        for move in moves:
+            (target, *classes) = cremona(surface, *move, (target, *classes))
+        assert target == surface.exceptional(i)
+    else:
+        # only basis classes contract off the plane kind
+        i = next(i for i in range(1, surface.blowups + 1) if target == surface.exceptional(i))
+    pos = surface.base_rank + i - 1
+    smaller = Surface(surface.kind, surface.index, surface.blowups - 1)
+    return smaller, [(c.coords[:pos] + c.coords[pos + 1:], a) for c, a in zip(classes, meets)]
 
 
 def _ref_minus_one_curves(surface, pencil, curves):

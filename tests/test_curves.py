@@ -729,3 +729,22 @@ def test_deals_on_count_vectors_match_the_arrangements(tail, rng):
     assert dict(got) == _dealt_by_arrangement(tail, sizes) if sizes else got == [((), 1)]
     assert len({tails for tails, _ in got}) == len(got)
     assert [tails for tails, _ in got] == sorted((tails for tails, _ in got), reverse=True)
+
+
+# the orbit tables of one verify pass, recorded before the depth-first deal:
+# (-1,-1,3) on the fibre blocks of A, B1, B2 and C (the Ex4 tags share
+# their keys), and (0,-2,3) on B1's and C's
+VERIFY_ORBITS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "verify_orbits.json")
+
+
+def test_the_verify_orbit_tables_are_frozen():
+    with open(VERIFY_ORBITS, encoding="utf-8") as handle:
+        frozen = json.load(handle)
+    assert len(frozen) == 6
+    for key, want in frozen.items():
+        tag, *query = key.split()
+        fib = catalog.get(tag).fibration
+        blocks = _blocks(fib.surface, (fib.fibre_class,))
+        orbits = _orbits(fib.surface, ClassQuery(*map(int, query)), blocks, DEFAULT_BUDGET)
+        got = [[list(o.head), [list(t) for t in o.tails], o.size] for o in orbits]
+        assert got == want, key

@@ -7,7 +7,9 @@ import dataclasses
 import pickle
 import re
 
+import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genus2pencils import catalog
 from genus2pencils.lattice import (
@@ -31,6 +33,7 @@ from genus2pencils.lattice import (
     plane_curve,
     ruled_curve,
 )
+from genus2pencils.lattice import _contract_rows
 
 
 def test_plane_gram_frozen():
@@ -303,6 +306,49 @@ def test_blow_down_errors():
         blow_down(h, h.minimal_section)
     with pytest.raises(ForeignClassError):
         blow_down(s, plane_blowup(3).exceptional(1))
+
+
+def test_blow_down_names_a_surface_or_class_that_is_wrong():
+    s = plane_blowup(3)
+    e = s.exceptional(1)
+    for args, message in (
+        ((None, e), "surface must be a Surface, not None"),
+        ((s, None), "e must be a DivisorClass, not None"),
+        ((s, 5), "e must be a DivisorClass, not 5"),
+        ((s, e, (5,)), "carried class 0 must be a DivisorClass, not 5"),
+        ((s, e, (s.line, "E1")), "carried class 1 must be a DivisorClass, not 'E1'"),
+        ((s, e, e), "the carried classes must be a collection, not <E1>"),
+    ):
+        with pytest.raises(TypeError) as info:
+            blow_down(*args)
+        assert str(info.value) == message
+
+
+def _random_minus_one_class(rng, surface):
+    """A basis exceptional class moved by a few random quadratic transforms
+    on the plane kind; a basis exceptional class on the ruled kind."""
+    e = surface.exceptional(rng.randint(1, surface.blowups))
+    if surface.kind == "plane" and surface.blowups >= 3:
+        for _ in range(rng.randint(0, 4)):
+            (e,) = cremona(surface, *rng.sample(range(1, surface.blowups + 1), 3), (e,))
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_contract_rows_match_cremona_then_dropping_the_coordinate(rng):
+    # random (-1)-classes, most of them off the basis and so carried onto
+    # one by contracting_isometry first, against the reference that
+    # applies cremona at each move and pairs by the intersection form
+    if rng.random() < 0.75:
+        surface = plane_blowup(rng.randint(1, 9))
+    else:
+        surface = hirzebruch_blowup(rng.randint(0, 3), rng.randint(1, 6))
+    e = _random_minus_one_class(rng, surface)
+    rows = [tuple(rng.randint(-3, 3) for _ in range(surface.rank)) for _ in range(rng.randint(0, 5))]
+    rows += [e.coords, (0,) * surface.rank, (-e).coords]
+    rng.shuffle(rows)
+    assert _contract_rows(surface, e.coords, rows) == oracles.contract_rows(surface, e.coords, rows)
 
 
 def test_contractions_share_their_target_surface():

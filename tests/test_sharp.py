@@ -342,6 +342,21 @@ def test_greedy_names_a_curve_or_pencil_that_is_not_a_class(field, bad, message)
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("field", ReducedPencil._fields)
+@pytest.mark.parametrize("bad", [None, 5, 2.0, "x"], ids=["None", "int", "float", "str"])
+def test_greedy_names_every_field_of_the_reduced_pencil_that_is_wrong(field, bad):
+    # a wrong-typed field is a TypeError naming it, never a failed claim
+    # (a LatticeError) nor an AttributeError; the trace is not read
+    s, f = sextic_pencil()
+    red = reduction(Fibration(s, f), basis_effective(s))
+    try:
+        greedy_sharp_minimal(red._replace(**{field: bad}))
+    except TypeError as exc:
+        assert f"the {field} of reduced must be a" in str(exc), exc
+    else:
+        assert field == "trace"
+
+
 def test_reduction_validates_the_fibration():
     s = plane_blowup(12)
     not_a_fibre = plane_curve(s, 6, (2,) * 8)
