@@ -2,10 +2,13 @@
 
 Matrices are sequences of equal-length integer rows.  Results stay
 integral wherever the mathematics guarantees it: Bareiss elimination for
-determinants and ranks, and one Hermite-form elimination for kernels.
-That elimination carries a unimodular transform only for the callers
-that read one (hermite_with_transform, kernel_basis); the Hermite form
-skips it.  The catalog's uniqueness certificates are ranks.
+determinants, and one Hermite-form elimination for kernels.  That
+elimination carries a unimodular transform only for the callers that
+read one (hermite_with_transform, kernel_basis); the Hermite form skips
+it.  The rank needs neither pivots nor a transform: it eliminates
+column by column, leaves alone a row that holds 0 in the pivot column,
+and divides every row it changes by the gcd of its entries.  The
+catalog's uniqueness certificates are ranks.
 The semidefiniteness test scales each Schur complement by its positive
 pivot, so it stays integral too.  It has no caller in the library: fibre
 validation gets semidefiniteness from its other checks.  It stays as the
@@ -17,6 +20,7 @@ an integer (a float, a string) is a TypeError naming it, not truncated.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import gcd
 from operator import index
 
 __all__ = [
@@ -49,59 +53,30 @@ def _copy(rows: Matrix) -> list[list[int]]:
     return out
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free (Bareiss) elimination of the rows in place, column by
-    column: (rank, sign of the row swaps, last pivot).
-
-    In each column the first remaining row with a nonzero entry is the
-    pivot row, swapped up; a column without one adds no pivot.  Bareiss
-    replaces every row below by its 2 x 2 minors with the pivot row,
-    divided by the previous pivot, so each entry is a minor of the input
-    and every division is exact (Sylvester's identity).  A row whose entry
-    in the pivot column is 0 is only scaled by that step, by the ratio of
-    the new pivot to the old, so it is left as it stands, with the pivot
-    it was last brought up to date at: its true entries are the stored
-    ones times the current pivot over that one.  Sparse Gram matrices then
-    touch few rows per column.  The last pivot of a square matrix of full
-    rank, times the sign, is its determinant.
-    """
-    n = len(m)
-    since = [1] * n  # the pivot each row was last brought up to date at
-    rank, sign, prev = 0, 1, 1
-    for col in range(len(m[0]) if m else 0):
-        for pivot in range(rank, n):
-            if m[pivot][col]:
-                break
-        else:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            since[rank], since[pivot] = since[pivot], since[rank]
-            sign = -sign
-        top = m[rank]
-        if since[rank] != prev:
-            top[col:] = [x * prev // since[rank] for x in top[col:]]
-        p = top[col]
-        rest = top[col + 1:]
-        # the rows from rank up to the pivot hold 0 in this column
-        for i in range(pivot + 1, n):
-            row = m[i]
-            a = row[col]
-            if a:
-                d, since[i] = since[i], p
-                row[col + 1:] = [(x * p - a * y) // d for x, y in zip(row[col + 1:], rest)]
-        rank, prev = rank + 1, p
-    return rank, sign, prev
-
-
 def bareiss_determinant(rows: Matrix) -> int:
     """Determinant of a square integer matrix, fraction-free."""
     m = _copy(rows)
     n = len(m)
-    if n and len(m[0]) != n:
+    if n == 0:
+        return 1
+    if len(m[0]) != n:
         raise ValueError("determinant needs a square matrix")
-    rank, sign, last = _bareiss(m)
-    return sign * last if rank == n else 0
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact division is a theorem, not an assumption
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -175,9 +150,32 @@ def kernel_basis(rows: Matrix) -> tuple[tuple[int, ...], ...]:
 
 
 def rational_rank(rows: Matrix) -> int:
-    """Rank over the rationals: the number of pivots of the fraction-free
-    elimination the determinant runs."""
-    return _bareiss(_copy(rows))[0]
+    """Rank over the rationals: the number of pivot columns of an integer
+    row elimination.  Each changed row is p*row - a*pivot_row divided by
+    the gcd of its entries: a rational combination that keeps the row
+    space and keeps the entries small.  A row holding 0 in the pivot
+    column is not touched, which spares most rows of the catalog's
+    mostly-zero class rows."""
+    m = _copy(rows)
+    n = len(m)
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        for pivot in range(rank, n):
+            if m[pivot][col]:
+                break
+        else:
+            continue
+        top = m[pivot]
+        m[rank], m[pivot] = top, m[rank]
+        p = top[col]
+        for i in range(rank + 1, n):
+            a = m[i][col]
+            if a:
+                row = [x * p - a * y for x, y in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        rank += 1
+    return rank
 
 
 def is_negative_semidefinite(gram: Matrix) -> bool:

@@ -106,41 +106,37 @@ class ReducedPencil(Record):
 def _check_carried(
     surface: Surface, pencil: DivisorClass, effective
 ) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """The carried form (C, K*C, C*C, pencil*C) of every curve of
-    ``effective``, in order, once each is checked to be a curve the
-    reduction may carry; the first that is not raises."""
-    k_dual = surface._canonical_dual
-    p_dual = surface.dual(pencil.coords)
-    intersect = surface.intersect
-    out = []
+    """The carried form of every curve of ``effective``, in order, once
+    each is checked to be a curve the reduction may carry; the first that
+    is not raises."""
+    carry = _carrier(surface, pencil)
+    curves = []
     for c in effective:
         _expect(c, DivisorClass, "an effective curve")
         if c.surface is not surface:
             raise ReductionError(f"foreign class: {c} lives on another surface")
-        x = c.coords
-        square = intersect(x, x)
+        carried = carry(c.coords)
+        _, k, square, _ = carried
         if square >= 0:
             raise ReductionError(
-                f"rejected: {c} has self-intersection {square}, "
-                "not a contractible configuration curve"
+                f"rejected: {c} has self-intersection {square}, not a contractible configuration curve"
             )
-        k = sum(map(mul, k_dual, x))
         # adjunction; the canonical class is characteristic, so the sum is even
         g = (square + k) // 2 + 1
         if g not in (0, 1):
             raise ReductionError(f"rejected: {c} has arithmetic genus {g}")
-        out.append((x, k, square, sum(map(mul, p_dual, x))))
-    return out
+        curves.append(carried)
+    return curves
 
 
-def _carry(surface: Surface, pencil: DivisorClass, curves: list[tuple[int, ...]]) -> list[tuple]:
-    """The carried form (C, K*C, C*C, pencil*C) of every coordinate row,
-    in list order: K*C and pencil*C are dot products with the two dual
-    vectors."""
+def _carrier(surface: Surface, pencil: DivisorClass):
+    """The map from a coordinate row C to its carried form
+    (C, K*C, C*C, pencil*C): K*C and pencil*C are dot products with the
+    two dual vectors."""
     k_dual = surface._canonical_dual
     p_dual = surface.dual(pencil.coords)
     square = surface.intersect
-    return [(c, sum(map(mul, k_dual, c)), square(c, c), sum(map(mul, p_dual, c))) for c in curves]
+    return lambda c: (c, sum(map(mul, k_dual, c)), square(c, c), sum(map(mul, p_dual, c)))
 
 
 def _contract(
@@ -375,7 +371,7 @@ def greedy_sharp_minimal(reduced: ReducedPencil) -> SharpModelData:
         curves.append(c.coords)
     if curves and pencil.surface is not surface:
         raise ForeignClassError("foreign class: operands live on different surfaces")
-    curves = _carry(surface, pencil, curves)
+    curves = list(map(_carrier(surface, pencil), curves))
     for c, k, square, p in curves:
         if k == square == -1 and p == 1:
             raise ReductionError(

@@ -57,9 +57,8 @@ def test_determinant_matches_cofactor_expansion():
 @settings(max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_sparse_matrices_match_cofactors_and_fractions(rng):
-    # mostly zero entries, as in the catalog's Gram matrices: a row left
-    # alone in a column is scaled later, and a pivot row left alone is
-    # brought up to date before it is used
+    # mostly zero entries, as in the catalog's Gram matrices and the
+    # class rows of its uniqueness certificates
     n = rng.randint(1, 6)
     m = rng.choice((n, rng.randint(1, 7)))
     rows = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(m)] for _ in range(n)]
